@@ -21,8 +21,6 @@ in, by running the exchange chain forwards and backwards; the mixed tail
 reduces to that plus an endgame.  Left-handed traces are produced by
 mirroring right-handed ones through the index reversal j -> n+1-j, which
 maps every splice rule to itself and swaps the left/right move families.
-The left-virtual-destab trace is assembled by bounded search; instances
-are small and the resulting certificate replays like any other.
 Degenerate instances whose two sides share a free reduction get a pure
 square-deletion/insertion trace.
 """
@@ -34,23 +32,20 @@ from dataclasses import dataclass, field
 from .errors import PatternMismatch
 from .markov import (
     Budget,
+    Edge,
     Equivalent,
-    MoveInstance,
     MoveTrace,
     State,
     _apply_int,
-    _cascade_reversal,
+    _edge_trace,
     _from_int,
-    _invert_edge,
-    _mini_path,
+    _inverse_edges,
     _reduce,
-    _reduction_chain,
+    _square_edges,
     _to_int,
     equivalent_closures,
 )
 from .words import TwinWord
-
-Edge = tuple[State, str, tuple, State]
 
 
 @dataclass
@@ -101,32 +96,18 @@ class _Builder:
             raise PatternMismatch(f"derived chain reached {self.word}, wanted {t}")
 
 
-def _edge_caps(edges: list[Edge]) -> tuple[int, int]:
-    ml = max((max(len(s[1]), len(d[1])) for s, _, _, d in edges), default=4)
-    mn = max((max(s[0], d[0]) for s, _, _, d in edges), default=2)
-    return ml + 4, mn + 1
-
-
 def _invert_edges(edges: list[Edge]) -> list[Edge]:
-    """Edge list of the reversed path; every move in the set has an inverse."""
-    ml, mn = _edge_caps(edges)
-    out: list[Edge] = []
-    for src, tag, params, dst in reversed(edges):
-        inv = _invert_edge(src, tag, params, dst, ml, mn)
-        if inv is not None:
-            out.append((dst, inv[0], inv[1], src))
-            continue
-        repair = _cascade_reversal(src, tag, params, dst)
-        if repair is None:
-            repair = _mini_path(dst, src, ml, mn)
-        if repair is None:
-            raise PatternMismatch("could not invert a derived-trace step")
-        out.extend(repair)
-    return out
+    """Edge list of the reversed path."""
+    return [e for edge in reversed(edges) for e in _inverse_edges(*edge)]
 
 
 def _search_edges(u: State, v: State, slack: int = 6) -> list[Edge]:
-    """Bounded-search sub-trace between two states known to be equivalent."""
+    """Bounded-search sub-trace between two states known to be equivalent.
+
+    The left-virtual-destab trace and the exchange-run tail whose boundary
+    cancelled into the conjugating runs are assembled here; instances are
+    small and the resulting certificate replays like any other.
+    """
     uw, vw = _from_int(u), _from_int(v)
     ml = max(len(u[1]), len(v[1])) + slack
     mn = max(u[0], v[0]) + 1
@@ -476,32 +457,9 @@ class DerivedMove:
     trace: MoveTrace
 
 
-def _boundary_trace(nw: int, lhs: tuple, rhs: tuple) -> list[Edge]:
-    """Square-deletion/insertion chain when both sides share a reduction."""
-    ldels, lred = _reduction_chain(lhs)
-    rdels, rred = _reduction_chain(rhs)
-    if lred != rred:
-        raise PatternMismatch("sides do not share a free reduction")
-    edges: list[Edge] = []
-    cur = lhs
-    for p, g in ldels:
-        nxt = cur[:p] + cur[p + 2 :]
-        edges.append(((nw, cur), "M0", ("square-del", p), (nw, nxt)))
-        cur = nxt
-    for p, g in reversed(rdels):
-        nxt = cur[:p] + (g, g) + cur[p:]
-        edges.append(((nw, cur), "M0", ("square-ins", p, g), (nw, nxt)))
-        cur = nxt
-    return edges
-
-
 def _finish(item: str, lhs_state: State, rhs_state: State, edges: list[Edge]) -> DerivedMove:
     lhs, rhs = _from_int(lhs_state), _from_int(rhs_state)
-    steps = tuple(
-        MoveInstance(tag, params, _from_int(a), _from_int(d))
-        for a, tag, params, d in edges
-    )
-    trace = MoveTrace(lhs, steps)
+    trace = _edge_trace(lhs, edges)
     if not trace.replay() or trace.end != rhs:
         raise PatternMismatch(f"derived trace for {item} failed to replay")
     return DerivedMove(item, lhs, rhs, trace)
@@ -632,7 +590,7 @@ def apply_derived(
             )
             b1_r, b2_r, kd_r = b1t, b2t, kd
         if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
-            return _finish(item, (N, lhs), (N, rhs), _boundary_trace(N, lhs, rhs))
+            return _finish(item, (N, lhs), (N, rhs), _square_edges(N, lhs, rhs))
         if mirror:
             lhs_r = _mirror_state((N, lhs))[1]
             b = _Builder((N, lhs_r))

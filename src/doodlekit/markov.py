@@ -26,6 +26,15 @@ a replayable stitched trace on success.  Unknown is a first-class verdict:
 the move system is complete but gives no length bound, so budgets are
 honest caps, not heuristics.
 
+Every edge has one exact inverse, worked out from the move itself and used
+to reverse the backward half of a stitched trace: square insertions
+rebuild the letters the move cancelled (its image before free reduction),
+then the paired move at the same position restores the source.  M0 rules
+pair through _M0_INVERSE, M1 shifts swap direction, M1 conjugations and
+M4/M5 are their own inverses, and M2/M3 stabilization pairs with
+destabilization, taking the kind of the removed letter.  A conjugation
+needs no insertions: conjugating again cancels the same letters.
+
 Internally words are tuples of signed ints (+i for s_i, -i for r_i);
 public entry points speak TwinWord.
 """
@@ -50,6 +59,7 @@ from .words import (
 # int encoding
 
 State = tuple[int, tuple[int, ...]]  # (strand count, letters)
+Edge = tuple[State, str, tuple, State]  # (source, tag, params, result)
 
 
 def _to_int(w: TwinWord) -> State:
@@ -226,12 +236,15 @@ _M0_FIXED = {
 }
 
 # rule ids whose splice result is rebuilt by the paired rule at the same
-# position, used for fast trace reversal
+# position, used for trace reversal
 _M0_INVERSE = {
     "comm": "comm",
     "braid": "braid",
     "mix3": "mix3",
     "comm-shrink": "comm-grow",
+    "comm-grow": "comm-shrink",
+    "square-ins": "square-del",
+    "square-del": "square-ins",
     "braid-grow": "braid-shrink",
     "braid-shrink": "braid-grow",
     "mixs-grow": "mixs-shrink",
@@ -260,7 +273,7 @@ def _apply_m0(t: tuple[int, ...], rule: str, pos: int, extra: int | None):
             return None
         return t[:pos] + (extra, extra) + t[pos:]
     if rule == "square-del":
-        if pos + 2 > len(t) or t[pos] != t[pos + 1]:
+        if not 0 <= pos <= len(t) - 2 or t[pos] != t[pos + 1]:
             return None
         return t[:pos] + t[pos + 2 :]
     entry = _M0_FIXED.get(rule)
@@ -526,143 +539,92 @@ def neighbors(
 
 
 # ---------------------------------------------------------------------------
-# trace reversal helpers
+# trace reversal
 
 
+def _square_edges(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> list[Edge]:
+    """Square deletions from lhs down to its free reduction, then square
+    insertions up to rhs (leftmost squares first on both sides)."""
 
-def _inverse_candidate(src: State, tag: str, params: tuple):
-    """The natural inverse description of a move, position and all."""
-    if tag == "M0":
-        rule = params[0]
-        inv = _M0_INVERSE.get(rule)
-        if inv == "comm-grow":
-            return ("M0", ("comm-grow", params[1], src[1][params[1]]))
-        if inv is not None:
-            return ("M0", (inv, params[1]))
-        return None
-    if tag == "M1":
-        if params[0] == "conj":
-            return ("M1", ("conj", params[1]))
-        other = "right" if params[1] == "left" else "left"
-        return ("M1", ("shift", other))
-    if tag == "M2":
-        if params[0] == "stab":
-            return ("M2", ("destab",))
-        return ("M2", ("stab", "s" if src[1][-1] > 0 else "r"))
-    if tag == "M3":
-        return ("M3", ("destab",) if params[0] == "stab" else ("stab",))
-    if tag in ("M4", "M5"):
-        return (tag, ())
-    return None
+    def deletions(t):
+        chain = []
+        while True:
+            for p in range(len(t) - 1):
+                if t[p] == t[p + 1]:
+                    chain.append((t, p))
+                    t = t[:p] + t[p + 2 :]
+                    break
+            else:
+                return chain, t
 
-
-def _invert_edge(src: State, tag: str, params: tuple, dst: State, max_len: int, max_n: int):
-    """Find (tag', params') turning dst back into src, or None."""
-    cand = _inverse_candidate(src, tag, params)
-    if cand is not None and _apply_int(dst, cand[0], cand[1]) == src:
-        return cand
-    # fall back to scanning the neighbor fan of dst
-    for ctag, cparams, res in _moves_int(dst, max_len + 4, max_n + 1):
-        if res == src:
-            return ctag, cparams
-    return None
-
-
-def _splice_preimage(src: State, tag: str, params: tuple):
-    """The word right after the rewrite, before free cancellation."""
-    n, t = src
-    if tag == "M0":
-        rule, pos = params[0], params[1]
-        if rule == "comm-grow":
-            h = params[2]
-            return t[:pos] + (h, t[pos], h) + t[pos + 1 :]
-        entry = _M0_FIXED.get(rule)
-        if entry is None:
-            return None
-        fn, width = entry
-        rhs = fn(t[pos : pos + width])
-        if rhs is None:
-            return None
-        return t[:pos] + rhs + t[pos + width :]
-    if tag == "M1" and params[0] == "shift" and t:
-        return t[1:] + t[:1] if params[1] == "left" else t[-1:] + t[:-1]
-    return None
-
-
-def _cascade_reversal(src: State, tag: str, params: tuple, dst: State):
-    """Reverse an edge whose result cancelled down past one move's reach.
-
-    Rebuilds the unreduced splice image of the move with explicit square
-    insertions, then undoes the rewrite itself; all steps are legal M0/M1
-    moves, so the stitched trace still replays.
-    """
-    n = src[0]
-    unreduced = _splice_preimage(src, tag, params)
-    if unreduced is None:
-        return None
-    dels, red = _reduction_chain(unreduced)
-    if red != dst[1]:
-        return None
-    edges = []
-    cur = red
-    for p, g in reversed(dels):
-        nxt = cur[:p] + (g, g) + cur[p:]
-        edges.append(((n, cur), "M0", ("square-ins", p, g), (n, nxt)))
-        cur = nxt
-    cand = _inverse_candidate(src, tag, params)
-    if cand is None or _apply_int((n, cur), cand[0], cand[1]) != src:
-        return None
-    edges.append(((n, cur), cand[0], cand[1], src))
+    down, lred = deletions(lhs)
+    up, rred = deletions(rhs)
+    if lred != rred:
+        raise PatternMismatch("sides do not share a free reduction")
+    edges = [((n, t), "M0", ("square-del", p), (n, t[:p] + t[p + 2 :])) for t, p in down]
+    for t, p in reversed(up):
+        edges.append(((n, t[:p] + t[p + 2 :]), "M0", ("square-ins", p, t[p]), (n, t)))
     return edges
 
 
-def _mini_path(start: State, goal: State, max_len: int, max_n: int, budget: int = 6000):
-    """Unidirectional BFS repair used when an edge has no one-move inverse."""
-    if start == goal:
-        return []
-    visited = {start: None}
-    frontier = [start]
-    explored = 0
-    while frontier and explored < budget:
-        nxt = []
-        for state in sorted(frontier):
-            explored += 1
-            if explored > budget:
-                break
-            for tag, params, res in _moves_int(state, max_len + 4, max_n + 1):
-                if res in visited:
-                    continue
-                visited[res] = (state, tag, params)
-                if res == goal:
-                    path = []
-                    cur = res
-                    while visited[cur] is not None:
-                        prev, t_, p_ = visited[cur]
-                        path.append((prev, t_, p_, cur))
-                        cur = prev
-                    path.reverse()
-                    return path
-                nxt.append(res)
-        frontier = nxt
-    return None
+def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge]:
+    """The exact inverse of the edge src -> dst, as a chain dst -> ... -> src.
+
+    Moves that free-reduce their result (the M0 splices and M1) are undone
+    by square insertions that rebuild the move's image before reduction,
+    the paired move at the same position, and, if src itself was not
+    reduced, square insertions that restore it.  The other moves are undone
+    by their paired move alone.
+    """
+    n, t = src
+    image = None
+    if tag == "M0":
+        rule, pos = params[0], params[1]
+        paired = _M0_INVERSE[rule]
+        inv = (paired, pos) + ((t[pos],) if paired in ("comm-grow", "square-ins") else ())
+        if rule == "comm-grow":
+            image = t[:pos] + (params[2], t[pos], params[2]) + t[pos + 1 :]
+        elif rule in _M0_FIXED:
+            fn, width = _M0_FIXED[rule]
+            image = t[:pos] + fn(t[pos : pos + width]) + t[pos + width :]
+    elif tag == "M1" and params[0] == "conj":
+        # conjugating again cancels whatever the first conjugation cancelled
+        inv = params
+        image = dst[1]
+    elif tag == "M1":
+        left = params[1] == "left"
+        inv = ("shift", "right" if left else "left")
+        image = t[1:] + t[:1] if left else t[-1:] + t[:-1]
+    elif tag in ("M2", "M3"):
+        if params[0] == "stab":
+            inv = ("destab",)
+        elif tag == "M2":
+            inv = ("stab", "s" if t[-1] > 0 else "r")
+        else:
+            inv = ("stab",)
+    else:  # M4 and M5 are their own inverses
+        inv = params
+    if image is None:
+        return [(dst, tag, inv, src)]
+    red = _reduce(t)
+    # the square chains are empty unless letters cancelled; skip their scans
+    edges = _square_edges(n, dst[1], image) if image != dst[1] else []
+    edges.append(((n, image), tag, inv, (n, red)))
+    if red != t:
+        edges += _square_edges(n, red, t)
+    return edges
+
+
+def _edge_trace(start: TwinWord, edges: list[Edge]) -> MoveTrace:
+    steps = tuple(
+        MoveInstance(tag, params, _from_int(a), _from_int(b))
+        for a, tag, params, b in edges
+    )
+    return MoveTrace(start, steps)
 
 
 # ---------------------------------------------------------------------------
 # the equivalence engine
-
-
-def _reduction_chain(t: tuple[int, ...]):
-    """Leftmost square deletions down to the reduced word."""
-    dels = []
-    cur = t
-    while True:
-        for p in range(len(cur) - 1):
-            if cur[p] == cur[p + 1]:
-                dels.append((p, cur[p]))
-                cur = cur[:p] + cur[p + 2 :]
-                break
-        else:
-            return dels, cur
 
 
 def equivalent_closures(
@@ -683,73 +645,33 @@ def equivalent_closures(
     max_states, max_len, max_n = budget.resolve(u, v)
     nu, tu = _to_int(u)
     nv, tv = _to_int(v)
-    u_dels, tu_red = _reduction_chain(tu)
-    v_dels, tv_red = _reduction_chain(tv)
-    su, sv = (nu, tu_red), (nv, tv_red)
-
-    def boundary_steps() -> tuple[list, list]:
-        pre, post = [], []
-        cur = tu
-        for p, g in u_dels:
-            nxt = cur[:p] + cur[p + 2 :]
-            pre.append(((nu, cur), "M0", ("square-del", p), (nu, nxt)))
-            cur = nxt
-        cur = tv_red
-        for p, g in reversed(v_dels):
-            nxt = cur[:p] + (g, g) + cur[p:]
-            post.append(((nv, cur), "M0", ("square-ins", p, g), (nv, nxt)))
-            cur = nxt
-        return pre, post
-
-    if su == sv:
-        pre, post = boundary_steps()
-        steps = tuple(
-            MoveInstance(tag, params, _from_int(a), _from_int(b))
-            for a, tag, params, b in pre + post
-        )
-        return Equivalent(MoveTrace(u, steps))
-
+    su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
     visited: list[dict] = [{su: None}, {sv: None}]
     frontier: list[list[State]] = [[su], [sv]]
     roots = (su, sv)
     explored = 0
 
     def build_verdict(meet: State) -> Equivalent:
-        fwd = []
-        cur = meet
-        while visited[0][cur] is not None:
-            prev, tag, params = visited[0][cur]
-            fwd.append((prev, tag, params, cur))
-            cur = prev
-        fwd.reverse()
-        bwd = []
-        cur = meet
-        while visited[1][cur] is not None:
-            prev, tag, params = visited[1][cur]
-            bwd.append((prev, tag, params, cur))
-            cur = prev
-        # reverse the v-side edges into forward moves meet -> ... -> v
-        edges = list(fwd)
-        for prev, tag, params, cur in bwd:
-            inv = _invert_edge(prev, tag, params, cur, max_len, max_n)
-            if inv is not None:
-                edges.append((cur, inv[0], inv[1], prev))
-                continue
-            repair = _cascade_reversal(prev, tag, params, cur)
-            if repair is None:
-                repair = _mini_path(cur, prev, max_len, max_n)
-            if repair is None:
-                raise RuntimeError("internal: failed to reverse a search edge")
-            edges.extend(repair)
-        pre, post = boundary_steps()
-        steps = tuple(
-            MoveInstance(tag, params, _from_int(a), _from_int(b))
-            for a, tag, params, b in pre + edges + post
-        )
-        trace = MoveTrace(u, steps)
+        paths: list[list[Edge]] = [[], []]
+        for side in (0, 1):
+            cur = meet
+            while visited[side][cur] is not None:
+                prev, tag, params = visited[side][cur]
+                paths[side].append((prev, tag, params, cur))
+                cur = prev
+        # the v-side edges run v -> meet; their inverses run meet -> v
+        edges = _square_edges(nu, tu, su[1]) + paths[0][::-1]
+        for prev, tag, params, cur in paths[1]:
+            edges += _inverse_edges(prev, tag, params, cur)
+        edges += _square_edges(nv, sv[1], tv)
+        trace = _edge_trace(u, edges)
         if not trace.replay() or trace.end != v:
             raise RuntimeError("internal: stitched trace failed to replay")
         return Equivalent(trace)
+
+    if su == sv:
+        edges = _square_edges(nu, tu, su[1]) + _square_edges(nv, sv[1], tv)
+        return Equivalent(_edge_trace(u, edges))
 
     while frontier[0] and frontier[1]:
         if len(frontier[0]) != len(frontier[1]):
@@ -827,7 +749,7 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
             return ("shift", fields[1])
         raise bad()
     if tag == "M2":
-        if fields == ["destab"] or (len(fields) == 2 and fields[0] == "stab" and fields[1] in "sr"):
+        if fields == ["destab"] or (len(fields) == 2 and fields[0] == "stab" and fields[1] in ("s", "r")):
             return tuple(fields)
         raise bad()
     if tag == "M3":

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 from conftest import FIXTURES, GOLDEN
 from doodlekit.cli import run
@@ -113,6 +116,19 @@ class TestEquivCommands:
         code, _, err = invoke("verify-cert", str(path))
         assert code == 65 and "certificate" in err
 
+    def test_verify_cert_rejects_negative_square_del(self, tmp_path):
+        # deleting "at -2" would splice s1 s2 s2 into s1 s1 s2 s2, which
+        # has three closure components instead of two
+        path = tmp_path / "neg.txt"
+        path.write_text(
+            "doodlekit certificate\n"
+            "left n=3 : s1 s2 s2\n"
+            "right n=3 : s1 s1 s2 s2\n"
+            "step M0 square-del -2 -> s1 s1 s2 s2 @ n=3\n"
+        )
+        code, _, err = invoke("verify-cert", str(path))
+        assert code == 65 and "certificate" in err
+
 
 class TestUsage:
     def test_missing_subcommand(self):
@@ -130,3 +146,12 @@ class TestUsage:
     def test_missing_file(self):
         code, _, _ = invoke("gauss-validate", "no/such/file.gauss")
         assert code == 65
+
+    def test_python_m_runs_cli(self):
+        src = str(FIXTURES.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "doodlekit.cli", "pi", "--n", "3", "s1 r2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == golden("pi_s1r2.txt")

@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from doodlekit.errors import CertificateError, PatternMismatch
+from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
 from doodlekit.freegroup import mu
 from doodlekit.gauss import closure_gauss
 from doodlekit.alexander import braid
@@ -11,6 +13,11 @@ from doodlekit.markov import (
     Distinct,
     Equivalent,
     Unknown,
+    _apply_int,
+    _inverse_edges,
+    _moves_int,
+    _parse_params,
+    _reduce,
     apply_move,
     equivalent_closures,
     format_certificate,
@@ -114,6 +121,48 @@ class TestApplyMove:
         assert format_word(grown) == "s1 s1 s1"
         back = apply_move(grown, "M0", ("square-del", 1))
         assert back == w("s1", 2)
+
+    @pytest.mark.parametrize("pos", [-1, -2, -3, 2])
+    def test_square_del_position_in_range(self, pos):
+        with pytest.raises(PatternMismatch):
+            apply_move(w("s1 s2 s2", 3), "M0", ("square-del", pos))
+
+
+def int_states():
+    """Reduced int-encoded states (n, letters): n = 1..5, 0..12 letters."""
+    def letters(n):
+        if n == 1:
+            return st.just(())
+        gen = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+        return st.lists(gen, max_size=12).map(lambda ls: _reduce(tuple(ls)))
+
+    return st.integers(1, 5).flatmap(lambda n: letters(n).map(lambda t: (n, t)))
+
+
+class TestEdgeInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(int_states())
+    def test_inverse_chain_replays_to_source(self, src):
+        # the single inverse rule is total: no fan scan or search backs it up
+        n, t = src
+        for tag, params, dst in _moves_int(src, len(t) + 4, n + 1):
+            cur = dst
+            for a, itag, iparams, b in _inverse_edges(src, tag, params, dst):
+                assert a == cur, (src, tag, params)
+                assert _apply_int(a, itag, iparams) == b, (src, tag, params)
+                cur = b
+            assert cur == src, (src, tag, params)
+
+    def test_cancelled_letters_are_rebuilt(self):
+        # comm at 1 on s1 r3 s1 gives s1 s1 r3 -> r3; reversal reinserts s1 s1
+        src = (4, (1, -3, 1))
+        dst = _apply_int(src, "M0", ("comm", 1))
+        assert dst == (4, (-3,))
+        chain = _inverse_edges(src, "M0", ("comm", 1), dst)
+        assert [(tag, params) for _, tag, params, _ in chain] == [
+            ("M0", ("square-ins", 0, 1)),
+            ("M0", ("comm", 1)),
+        ]
 
 
 class TestEquivalentClosures:
@@ -282,6 +331,87 @@ class TestCertificates:
         cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
         with pytest.raises(CertificateError):
             verify_certificate(cert)
+
+    @pytest.mark.parametrize("kind,ok", [("r", True), ("s", False), ("sr", False), ("rs", False)])
+    def test_stab_kind_is_one_token(self, kind, ok):
+        cert = f"doodlekit certificate\nleft n=2 :\nright n=3 : r2\nstep M2 stab {kind} -> r2 @ n=3\n"
+        if ok:
+            assert verify_certificate(cert).end == w("r2", 3)
+        else:
+            with pytest.raises(CertificateError):
+                verify_certificate(cert)
+
+
+M0_SPLICES = (
+    "comm", "comm-shrink", "braid", "braid-grow", "braid-shrink", "mix3",
+    "mixs-grow", "mixs-shrink", "mixr-grow", "mixr-shrink",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def step_heads(n, length):
+    """Step heads of the certificate grammar, one branch per production,
+    with positions before the start and past the end of the word, letter
+    indices out of range, and fields the grammar does not allow."""
+    letter = st.tuples(st.sampled_from("sr"), st.integers(0, n)).map(lambda p: f"{p[0]}{p[1]}")
+    pos = st.integers(-length - 2, length + 2).map(str)
+    any_rule = st.sampled_from(M0_SPLICES + ("comm-grow", "square-ins", "square-del"))
+    return st.one_of(
+        st.tuples(st.just("M0"), st.sampled_from(M0_SPLICES), pos),
+        st.tuples(st.just("M0"), st.just("comm-grow"), pos, letter),
+        st.tuples(st.just("M0"), st.just("square-ins"), pos, letter),
+        st.tuples(st.just("M0"), st.just("square-del"), pos),
+        st.tuples(st.just("M0"), any_rule, pos, letter),
+        st.tuples(st.just("M1"), st.just("conj"), letter),
+        st.tuples(st.just("M1"), st.just("shift"), st.sampled_from(["left", "right"])),
+        st.tuples(st.just("M2"), st.just("stab"), st.sampled_from(["s", "r", "sr"])),
+        st.tuples(st.sampled_from(["M2", "M3"]), st.sampled_from(["stab", "destab"])),
+        st.tuples(st.sampled_from(["M4", "M5"])),
+    ).map(list)
+
+
+def is_square_move(a, b):
+    """b is a with one adjacent equal pair deleted or inserted."""
+    short, long = sorted((a.letters, b.letters), key=len)
+    return a.strands == b.strands and len(long) == len(short) + 2 and any(
+        long[p] == long[p + 1] and long[:p] + long[p + 2 :] == short
+        for p in range(len(long) - 1)
+    )
+
+
+class TestCertificateFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_certificates_are_sound(self, data):
+        n = data.draw(st.integers(1, 4))
+        gen = st.tuples(st.sampled_from("sr"), st.integers(1, max(n - 1, 1)))
+        toks = data.draw(st.lists(gen, max_size=8 if n > 1 else 0))
+        left = w(" ".join(f"{k}{i}" for k, i in toks), n)
+        cur, lines = left, []
+        for _ in range(data.draw(st.integers(1, 6))):
+            tag, *fields = data.draw(step_heads(cur.strands, len(cur)))
+            try:
+                nxt = apply_move(cur, tag, _parse_params(tag, fields))
+            except DoodleError:
+                continue  # steps that do not parse or apply are left out
+            head = " ".join([tag] + fields)
+            lines.append(f"step {head} -> {format_word(nxt)} @ n={nxt.strands}")
+            cur = nxt
+        cert = "\n".join([
+            "doodlekit certificate",
+            f"left n={left.strands} : {format_word(left)}",
+            f"right n={cur.strands} : {format_word(cur)}",
+            *lines,
+        ]) + "\n"
+        trace = verify_certificate(cert)
+        assert closure_components(trace.end) == closure_components(left)
+        for step in trace.steps:
+            src, res = step.source, step.result
+            assert closure_components(res) == closure_components(src), cert
+            caps = Budget(max_len=len(src) + 4, max_n=src.strands + 1)
+            assert res == src or is_square_move(src, res) or res in {
+                r for _, r in neighbors(src, caps)
+            }, cert
 
 
 def small_words(n):
