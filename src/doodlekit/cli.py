@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over one library call; output is plain
-deterministic text suitable for golden files.  Exit codes: 0 for success
-(including Equivalent / isomorphic / separated-is-false... see below),
-1 for a proved distinction (Distinct verdicts, non-isomorphic data,
-separated words), 2 for Unknown, 64 for usage errors, 65 for parse or
-validation errors.
+deterministic text suitable for golden files.  Exit codes: 0 success /
+Equivalent / isomorphic; 1 proved distinct (Distinct verdicts,
+non-isomorphic data, separated words); 2 Unknown (including a separation
+test that proves nothing); 64 usage error; 65 parse or validation error.
 """
 
 from __future__ import annotations

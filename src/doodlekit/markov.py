@@ -2,13 +2,21 @@
 
 Move inventory (on free-reduced words; every neighbor is reduced again):
 
-- M0: one application of a defining relation.  Enumerated as the splices
-  of the relator rotations: adjacent swaps for far commutativity, the
-  virtual braid and mixed-relation rewrites in all rotated forms, and the
-  unbalanced 1<->3 / 2<->4 splits that grow or shrink a word by two
-  letters.  Inserting a bare square g g is a legal relation application
-  but reduces straight back, so it is never emitted; deleting one never
-  fires because states are already reduced.
+- M0: one application of a defining relation.  Far commutativity is code,
+  since it is a condition on indices: a b -> b a (comm) and its unbalanced
+  splits h g h <-> g (comm-shrink, comm-grow).  The braid and mixed
+  relations are the two relators
+
+      r_i r_{i+1} r_i r_{i+1} r_i r_{i+1}      r_i r_{i+1} s_i r_{i+1} r_i s_{i+1}
+
+  and their rules are generated by one splice rule: cut a rotation of a
+  relator, or of its reversal, into a window of 2, 3 or 4 letters and the
+  rest; the window rewrites to the rest reversed.  Width 3 keeps the
+  length (braid, mix3), a 2-letter window grows and a 4-letter window
+  shrinks (braid-, mixr-, mixs-grow/-shrink; a mixed rule is mixr when
+  its 2-letter side is all virtual).  Inserting a bare square g g is a
+  legal relation application but reduces straight back, so it is never
+  emitted; deleting one never fires because states are already reduced.
 - M1: conjugation by a single generator (w -> g w g) and one-letter
   cyclic shifts in both directions.  Generator conjugations generate all
   conjugations because every letter is an involution.
@@ -30,10 +38,11 @@ Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
 rebuild the letters the move cancelled (its image before free reduction),
 then the paired move at the same position restores the source.  M0 rules
-pair through _M0_INVERSE, M1 shifts swap direction, M1 conjugations and
-M4/M5 are their own inverses, and M2/M3 stabilization pairs with
-destabilization, taking the kind of the removed letter.  A conjugation
-needs no insertions: conjugating again cancels the same letters.
+pair through _M0_RULES (grow with shrink), M1 shifts swap direction, M1
+conjugations and M4/M5 are their own inverses, and M2/M3 stabilization
+pairs with destabilization, taking the kind of the removed letter.  A
+conjugation needs no insertions: conjugating again cancels the same
+letters.
 
 Internally words are tuples of signed ints (+i for s_i, -i for r_i);
 public entry points speak TwinWord.
@@ -44,12 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import CertificateError, PatternMismatch
+from .errors import CertificateError, DoodleError, PatternMismatch
 from .words import (
     REAL,
     VIRTUAL,
     Letter,
     TwinWord,
+    _reduce,
     closure_components,
     format_word,
     parse_word,
@@ -75,16 +85,6 @@ def _from_int(state: State) -> TwinWord:
     )
 
 
-def _reduce(t: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for a in t:
-        if out and out[-1] == a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
 def _tok(a: int) -> str:
     return f"s{a}" if a > 0 else f"r{-a}"
 
@@ -99,193 +99,128 @@ def _untok(s: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# M0 rewrite windows
+# M0 rules
 #
-# Each helper inspects a window of the word and returns the replacement
-# letters, or None.  The window content determines the rewrite uniquely
-# for every rule id, which keeps (rule, position) a complete description.
+# The two relators of the module docstring, written at i = 1 in the int
+# encoding: a letter is its sign times (1 + its offset from i).
+_RELATORS = {"braid": (-1, -2, -1, -2, -1, -2), "mix": (-1, -2, 1, -2, -1, 2)}
+
+# rules whose parameters carry the letter they insert
+_LETTER_RULES = ("comm-grow", "square-ins")
 
 
-def _w_comm(win):
-    a, b = win
-    if abs(abs(a) - abs(b)) >= 2:
-        return (b, a)
-    return None
+def _shift(t: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Every index moved by d, kinds kept; no index may fall below 1."""
+    if not d:
+        return t
+    return tuple([a + d if a > 0 else a - d for a in t])
 
 
-def _w_comm_shrink(win):
-    h, g, h2 = win
-    if h == h2 and abs(abs(h) - abs(g)) >= 2:
-        return (g,)
-    return None
+def _m0_tables() -> tuple[dict, dict]:
+    """The splice table and the rule table, generated from _RELATORS.
 
-
-def _w_braid(win):
-    a, b, c = win
-    if a < 0 and b < 0 and a == c and abs(a - b) == 1:
-        return (b, a, b)
-    return None
-
-
-def _w_braid_grow(win):
-    a, b = win
-    if a < 0 and b < 0 and abs(a - b) == 1:
-        return (b, a, b, a)
-    return None
-
-
-def _w_braid_shrink(win):
-    a, b, c, d = win
-    if a < 0 and b < 0 and a == c and b == d and abs(a - b) == 1:
-        return (b, a)
-    return None
-
-
-def _w_mix3(win):
-    a, b, c = win
-    # rotations of the mixed relation r_i r_{i+1} s_i = s_{i+1} r_i r_{i+1}
-    if a < 0 and b < 0 and c > 0:
-        x = -a
-        if -b == x + 1 and c == x:  # r_i r_{i+1} s_i -> s_{i+1} r_i r_{i+1}
-            return (x + 1, -x, -(x + 1))
-        if -b == x - 1 and c == x:  # r_{i+1} r_i s_{i+1} -> s_i r_{i+1} r_i
-            return (x - 1, -x, -(x - 1))
-    if a < 0 and b > 0 and c < 0 and a == c:
-        x = -a
-        if b == x - 1:  # r_{i+1} s_i r_{i+1} -> r_i s_{i+1} r_i
-            return (-(x - 1), x, -(x - 1))
-        if b == x + 1:  # r_i s_{i+1} r_i -> r_{i+1} s_i r_{i+1}
-            return (-(x + 1), x, -(x + 1))
-    if a > 0 and b < 0 and c < 0:
-        z = a
-        if -b == z + 1 and -c == z:  # s_i r_{i+1} r_i -> r_{i+1} r_i s_{i+1}
-            return (-(z + 1), -z, z + 1)
-        if -b == z - 1 and -c == z:  # s_{i+1} r_i r_{i+1} -> r_i r_{i+1} s_i
-            return (-(z - 1), -z, z - 1)
-    return None
-
-
-def _w_mixs_grow(win):
-    a, b = win
-    if a < 0 and b > 0:
-        if -a == b + 1:  # r_{i+1} s_i -> r_i s_{i+1} r_i r_{i+1}
-            i = b
-            return (-i, i + 1, -i, -(i + 1))
-        if b == -a + 1:  # r_i s_{i+1} -> r_{i+1} s_i r_{i+1} r_i
-            i = -a
-            return (-(i + 1), i, -(i + 1), -i)
-    if a > 0 and b < 0:
-        if -b == a + 1:  # s_i r_{i+1} -> r_{i+1} r_i s_{i+1} r_i
-            i = a
-            return (-(i + 1), -i, i + 1, -i)
-        if a == -b + 1:  # s_{i+1} r_i -> r_i r_{i+1} s_i r_{i+1}
-            i = -b
-            return (-i, -(i + 1), i, -(i + 1))
-    return None
-
-
-def _w_mixs_shrink(win):
-    a, b, c, d = win
-    if a < 0 and b > 0 and c < 0 and d < 0 and a == c:
-        x = -a
-        if b == x + 1 and -d == x + 1:  # r_i s_{i+1} r_i r_{i+1} -> r_{i+1} s_i
-            return (-(x + 1), x)
-        if b == x - 1 and -d == x - 1:  # r_{i+1} s_i r_{i+1} r_i -> r_i s_{i+1}
-            return (-(x - 1), x)
-    if a < 0 and b < 0 and c > 0 and d < 0 and b == d:
-        if -a == c and -b == c - 1:  # r_{i+1} r_i s_{i+1} r_i -> s_i r_{i+1}
-            return (c - 1, a)
-        if -a == c and -b == c + 1:  # r_i r_{i+1} s_i r_{i+1} -> s_{i+1} r_i
-            return (c + 1, a)
-    return None
-
-
-def _w_mixr_grow(win):
-    a, b = win
-    if a < 0 and b < 0:
-        if -b == -a + 1:  # r_i r_{i+1} -> s_{i+1} r_i r_{i+1} s_i
-            i = -a
-            return (i + 1, -i, -(i + 1), i)
-        if -a == -b + 1:  # r_{i+1} r_i -> s_i r_{i+1} r_i s_{i+1}
-            i = -b
-            return (i, -(i + 1), -i, i + 1)
-    return None
-
-
-def _w_mixr_shrink(win):
-    a, b, c, d = win
-    if a > 0 and b < 0 and c < 0 and d > 0:
-        if a == -b + 1 and -c == a and d == -b:  # s_{i+1} r_i r_{i+1} s_i -> r_i r_{i+1}
-            return (b, c)
-        if a == -b - 1 and -c == a and d == -b:  # s_i r_{i+1} r_i s_{i+1} -> r_{i+1} r_i
-            return (b, c)
-    return None
-
-
-_M0_FIXED = {
-    "comm": (_w_comm, 2),
-    "comm-shrink": (_w_comm_shrink, 3),
-    "braid": (_w_braid, 3),
-    "braid-grow": (_w_braid_grow, 2),
-    "braid-shrink": (_w_braid_shrink, 4),
-    "mix3": (_w_mix3, 3),
-    "mixs-grow": (_w_mixs_grow, 2),
-    "mixs-shrink": (_w_mixs_shrink, 4),
-    "mixr-grow": (_w_mixr_grow, 2),
-    "mixr-shrink": (_w_mixr_shrink, 4),
-}
-
-# rule ids whose splice result is rebuilt by the paired rule at the same
-# position, used for trace reversal
-_M0_INVERSE = {
-    "comm": "comm",
-    "braid": "braid",
-    "mix3": "mix3",
-    "comm-shrink": "comm-grow",
-    "comm-grow": "comm-shrink",
-    "square-ins": "square-del",
-    "square-del": "square-ins",
-    "braid-grow": "braid-shrink",
-    "braid-shrink": "braid-grow",
-    "mixs-grow": "mixs-shrink",
-    "mixs-shrink": "mixs-grow",
-    "mixr-grow": "mixr-shrink",
-    "mixr-shrink": "mixr-grow",
-}
-
-
-def _apply_m0(t: tuple[int, ...], rule: str, pos: int, extra: int | None):
-    """Splice one relation application at pos and reduce; None if no match.
-
-    The square rules splice without reducing: they are only used to
-    normalize word boundaries in traces, where the unreduced intermediate
-    word is the whole point.
+    A rotation of a relator, or of its reversal, split into a window of 2,
+    3 or 4 letters and the rest gives the rewrite window -> rest reversed.
+    Relator indices alternate between i and i+1, so a window shifted to
+    i = 1 is the key: it records whether the window starts on the lower
+    index, and its signs.  Each entry is (rule, replacement at i = 1).  The
+    rule table maps every M0 rule id to its window width and the rule that
+    undoes it at the same position.
     """
-    if rule == "comm-grow":
-        if not 0 <= pos < len(t) or extra is None:
-            return None
-        g = t[pos]
-        if abs(abs(g) - abs(extra)) < 2:
-            return None
-        return _reduce(t[:pos] + (extra, g, extra) + t[pos + 1 :])
-    if rule == "square-ins":
-        if extra is None or not 0 <= pos <= len(t):
-            return None
-        return t[:pos] + (extra, extra) + t[pos:]
-    if rule == "square-del":
-        if not 0 <= pos <= len(t) - 2 or t[pos] != t[pos + 1]:
-            return None
-        return t[:pos] + t[pos + 2 :]
-    entry = _M0_FIXED.get(rule)
-    if entry is None:
+    splices: dict[tuple, list] = {}
+    rules = {
+        "comm": (2, "comm"),
+        "comm-shrink": (3, "comm-grow"),
+        "comm-grow": (1, "comm-shrink"),
+        "square-del": (2, "square-ins"),
+        "square-ins": (0, "square-del"),
+    }
+    for name, relator in _RELATORS.items():
+        for word in (relator, relator[::-1]):
+            for k in range(len(word)):
+                rot = word[k:] + word[:k]
+                for width in (2, 3, 4):
+                    win, rhs = rot[:width], rot[width:][::-1]
+                    if width == 3:
+                        rule = paired = "braid" if name == "braid" else "mix3"
+                    else:
+                        short = win if width == 2 else rhs
+                        if name == "braid":
+                            family = "braid"
+                        else:
+                            family = "mixr" if all(a < 0 for a in short) else "mixs"
+                        rule, paired = family + "-grow", family + "-shrink"
+                        if width == 4:
+                            rule, paired = paired, rule
+                    rules[rule] = (width, paired)
+                    entries = splices.setdefault(win, [])
+                    if (rule, rhs) not in entries:
+                        entries.append((rule, rhs))
+    return {win: tuple(entries) for win, entries in splices.items()}, rules
+
+
+_SPLICES, _M0_RULES = _m0_tables()
+
+
+def _far(a: int, b: int) -> bool:
+    return abs(abs(a) - abs(b)) >= 2
+
+
+def _relator_key(win: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(d, key) for a window of at least two letters: the key is the window
+    moved down by d to base index 1.  An index below the base becomes 0,
+    which is no relator letter, so a key is in _SPLICES only where the
+    window is exactly relator letters at i = d + 1."""
+    d = min(abs(win[0]), abs(win[1])) - 1
+    if not d:
+        return 0, win
+    return d, tuple([a - d if a > d else a + d if a < -d else 0 for a in win])
+
+
+def _relator_splices(t: tuple[int, ...], pos: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(rule, image) for every relator rule whose window starts at pos, 3-,
+    4- then 2-letter windows in fan order.  The image is the word with the
+    window rewritten, before free reduction."""
+    if pos + 2 > len(t):
+        return []
+    d, key = _relator_key(t[pos : pos + 4])
+    out = []
+    for w in (3, 4, 2):
+        if w <= len(key):
+            for rule, rhs in _SPLICES.get(key[:w], ()):
+                out.append((rule, t[:pos] + _shift(rhs, d) + t[pos + w :]))
+    return out
+
+
+def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None):
+    """The word with one application of an M0 rule at pos, before free
+    reduction; None if the rule is unknown or does not match there."""
+    entry = _M0_RULES.get(rule)
+    if entry is None or not 0 <= pos <= len(t) - entry[0]:
         return None
-    fn, width = entry
-    if pos < 0 or pos + width > len(t):
-        return None
-    rhs = fn(t[pos : pos + width])
-    if rhs is None:
-        return None
-    return _reduce(t[:pos] + rhs + t[pos + width :])
+    width = entry[0]
+    win = t[pos : pos + width]
+    rhs = None
+    if rule == "comm":
+        if _far(*win):
+            rhs = win[::-1]
+    elif rule == "comm-grow":
+        if _far(win[0], extra):
+            rhs = (extra, *win, extra)
+    elif rule == "comm-shrink":
+        if win[0] == win[2] and _far(win[0], win[1]):
+            rhs = win[1:2]
+    elif rule == "square-ins":
+        rhs = (extra, extra)
+    elif rule == "square-del":
+        if win[0] == win[1]:
+            rhs = ()
+    else:
+        d, key = _relator_key(win)
+        for r, letters in _SPLICES.get(key, ()):
+            if r == rule:
+                rhs = _shift(letters, d)
+    return None if rhs is None else t[:pos] + rhs + t[pos + width :]
 
 
 # ---------------------------------------------------------------------------
@@ -293,46 +228,52 @@ def _apply_m0(t: tuple[int, ...], rule: str, pos: int, extra: int | None):
 
 
 def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
+    """Apply one move; None unless params follow the certificate grammar
+    and the move fits the word."""
     n, t = state
     if tag == "M0":
-        rule, pos = params[0], params[1]
-        extra = params[2] if len(params) > 2 else None
-        if rule == "comm-grow" and extra is not None and abs(extra) > n - 1:
-            return None
-        rt = _apply_m0(t, rule, pos, extra)
-        return None if rt is None else (n, rt)
-    if tag == "M1":
-        if params[0] == "conj":
-            g = params[1]
-            if not 1 <= abs(g) <= n - 1:
+        if len(params) == 2:
+            if params[0] in _LETTER_RULES:
                 return None
-            return (n, _reduce((g,) + t + (g,)))
-        if params[0] == "shift" and t:
-            if params[1] == "left":
-                return (n, _reduce(t[1:] + t[:1]))
-            if params[1] == "right":
-                return (n, _reduce(t[-1:] + t[:-1]))
+        elif len(params) != 3 or params[0] not in _LETTER_RULES:
+            return None
+        elif type(params[2]) is not int or not 1 <= abs(params[2]) < n:
+            return None
+        if type(params[0]) is not str or type(params[1]) is not int:
+            return None
+        image = _splice(t, *params)
+        if image is None:
+            return None
+        # the square rules are only used to normalize word boundaries in
+        # traces, where the unreduced intermediate word is the point
+        return (n, image if params[0].startswith("square-") else _reduce(image))
+    if tag == "M1":
+        if len(params) == 2 and params[0] == "conj" and type(params[1]) is int:
+            g = params[1]
+            if 1 <= abs(g) < n:
+                return (n, _reduce((g,) + t + (g,)))
+        elif params == ("shift", "left") and t:
+            return (n, _reduce(t[1:] + t[:1]))
+        elif params == ("shift", "right") and t:
+            return (n, _reduce(t[-1:] + t[:-1]))
         return None
     if tag == "M2":
-        if params[0] == "stab":
-            g = n if params[1] == "s" else -n
-            return (n + 1, t + (g,))
-        if params[0] == "destab":
+        if params in (("stab", "s"), ("stab", "r")):
+            return (n + 1, t + (n if params[1] == "s" else -n,))
+        if params == ("destab",):
             if n >= 2 and t and abs(t[-1]) == n - 1:
                 if sum(1 for a in t if abs(a) == n - 1) == 1:
                     return (n - 1, t[:-1])
         return None
     if tag == "M3":
-        if params[0] == "stab":
-            shifted = tuple(a + 1 if a > 0 else a - 1 for a in t)
-            return (n + 1, shifted + (1,))
-        if params[0] == "destab":
+        if params == ("stab",):
+            return (n + 1, _shift(t, 1) + (1,))
+        if params == ("destab",):
             if n >= 2 and t and t[-1] == 1:
                 if sum(1 for a in t if abs(a) == 1) == 1:
-                    body = tuple(a - 1 if a > 0 else a + 1 for a in t[:-1])
-                    return (n - 1, body)
+                    return (n - 1, _shift(t[:-1], -1))
         return None
-    if tag == "M4":
+    if tag == "M4" and params == ():
         e = n - 1
         ps = [p for p, a in enumerate(t) if abs(a) == e]
         if e >= 1 and len(ps) == 2 and ps[1] == len(t) - 1 and (
@@ -343,7 +284,7 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
             out[ps[1]] = -out[ps[1]]
             return (n, tuple(out))
         return None
-    if tag == "M5":
+    if tag == "M5" and params == ():
         ps = [p for p, a in enumerate(t) if abs(a) == 1]
         if len(ps) == 2 and ps[0] == 0 and (t[ps[0]] > 0) == (t[ps[1]] > 0):
             out = list(t)
@@ -372,35 +313,30 @@ def _moves_int(
             return None
         return res
 
-    # M0 splice rules at each position
-    rule_order = (
-        "comm",
-        "braid",
-        "mix3",
-        "comm-shrink",
-        "braid-shrink",
-        "mixs-shrink",
-        "mixr-shrink",
-        "braid-grow",
-        "mixs-grow",
-        "mixr-grow",
-    )
     for pos in range(L):
-        for rule in rule_order:
-            rt = _apply_m0(t, rule, pos, None)
-            if rt is not None:
-                res = ok((n, rt))
+        # M0 at pos in fan order: length-preserving, shrinking, then growing
+        # rules.  Far commutation needs index distance >= 2 at pos and pos + 1,
+        # the relators need distance 1, so only one of the two groups matches.
+        g = t[pos]
+        if pos + 1 < L and _far(g, t[pos + 1]):
+            fan = [
+                ("comm", _splice(t, "comm", pos)),
+                ("comm-shrink", _splice(t, "comm-shrink", pos)),
+            ]
+        else:
+            fan = _relator_splices(t, pos)
+        for rule, image in fan:
+            if image is not None:
+                res = ok((n, _reduce(image)))
                 if res is not None:
                     yield "M0", (rule, pos), res
-        g = t[pos]
+        head, tail = t[:pos], t[pos + 1 :]
         for j in range(1, n):
             if abs(j - abs(g)) >= 2:
                 for h in (j, -j):
-                    rt = _apply_m0(t, "comm-grow", pos, h)
-                    if rt is not None:
-                        res = ok((n, rt))
-                        if res is not None:
-                            yield "M0", ("comm-grow", pos, h), res
+                    res = ok((n, _reduce(head + (h, g, h) + tail)))
+                    if res is not None:
+                        yield "M0", ("comm-grow", pos, h), res
 
     # M1 conjugations and cyclic shifts
     for j in range(1, n):
@@ -580,13 +516,10 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
     image = None
     if tag == "M0":
         rule, pos = params[0], params[1]
-        paired = _M0_INVERSE[rule]
-        inv = (paired, pos) + ((t[pos],) if paired in ("comm-grow", "square-ins") else ())
-        if rule == "comm-grow":
-            image = t[:pos] + (params[2], t[pos], params[2]) + t[pos + 1 :]
-        elif rule in _M0_FIXED:
-            fn, width = _M0_FIXED[rule]
-            image = t[:pos] + fn(t[pos : pos + width]) + t[pos + width :]
+        paired = _M0_RULES[rule][1]
+        inv = (paired, pos) + ((t[pos],) if paired in _LETTER_RULES else ())
+        if not rule.startswith("square-"):
+            image = _splice(t, rule, pos, *params[2:])
     elif tag == "M1" and params[0] == "conj":
         # conjugating again cancels whatever the first conjugation cancelled
         inv = params
@@ -730,12 +663,10 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
         return CertificateError(f"bad parameters {fields} for move {tag}")
 
     if tag == "M0":
-        if len(fields) < 2 or fields[0] not in (
-            *_M0_FIXED, "comm-grow", "square-ins", "square-del"
-        ):
+        if len(fields) < 2 or fields[0] not in _M0_RULES:
             raise bad()
         rule, pos = fields[0], int(fields[1])
-        if rule in ("comm-grow", "square-ins"):
+        if rule in _LETTER_RULES:
             if len(fields) != 3:
                 raise bad()
             return (rule, pos, _untok(fields[2]))
@@ -774,10 +705,11 @@ def parse_certificate(text: str):
     def parse_header(line: str, label: str) -> TwinWord:
         try:
             head, body = line.split(":", 1)
-            fields = head.split()
-            assert fields[0] == label and fields[1].startswith("n=")
-            return parse_word(body.strip(), int(fields[1][2:]))
-        except (ValueError, AssertionError, IndexError) as exc:
+            name, strands = head.split()
+            if name != label or not strands.startswith("n="):
+                raise ValueError(line)
+            return parse_word(body.strip(), int(strands[2:]))
+        except (ValueError, DoodleError) as exc:
             raise CertificateError(f"bad header line {line!r}") from exc
 
     if len(lines) < 3:
@@ -797,7 +729,9 @@ def parse_certificate(text: str):
             fields = head.split()
             tag = fields[0]
             params = _parse_params(tag, fields[1:])
-        except (ValueError, IndexError) as exc:
+        except CertificateError:
+            raise
+        except (ValueError, IndexError, DoodleError) as exc:
             raise CertificateError(f"bad step line {line!r}") from exc
         raw_steps.append((tag, params, result))
     return left, right, raw_steps

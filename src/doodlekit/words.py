@@ -114,6 +114,21 @@ def concat(u: TwinWord, v: TwinWord) -> TwinWord:
     return TwinWord(u.strands, u.letters + v.letters)
 
 
+def _reduce(letters: tuple) -> tuple:
+    """Delete adjacent equal items until none remain, in one pass.
+
+    Works on any letter encoding: Letter tuples here, signed ints in
+    :mod:`doodlekit.markov`.
+    """
+    out: list = []
+    for a in letters:
+        if out and out[-1] == a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
 def free_reduce(w: TwinWord) -> TwinWord:
     """Delete adjacent equal letters (g g = 1) until none remain.
 
@@ -121,13 +136,7 @@ def free_reduce(w: TwinWord) -> TwinWord:
     No commutation or braid rewriting is applied here; those are Markov
     M0 moves.
     """
-    out: list[Letter] = []
-    for let in w.letters:
-        if out and out[-1] == let:
-            out.pop()
-        else:
-            out.append(let)
-    return TwinWord(w.strands, tuple(out))
+    return TwinWord(w.strands, _reduce(w.letters))
 
 
 def inverse(w: TwinWord) -> TwinWord:

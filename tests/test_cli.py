@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES, GOLDEN
 from doodlekit.cli import run
 
@@ -128,6 +130,55 @@ class TestEquivCommands:
         )
         code, _, err = invoke("verify-cert", str(path))
         assert code == 65 and "certificate" in err
+
+    def test_verify_cert_rejects_out_of_range_letters(self, tmp_path):
+        path = tmp_path / "range.txt"
+        path.write_text(
+            "doodlekit certificate\n"
+            "left n=2 : s1\n"
+            "right n=2 : s9 s9 s1\n"
+            "step M0 square-ins 0 s9 -> s9 s9 s1 @ n=2\n"
+        )
+        code, _, err = invoke("verify-cert", str(path))
+        assert code == 65 and "bad certificate" in err
+
+
+# equiv runs whose certificates are pinned byte for byte; together they use
+# every M0 rule id
+EQUIV_GOLDENS = [
+    ("equiv_mixs_braid.txt",
+     ["--n1", "3", "--n2", "3", "r1 s2 r2 s1 s2 s2 r2", "s1 r2 s2 r2 r1 s1 s1 r2 r1"]),
+    ("equiv_mixr_shrink_destab.txt",
+     ["--n1", "4", "--n2", "3", "r1 s3 r2 s1 r2 s3", "r1", "--max-len", "8", "--max-n", "4"]),
+    ("equiv_comm_grow_braid_grow.txt",
+     ["--n1", "4", "--n2", "4", "s3 r2 s1", "s3 s1 r3 s1 r2 r3 r2 s1 r3"]),
+    ("equiv_braid_shrink.txt",
+     ["--n1", "3", "--n2", "3", "s2 r1 r2 r1 r1 r1 r2 s1 s2 s2", "s2 r2 r1 s1 s2 s2"]),
+    ("equiv_mixr_grow_stab.txt",
+     ["--n1", "2", "--n2", "4", "s1 r1 s1 r1 s1 r1", "s1 r1 s1 r1 s1 s2 r1 r2 s1 r3"]),
+]
+
+
+class TestEquivGoldens:
+    @pytest.mark.parametrize("name,argv", EQUIV_GOLDENS, ids=[g[0] for g in EQUIV_GOLDENS])
+    def test_certificate_bytes(self, name, argv):
+        code, out, _ = invoke("equiv", *argv)
+        assert (code, out) == (0, golden(name))
+        code, out, _ = invoke("verify-cert", str(GOLDEN / name))
+        assert code == 0 and out.startswith("certificate ok")
+
+    def test_goldens_use_every_m0_rule(self):
+        rules = {
+            line.split()[2]
+            for name, _ in EQUIV_GOLDENS
+            for line in golden(name).splitlines()
+            if line.startswith("step M0 ")
+        }
+        assert rules == {
+            "comm", "comm-grow", "comm-shrink", "braid", "braid-grow", "braid-shrink",
+            "mix3", "mixs-grow", "mixs-shrink", "mixr-grow", "mixr-shrink",
+            "square-ins", "square-del",
+        }
 
 
 class TestUsage:

@@ -12,8 +12,10 @@ from doodlekit.markov import (
     Budget,
     Distinct,
     Equivalent,
+    MoveInstance,
     Unknown,
     _apply_int,
+    _from_int,
     _inverse_edges,
     _moves_int,
     _parse_params,
@@ -126,6 +128,76 @@ class TestApplyMove:
     def test_square_del_position_in_range(self, pos):
         with pytest.raises(PatternMismatch):
             apply_move(w("s1 s2 s2", 3), "M0", ("square-del", pos))
+
+
+class TestMalformedParams:
+    # parameters outside the certificate grammar never apply
+    CASES = [
+        ("M1", ("shift",)),
+        ("M2", ("stab",)),
+        ("M3", ()),
+        ("M0", ()),
+        ("M0", ("comm", "x")),
+        ("M0", (["comm"], 0)),
+        ("M1", ("conj", "s1")),
+        ("M2", ("stab", "x")),
+        ("M0", ("comm", 0, 2)),
+        ("M0", ("comm-grow", 0)),
+        ("M0", ("square-ins", 0, 9)),
+        ("M4", ("x",)),
+        ("M9", ()),
+    ]
+
+    @pytest.mark.parametrize("tag,params", CASES)
+    def test_apply_move_raises_pattern_mismatch(self, tag, params):
+        with pytest.raises(PatternMismatch):
+            apply_move(w("s1 r1", 2), tag, params)
+
+    @pytest.mark.parametrize("tag,params", CASES)
+    def test_replay_is_false(self, tag, params):
+        word = w("s1 r1", 2)
+        assert not MoveInstance(tag, params, word, word).replay()
+        assert not MoveInstance(tag, params, word, w("s1 r1 r2", 3)).replay()
+
+
+# (window width, matches) of each fixed-window M0 rule over every window of
+# 2-4 letters at n = 7 whose length is the rule's width
+M0_WINDOW_COUNTS = {
+    "comm": (2, 80),
+    "comm-shrink": (3, 80),
+    "braid": (3, 10),
+    "braid-grow": (2, 10),
+    "braid-shrink": (4, 10),
+    "mix3": (3, 30),
+    "mixs-grow": (2, 20),
+    "mixs-shrink": (4, 20),
+    "mixr-grow": (2, 10),
+    "mixr-shrink": (4, 10),
+}
+
+
+class TestM0Rules:
+    def test_every_window_at_n7(self):
+        letters = [*range(1, 7), *range(-1, -7, -1)]
+        counts = dict.fromkeys(M0_WINDOW_COUNTS, 0)
+        for width in (2, 3, 4):
+            for win in itertools.product(letters, repeat=width):
+                word = _from_int((7, win))
+                for rule, (rule_width, _) in M0_WINDOW_COUNTS.items():
+                    got = _apply_int((7, win), "M0", (rule, 0))
+                    if got is None or width != rule_width:
+                        continue
+                    counts[rule] += 1
+                    result = _from_int(got)
+                    assert pi(result) == pi(word), (rule, win)
+                    assert mu(result) == mu(word), (rule, win)
+        assert counts == {rule: count for rule, (_, count) in M0_WINDOW_COUNTS.items()}
+
+    def test_rules_apply_only_at_their_own_indices(self):
+        # a window whose letters leave {i, i+1} must not match a relator
+        # rule, even where its signs and the shift to i = 1 would fit
+        assert _apply_int((7, (-3, -4, 1)), "M0", ("braid", 0)) is None
+        assert _apply_int((7, (-3, -4, -3)), "M0", ("braid", 0)) == (7, (-4, -3, -4))
 
 
 def int_states():
@@ -325,12 +397,27 @@ class TestCertificates:
             "step M0 comm-grow 0 -> s1 @ n=2",  # missing wrapped letter
             "step M0 comm-grow 0 s0 -> s1 @ n=2",  # zero index letter
             "step M4 extra -> s1 @ n=2",        # spurious field
+            "step M0 square-ins 0 s9 -> s9 s9 s1 @ n=2",  # letters out of range
+            "step M1 conj s1 -> s1 @ n=0",      # no strands
         ],
     )
     def test_malformed_step_lines_rejected(self, line):
         cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
         with pytest.raises(CertificateError):
             verify_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            "left n=2 : s5\nright n=2 : s5\n",
+            "left n=2 : s1\nright n=0 : \n",
+            "left n=2 : x1\nright n=2 : s1\n",
+            "left n=2 junk : s1\nright n=2 : s1\n",
+        ],
+    )
+    def test_malformed_headers_rejected(self, headers):
+        with pytest.raises(CertificateError):
+            parse_certificate("doodlekit certificate\n" + headers)
 
     @pytest.mark.parametrize("kind,ok", [("r", True), ("s", False), ("sr", False), ("rs", False)])
     def test_stab_kind_is_one_token(self, kind, ok):
