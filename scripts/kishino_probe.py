@@ -14,6 +14,7 @@ import time
 from doodlekit import (
     Budget,
     Equivalent,
+    Unknown,
     braid,
     closure_components,
     equivalent_closures,
@@ -37,14 +38,17 @@ def main() -> None:
     print(f"closure components: {closure_components(w)}")
 
     unknot = parse_word("", 1)
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = equivalent_closures(w, unknot, Budget(args.max_states))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if isinstance(verdict, Equivalent):
         print("unexpected equivalence certificate found:")
         print(format_certificate(w, unknot, verdict.trace))
-    else:
-        print(f"verdict: {verdict} ({dt:.1f}s)")
+        return
+    print(f"verdict: {verdict} ({dt:.1f}s)")
+    if isinstance(verdict, Unknown):
+        explored = verdict.states_explored
+        print(f"states explored: {explored} ({explored / dt:,.0f} states/s)")
 
 
 if __name__ == "__main__":

@@ -100,8 +100,11 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DoodleError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
 def run(argv: list[str], out=None, err=None) -> int:

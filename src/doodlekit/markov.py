@@ -1,6 +1,7 @@
 """Markov moves M0-M5, a budgeted equivalence search, and certificates.
 
-Move inventory (on free-reduced words; every neighbor is reduced again):
+Move inventory (on free-reduced words; every neighbor is reduced at its
+splice seams only, see below):
 
 - M0: one application of a defining relation.  Far commutativity is code,
   since it is a condition on indices: a b -> b a (comm) and its unbalanced
@@ -34,6 +35,14 @@ a replayable stitched trace on success.  Unknown is a first-class verdict:
 the move system is complete but gives no length bound, so budgets are
 honest caps, not heuristics.
 
+An M0 move rewrites one window of a word and an M1 move puts letters at
+its ends, so on a reduced word letters can cancel only where the new
+letters meet the untouched prefix and suffix.  Each neighbor is therefore
+the prefix, the new letters and the suffix joined by _join, which cancels
+at the two seams and nowhere else.  An unreduced word (neighbors accepts
+one) has its prefixes and suffixes reduced once first; that gives the
+same neighbors, because free reduction is confluent.
+
 Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
 rebuild the letters the move cancelled (its image before free reduction),
@@ -50,6 +59,7 @@ public entry points speak TwinWord.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -59,6 +69,7 @@ from .words import (
     VIRTUAL,
     Letter,
     TwinWord,
+    _TOKEN,
     _reduce,
     closure_components,
     format_word,
@@ -78,11 +89,21 @@ def _to_int(w: TwinWord) -> State:
     )
 
 
+class _Letters(dict):
+    """The Letter of each int, built on first use; letters are immutable,
+    so one cache serves every caller."""
+
+    def __missing__(self, a: int) -> Letter:
+        let = self[a] = Letter(REAL if a > 0 else VIRTUAL, abs(a))
+        return let
+
+
+_LETTER = _Letters()
+
+
 def _from_int(state: State) -> TwinWord:
     n, t = state
-    return TwinWord(
-        n, tuple(Letter(REAL if a > 0 else VIRTUAL, abs(a)) for a in t)
-    )
+    return TwinWord(n, tuple(map(_LETTER.__getitem__, t)))
 
 
 def _tok(a: int) -> str:
@@ -90,12 +111,14 @@ def _tok(a: int) -> str:
 
 
 def _untok(s: str) -> int:
-    kind, idx = s[:1], int(s[1:] or "0")
-    if idx >= 1 and kind == "s":
-        return idx
-    if idx >= 1 and kind == "r":
-        return -idx
-    raise CertificateError(f"bad letter token {s!r}")
+    m = _TOKEN.fullmatch(s)
+    if m is None or int(m.group(2)) < 1:
+        raise CertificateError(f"bad letter token {s!r}")
+    idx = int(m.group(2))
+    return idx if m.group(1) == "s" else -idx
+
+
+_POSITION = re.compile(r"-?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +198,6 @@ def _relator_key(win: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     if not d:
         return 0, win
     return d, tuple([a - d if a > d else a + d if a < -d else 0 for a in win])
-
-
-def _relator_splices(t: tuple[int, ...], pos: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(rule, image) for every relator rule whose window starts at pos, 3-,
-    4- then 2-letter windows in fan order.  The image is the word with the
-    window rewritten, before free reduction."""
-    if pos + 2 > len(t):
-        return []
-    d, key = _relator_key(t[pos : pos + 4])
-    out = []
-    for w in (3, 4, 2):
-        if w <= len(key):
-            for rule, rhs in _SPLICES.get(key[:w], ()):
-                out.append((rule, t[:pos] + _shift(rhs, d) + t[pos + w :]))
-    return out
 
 
 def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None):
@@ -295,83 +303,125 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
     return None
 
 
+def _join(
+    head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
+) -> tuple[int, ...]:
+    """_reduce(head + mid + tail) for free-reduced head and tail.
+
+    Letters can only cancel at the two seams: mid is cancelled against the
+    end of head on a small stack, then the start of tail against that,
+    stopping at the first letter of tail that does not cancel.
+    """
+    i = len(head)
+    out: list[int] = []
+    for a in mid:
+        if out:
+            if out[-1] == a:
+                out.pop()
+                continue
+        elif i and head[i - 1] == a:
+            i -= 1
+            continue
+        out.append(a)
+    j = 0
+    for a in tail:
+        if out:
+            if out[-1] != a:
+                break
+            out.pop()
+        elif i and head[i - 1] == a:
+            i -= 1
+        else:
+            break
+        j += 1
+    return head[:i] + tuple(out) + tail[j:]
+
+
+# the moves that reduce nothing, in fan order
+_FIXED_MOVES = (
+    ("M2", ("stab", "s")),
+    ("M2", ("stab", "r")),
+    ("M2", ("destab",)),
+    ("M3", ("stab",)),
+    ("M3", ("destab",)),
+    ("M4", ()),
+    ("M5", ()),
+)
+
+
 def _moves_int(
     state: State, max_len: int, max_n: int
 ) -> Iterator[tuple[str, tuple, State]]:
     """All single moves from state, deterministic order, caps applied.
 
     Results are free-reduced; self-loops and duplicate results are
-    filtered by the caller.
+    filtered by the caller.  Each result joins a prefix, the rewritten
+    letters and a suffix of the word with _join.  The slices are reduced
+    once if the word is not, which is exact because free reduction is
+    confluent: reduce(h + m + t) == reduce(reduce(h) + m + reduce(t)).
     """
     n, t = state
     L = len(t)
+    pre = [t[:p] for p in range(L + 1)]
+    suf = [t[p:] for p in range(L + 1)]
+    if any(map(int.__eq__, t, t[1:])):
+        pre = [_reduce(h) for h in pre]
+        suf = [_reduce(h) for h in suf]
 
-    def ok(res: Optional[State]):
-        if res is None:
-            return None
-        if len(res[1]) > max_len or res[0] > max_n or res[0] < 1:
-            return None
-        return res
+    # M0 and M1 keep the strand count, so its cap is checked once
+    if 1 <= n <= max_n:
+        for pos in range(L):
+            # M0 at pos in fan order: length-preserving, shrinking, then
+            # growing rules.  Far commutation needs index distance >= 2 at
+            # pos and pos + 1, the relators need distance 1, so only one of
+            # the two groups matches.
+            g = t[pos]
+            head = pre[pos]
+            if pos + 1 < L:
+                if _far(g, t[pos + 1]):
+                    res = _join(head, (t[pos + 1], g), suf[pos + 2])
+                    if len(res) <= max_len:
+                        yield "M0", ("comm", pos), (n, res)
+                    if pos + 2 < L and t[pos + 2] == g:
+                        res = _join(head, (t[pos + 1],), suf[pos + 3])
+                        if len(res) <= max_len:
+                            yield "M0", ("comm-shrink", pos), (n, res)
+                else:
+                    d, key = _relator_key(t[pos : pos + 4])
+                    for w in (3, 4, 2):
+                        if w <= len(key):
+                            for rule, rhs in _SPLICES.get(key[:w], ()):
+                                res = _join(head, _shift(rhs, d), suf[pos + w])
+                                if len(res) <= max_len:
+                                    yield "M0", (rule, pos), (n, res)
+            tail = suf[pos + 1]
+            for j in range(1, n):
+                if abs(j - abs(g)) >= 2:
+                    for h in (j, -j):
+                        res = _join(head, (h, g, h), tail)
+                        if len(res) <= max_len:
+                            yield "M0", ("comm-grow", pos, h), (n, res)
 
-    for pos in range(L):
-        # M0 at pos in fan order: length-preserving, shrinking, then growing
-        # rules.  Far commutation needs index distance >= 2 at pos and pos + 1,
-        # the relators need distance 1, so only one of the two groups matches.
-        g = t[pos]
-        if pos + 1 < L and _far(g, t[pos + 1]):
-            fan = [
-                ("comm", _splice(t, "comm", pos)),
-                ("comm-shrink", _splice(t, "comm-shrink", pos)),
-            ]
-        else:
-            fan = _relator_splices(t, pos)
-        for rule, image in fan:
-            if image is not None:
-                res = ok((n, _reduce(image)))
-                if res is not None:
-                    yield "M0", (rule, pos), res
-        head, tail = t[:pos], t[pos + 1 :]
+        # M1 conjugations (g w g: cancel at the front, then at the back)
+        # and cyclic shifts
         for j in range(1, n):
-            if abs(j - abs(g)) >= 2:
-                for h in (j, -j):
-                    res = ok((n, _reduce(head + (h, g, h) + tail)))
-                    if res is not None:
-                        yield "M0", ("comm-grow", pos, h), res
+            for g in (j, -j):
+                res = _join(_join((), (g,), suf[0]), (g,), ())
+                if len(res) <= max_len:
+                    yield "M1", ("conj", g), (n, res)
+        if L:
+            res = _join(suf[1], t[:1], ())
+            if len(res) <= max_len:
+                yield "M1", ("shift", "left"), (n, res)
+            res = _join((), t[-1:], pre[L - 1])
+            if len(res) <= max_len:
+                yield "M1", ("shift", "right"), (n, res)
 
-    # M1 conjugations and cyclic shifts
-    for j in range(1, n):
-        for g in (j, -j):
-            res = ok(_apply_int(state, "M1", ("conj", g)))
-            if res is not None:
-                yield "M1", ("conj", g), res
-    if L:
-        for direction in ("left", "right"):
-            res = ok(_apply_int(state, "M1", ("shift", direction)))
-            if res is not None:
-                yield "M1", ("shift", direction), res
-
-    # M2 / M3 stabilizations
-    for kind in ("s", "r"):
-        res = ok(_apply_int(state, "M2", ("stab", kind)))
-        if res is not None:
-            yield "M2", ("stab", kind), res
-    res = ok(_apply_int(state, "M2", ("destab",)))
-    if res is not None:
-        yield "M2", ("destab",), res
-    res = ok(_apply_int(state, "M3", ("stab",)))
-    if res is not None:
-        yield "M3", ("stab",), res
-    res = ok(_apply_int(state, "M3", ("destab",)))
-    if res is not None:
-        yield "M3", ("destab",), res
-
-    # M4 / M5 exchanges
-    res = ok(_apply_int(state, "M4", ()))
-    if res is not None:
-        yield "M4", (), res
-    res = ok(_apply_int(state, "M5", ()))
-    if res is not None:
-        yield "M5", (), res
+    # M2 / M3 stabilizations and M4 / M5 exchanges
+    for tag, params in _FIXED_MOVES:
+        res = _apply_int(state, tag, params)
+        if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
+            yield tag, params, res
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +714,8 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
 
     if tag == "M0":
         if len(fields) < 2 or fields[0] not in _M0_RULES:
+            raise bad()
+        if not _POSITION.fullmatch(fields[1]):
             raise bad()
         rule, pos = fields[0], int(fields[1])
         if rule in _LETTER_RULES:

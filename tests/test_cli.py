@@ -198,6 +198,14 @@ class TestUsage:
         code, _, _ = invoke("gauss-validate", "no/such/file.gauss")
         assert code == 65
 
+    @pytest.mark.parametrize("command", ["verify-cert", "gauss-validate", "gauss-iso", "braid"])
+    def test_non_utf8_file(self, tmp_path, command):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "n=2\ns1\n".encode("utf-16-le"))
+        args = [str(path)] * (2 if command == "gauss-iso" else 1)
+        code, out, err = invoke(command, *args)
+        assert (code, out) == (65, "") and "not UTF-8" in err
+
     def test_python_m_runs_cli(self):
         src = str(FIXTURES.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

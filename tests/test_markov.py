@@ -399,6 +399,13 @@ class TestCertificates:
             "step M4 extra -> s1 @ n=2",        # spurious field
             "step M0 square-ins 0 s9 -> s9 s9 s1 @ n=2",  # letters out of range
             "step M1 conj s1 -> s1 @ n=0",      # no strands
+            "step M1 conj s+1 -> s1 @ n=2",     # sign in a letter index
+            "step M1 conj s0_1 -> s1 @ n=2",    # underscore in a letter index
+            "step M1 conj s1_0 -> s1 @ n=2",    # int() reads it as s10
+            "step M1 conj s\u0661 -> s1 @ n=2",  # Arabic-Indic digit one
+            "step M0 square-ins +0 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
+            "step M0 square-ins 0_0 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
+            "step M0 square-ins \u0660 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
         ],
     )
     def test_malformed_step_lines_rejected(self, line):
