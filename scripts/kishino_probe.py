@@ -5,10 +5,12 @@ Braids the fixture, then runs the budgeted move search against the empty
 word on one strand.  The Kishino doodle is a nontrivial flat virtual
 knot, so no certificate should ever appear; the component count cannot
 separate it either, and the expected outcome is an honest Unknown.
+Exits 1 if a certificate is found.
 """
 
 import argparse
 import pathlib
+import sys
 import time
 
 from doodlekit import (
@@ -27,7 +29,7 @@ from doodlekit import (
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-states", type=int, default=100_000)
     args = ap.parse_args()
@@ -44,12 +46,13 @@ def main() -> None:
     if isinstance(verdict, Equivalent):
         print("unexpected equivalence certificate found:")
         print(format_certificate(w, unknot, verdict.trace))
-        return
+        return 1
     print(f"verdict: {verdict} ({dt:.1f}s)")
     if isinstance(verdict, Unknown):
         explored = verdict.states_explored
         print(f"states explored: {explored} ({explored / dt:,.0f} states/s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

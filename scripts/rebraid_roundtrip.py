@@ -2,17 +2,19 @@
 """Braid random closures and check the Gauss-data round trip.
 
 Prints one row per sample: the word, its closure data size, the braided
-word, and whether closure_gauss(braid(G)) is isomorphic to G.
+word, and whether closure_gauss(braid(G)) is isomorphic to G.  Exits 1
+if any round trip is a MISMATCH.
 """
 
 import argparse
 import random
+import sys
 
 from doodlekit import braid, closure_gauss, format_word, isomorphic
 from doodlekit.words import random_word
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=20)
     ap.add_argument("--max-n", type=int, default=5)
@@ -35,7 +37,8 @@ def main() -> None:
             f"{'ok' if ok else 'MISMATCH'}   {format_word(w)!r} -> {format_word(b)!r}"
         )
     print(f"\n{args.samples - failures}/{args.samples} round trips closed")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

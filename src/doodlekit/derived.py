@@ -13,16 +13,29 @@ Right-handed items (words in VT_{n+1}, all on n >= 2):
 The left-* items are the strand mirrors of these, and left-virtual-destab
 is the rewrite (1 (x) b) r_1 ~ b, which is not an atomic move.
 
-Construction strategy: the right tail and exchange items are built by an
+Construction strategy: every trace is an explicit chain of moves; none
+is searched for.  The right tail and exchange items are built by an
 inductive chain (exchange-move flip, mixed-relation pushes through the
 nested palindrome, commutation sweeps, cyclic shifts, recursion, and a
 final braid merge); mixed-kind arms are converted pair by pair, outside
 in, by running the exchange chain forwards and backwards; the mixed tail
-reduces to that plus an endgame.  Left-handed traces are produced by
-mirroring right-handed ones through the index reversal j -> n+1-j, which
-maps every splice rule to itself and swaps the left/right move families.
-Degenerate instances whose two sides share a free reduction get a pure
-square-deletion/insertion trace.
+reduces to that plus an endgame.  Two rules carry the rest, with
+V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
+
+- Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
+  around one braid or mix3 step).  left-virtual-destab wraps Q around the
+  lifted word by conjugation, pushes it through letter by letter, and
+  ends in the all-virtual mixed tail.
+- r_j V = V r_{j+1}, r_{j+1} b1 = b1 r_{j+1} and r_{j+1} V^-1 = V^-1 r_j
+  (two braid steps and far commutations), so conjugating Y = V b1 V^-1
+  plus b2 by r_j slides the left copy through Y.  The exchange-run tail,
+  Y plus the reduced S b2 S^-1 (S = r_i .. r_{n-1}), is that chain from
+  Y b2 run backwards, whatever letters cancelled at either seam.
+
+Left-handed traces are produced by mirroring right-handed ones through
+the index reversal j -> n+1-j, which maps every splice rule to itself and
+swaps the left/right move families.  Degenerate instances whose two
+sides share a free reduction get a pure square-deletion/insertion trace.
 """
 
 from __future__ import annotations
@@ -31,9 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import PatternMismatch
 from .markov import (
-    Budget,
     Edge,
-    Equivalent,
     MoveTrace,
     State,
     _apply_int,
@@ -41,9 +52,9 @@ from .markov import (
     _from_int,
     _inverse_edges,
     _reduce,
+    _shift,
     _square_edges,
     _to_int,
-    equivalent_closures,
 )
 from .words import TwinWord
 
@@ -101,46 +112,13 @@ def _invert_edges(edges: list[Edge]) -> list[Edge]:
     return [e for edge in reversed(edges) for e in _inverse_edges(*edge)]
 
 
-def _search_edges(u: State, v: State, slack: int = 6) -> list[Edge]:
-    """Bounded-search sub-trace between two states known to be equivalent.
-
-    The left-virtual-destab trace and the exchange-run tail whose boundary
-    cancelled into the conjugating runs are assembled here; instances are
-    small and the resulting certificate replays like any other.
-    """
-    uw, vw = _from_int(u), _from_int(v)
-    ml = max(len(u[1]), len(v[1])) + slack
-    mn = max(u[0], v[0]) + 1
-    verdict = equivalent_closures(uw, vw, Budget(200_000, ml, mn))
-    if not isinstance(verdict, Equivalent):
-        raise PatternMismatch(
-            f"no bounded derivation found from '{uw}' to '{vw}'"
-        )
-    return [
-        (_to_int(s.source), s.tag, s.params, _to_int(s.result))
-        for s in verdict.trace.steps
-    ]
-
-
 # ---------------------------------------------------------------------------
 # word patterns (int encoding: +i real, -i virtual)
 
 
-def _tail_right(n: int, i: int) -> tuple[int, ...]:
-    """s_n s_{n-1} .. s_i .. s_{n-1} s_n"""
-    down = tuple(range(n, i, -1))
-    return down + (i,) + tuple(reversed(down))
-
-
-def _x_pattern(n: int, i: int, b1: tuple[int, ...]) -> tuple[int, ...]:
-    """s_n .. s_i b1 s_i .. s_n"""
-    down = tuple(range(n, i - 1, -1))
-    return down + b1 + tuple(reversed(down))
-
-
-def _y_pattern(n: int, i: int, b1: tuple[int, ...]) -> tuple[int, ...]:
-    """r_n .. r_i b1 r_i .. r_n"""
-    down = tuple(-x for x in range(n, i - 1, -1))
+def _x_pattern(n: int, i: int, b1: tuple[int, ...], sign: int = 1) -> tuple[int, ...]:
+    """s_n .. s_i b1 s_i .. s_n, or r_n .. r_i b1 r_i .. r_n for sign -1"""
+    down = tuple(sign * x for x in range(n, i - 1, -1))
     return down + b1 + tuple(reversed(down))
 
 
@@ -148,13 +126,18 @@ def _kind_letter(kind: str, j: int) -> int:
     return j if kind == "s" else -j
 
 
+def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The index reversal j -> n - j of VT_n, kinds kept."""
+    return tuple(n - a if a > 0 else -n - a for a in t)
+
+
 # ---------------------------------------------------------------------------
 # right-tail-real
 
 
 def _build_tail_real(b: _Builder, n: int, i: int) -> None:
-    """word = (reduced VT_n prefix) + tail_right(n, i)  ->  prefix."""
-    tail = _tail_right(n, i)
+    """word = (reduced VT_n prefix) + s_n .. s_i .. s_n  ->  prefix."""
+    tail = _x_pattern(n, i + 1, (i,))
     base = len(b.word) - len(tail)
     if base < 0 or b.word[base:] != tail:
         raise PatternMismatch("word does not end with the stabilization tail")
@@ -254,38 +237,28 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
     b1p = (-i,) + b1 + (-i,)
     _build_exchange_run(b, n, i + 1, b1p)
 
-    Y = _y_pattern(n, i, b1)
-    rest = b.word[len(Y) :]
-    if rest == b2:
+    # word = Y + reduced S b2 S^-1; build Y + b2 -> here and run it backwards
+    Y = _x_pattern(n, i, b1, -1)
+    if b.word[len(Y) :] == b2:
         return
-    s_run = tuple(-x for x in range(i, n))
-    p_run = tuple(-x for x in range(n - 1, i - 1, -1))
-    if rest == s_run + b2 + p_run:
-        for _ in range(d):
-            b.shift_right()
-        _dance(b, n, i, b1, b2len)
-        b.expect(Y + b2)
-        return
-    # a boundary of b2 cancelled into the conjugating runs; finish by search
-    b.splice(_search_edges(b.state, (b.n, Y + b2)))
-
-
-def _dance(b: _Builder, n: int, i: int, b1: tuple[int, ...], b2len: int) -> None:
-    """Merge the flanking runs of P . Y(n, i, b1) . S . b2 into Y(n, i, b1) . b2."""
-    for k in range(i, n):
-        dk = n - k
-        for step in range(dk - 1):
-            b.comm(dk - 1 + step)
-        q = len(b.word) - b2len - dk
-        for step in range(dk - 1):
-            b.comm(q - 1 - step)
-        left = 2 * dk - 2
-        b.m0("braid", left)
-        right = 2 * dk + 2 * (k - i + 1) + len(b1) - 1
-        b.m0("braid", right)
-        stray = 2 * dk
-        for step in range(2 * (k - i) + len(b1)):
-            b.comm(stray + step)
+    back = _Builder((b.n, Y + b2))
+    for j in range(n - 1, i - 1, -1):
+        back.conj(-j)
+        # r_j V = V r_{j+1}
+        for pos in range(n - j - 1):
+            back.comm(pos)
+        back.m0("braid", n - j - 1)
+        # r_{j+1} past r_{j-1} .. r_i b1 r_i .. r_{j-1}, then V^-1
+        p = n - j + 1
+        for step in range(2 * (j - i) + len(b1)):
+            back.comm(p + step)
+        p += 2 * (j - i) + len(b1)
+        back.m0("braid", p)
+        for step in range(n - j - 1):
+            back.comm(p + 2 + step)
+    if back.state != b.state:
+        raise PatternMismatch("exchange-run tail chain mismatch")
+    b.splice(_invert_edges(back.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +295,11 @@ def _build_exchange_mixed(
 
 # ---------------------------------------------------------------------------
 # right-tail-mixed
+
+
+def _pal_tail(n: int, c: int, kinds: dict[int, str]) -> tuple[int, ...]:
+    """t_n .. t_{c+1} t_c t_{c+1} .. t_n"""
+    return _mid_letters(n + 1, c + 1, (_kind_letter(kinds[c], c),), kinds)
 
 
 def _build_tail_mixed(
@@ -363,19 +341,48 @@ def _build_tail_mixed(
 
 
 # ---------------------------------------------------------------------------
-# strand mirror (left-handed family)
-
-
-def _mirror_state(state: State) -> State:
-    n, t = state
-    return n, tuple((n - abs(a)) * (1 if a > 0 else -1) for a in t)
+# left-virtual-destab
 
 
 def _virtual_destab_edges(beta: State) -> list[Edge]:
-    """(1 (x) beta) r_1  ->  beta, assembled by bounded search."""
-    nb, tb = beta
-    lifted = tuple(a + 1 if a > 0 else a - 1 for a in tb) + (-1,)
-    return _search_edges((nb + 1, lifted), beta)
+    """(1 (x) beta) r_1  ->  beta, through Q = r_n .. r_1 and Q g_{i+1} = g_i Q."""
+    n, t = beta
+    lifted = _shift(t, 1)
+    b = _Builder((n + 1, lifted + (-1,)))
+    # Q + lifted + r_2 .. r_n, reduced: a trailing run r_{c+1} .. r_2 of
+    # lifted cancels, leaving Q + lifted[:m] + r_{c+2} .. r_n
+    b.shift_right()
+    for j in range(2, n + 1):
+        b.conj(-j)
+    c = 0
+    while c < len(lifted) and lifted[-1 - c] == -(c + 2):
+        c += 1
+    m = len(lifted) - c
+    # push Q through lifted[:m]; letter k, g_{i+1}, sits at k + n
+    for k in range(m):
+        i = abs(lifted[k]) - 1
+        for step in range(i - 1):
+            b.comm(k + n - 1 - step)
+        b.m0("mix3" if lifted[k] > 0 else "braid", k + n - i - 1)
+        for step in range(n - i - 1):
+            b.comm(k + n - i - 2 - step)
+    # t[:m] + r_n .. r_{c+1} + r_c .. r_1 + r_{c+2} .. r_n: move r_c .. r_1
+    # past r_{c+2} .. r_n and round to the front
+    for j in range(1, c + 1):
+        for step in range(n - c - 1):
+            b.comm(m + n - j + step)
+    for _ in range(c):
+        b.shift_right()
+    kinds = dict.fromkeys(range(c + 1, n + 1), "r")
+    _build_tail_mixed(b, n, c + 1, kinds, len(b.word) - len(_pal_tail(n, c + 1, kinds)))
+    for j in range(c, 0, -1):
+        b.conj(-j)
+    b.expect(t)
+    return b.edges
+
+
+# ---------------------------------------------------------------------------
+# strand mirror (left-handed family)
 
 
 def _mirror_edges(edges: list[Edge]) -> list[Edge]:
@@ -389,18 +396,14 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
         out.append((src, tag, params, dst))
 
     for src, tag, params, dst in edges:
-        msrc, mdst = _mirror_state(src), _mirror_state(dst)
+        msrc, mdst = (src[0], _mirror(*src)), (dst[0], _mirror(*dst))
         N = src[0]
         if tag == "M0":
             if len(params) > 2:
-                h = params[2]
-                mh = (N - abs(h)) * (1 if h > 0 else -1)
-                params = (params[0], params[1], mh)
+                params = (params[0], params[1], _mirror(N, params[2:])[0])
             emit(msrc, "M0", params, mdst)
         elif tag == "M1" and params[0] == "conj":
-            g = params[1]
-            mg = (N - abs(g)) * (1 if g > 0 else -1)
-            emit(msrc, "M1", ("conj", mg), mdst)
+            emit(msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst)
         elif tag == "M1":
             emit(msrc, "M1", params, mdst)
         elif tag == "M2" and params[0] == "stab":
@@ -510,122 +513,45 @@ def apply_derived(
 
     if item == "left-virtual-destab":
         bt = _req_word(beta, n, "beta")
-        lifted = tuple(a + 1 if a > 0 else a - 1 for a in bt) + (-1,)
         edges = _virtual_destab_edges((n, bt))
-        return _finish(item, (N, lifted), (n, bt), edges)
+        return _finish(item, (N, _shift(bt, 1) + (-1,)), (n, bt), edges)
 
-    families = {
-        "tail-real": "1",
-        "exchange-run": "2",
-        "exchange-mixed": "3",
-        "tail-mixed": "4",
-    }
     side, _, family = item.partition("-")
-    if side not in ("right", "left") or family not in families:
+    if side not in ("right", "left") or family not in (
+        "tail-real", "exchange-run", "exchange-mixed", "tail-mixed"
+    ):
         raise PatternMismatch(f"unknown derived item {item!r}")
-    sub = families[family]
     if i is None or not 1 <= i <= n:
         raise PatternMismatch(f"item {item} needs 1 <= i <= n")
 
-    # assemble the right-handed instance; left items mirror (i, words, kinds)
-    if mirror:
-        ir = n + 1 - i
-
-        def mword(w: tuple[int, ...], amb: int) -> tuple[int, ...]:
-            return tuple((amb - abs(a)) * (1 if a > 0 else -1) for a in w)
-
-    else:
-        ir = i
-
-    if sub == "1":
-        bt = _req_word(beta, n, "beta")
-        if mirror:
-            # (1 (x) beta) s_1 .. s_i .. s_1 mirrors to beta' tail(n, n+1-i)
-            lift = tuple(a + 1 if a > 0 else a - 1 for a in bt)
-            bt_r = mword(lift, N)
-            lhs = lift + tuple(
-                list(range(1, i)) + [i] + list(range(i - 1, 0, -1))
-            )
-            rhs_state = (n, bt)
-        else:
-            bt_r = bt
-            lhs = bt + _tail_right(n, i)
-            rhs_state = (n, bt)
-        b = _Builder((N, bt_r + _tail_right(n, ir)))
-        _build_tail_real(b, n, ir)
-        b.expect(bt_r)
-        edges = _mirror_edges(b.edges) if mirror else b.edges
-        return _finish(item, (N, lhs), rhs_state, edges)
-
-    if sub in ("2", "3"):
-        span = range(1, i + 1) if mirror else range(i, n + 1)
-        kd = _req_kinds(kinds, span) if sub == "3" else {j: "s" for j in span}
-        if mirror:
-            b1t = _req_word(beta1, n + 1 - i, "beta1")
-            b2t = _req_word(beta2, n, "beta2")
-            # mirror of t_1 .. t_i (i (x) b1) t_i .. t_1 (1 (x) b2)
-            b1_lift = tuple(a + i if a > 0 else a - i for a in b1t)
-            b2_lift = tuple(a + 1 if a > 0 else a - 1 for a in b2t)
-            arm = [_kind_letter(kd[j], j) for j in range(i, 0, -1)]
-
-            def left_pattern(arm_letters):
-                up = list(reversed(arm_letters))
-                return tuple(up) + b1_lift + tuple(arm_letters)
-
-            lhs = left_pattern(arm) + b2_lift
-            rhs = left_pattern([-abs(a) for a in arm]) + b2_lift
-            b1_r = mword(b1_lift, N)
-            b2_r = mword(b2_lift, N)
-            kd_r = {N - j: kd[j] for j in span}
-        else:
-            b1t = _req_word(beta1, i, "beta1")
-            b2t = _req_word(beta2, n, "beta2")
-            arm = [_kind_letter(kd[j], j) for j in range(n, i - 1, -1)]
-            lhs = tuple(arm) + b1t + tuple(reversed(arm)) + b2t
-            rhs = (
-                tuple(-abs(a) for a in arm)
-                + b1t
-                + tuple(-abs(a) for a in reversed(arm))
-                + b2t
-            )
-            b1_r, b2_r, kd_r = b1t, b2t, kd
-        if _reduce(lhs) != lhs or _reduce(rhs) != rhs:
-            return _finish(item, (N, lhs), (N, rhs), _square_edges(N, lhs, rhs))
-        if mirror:
-            lhs_r = _mirror_state((N, lhs))[1]
-            b = _Builder((N, lhs_r))
-            _build_exchange_mixed(b, n, n + 1 - i, b1_r, kd_r)
-            edges = _mirror_edges(b.edges)
-        else:
-            b = _Builder((N, lhs))
-            _build_exchange_mixed(b, n, i, b1_r, kd_r)
-            edges = b.edges
-        return _finish(item, (N, lhs), (N, rhs), edges)
-
-    # sub == "4": center index i, arms i+1..n (right) / mirrored (left)
-    bt = _req_word(beta, n, "beta")
+    # build the right-handed instance; a left item is its mirror image, and
+    # the mirror of (k (x) w) in VT_{n+1} is the mirror of w in VT_{n+1-k}
+    ir = n + 1 - i if mirror else i
     span = range(1, i + 1) if mirror else range(i, n + 1)
-    kd = _req_kinds(kinds, span)
-    if mirror:
-        lift = tuple(a + 1 if a > 0 else a - 1 for a in bt)
-        arm = [_kind_letter(kd[j], j) for j in range(1, i + 1)]
-        lhs = lift + tuple(arm) + tuple(reversed(arm[:-1]))
-        bt_r = mword(lift, N)
-        c_r = n + 1 - i
-        kd_r = {N - j: kd[j] for j in span}
-        b = _Builder((N, bt_r + _pal_tail(n, c_r, kd_r)))
-        _build_tail_mixed(b, n, c_r, kd_r, len(bt_r))
+    kd = _req_kinds(kinds, span) if family.endswith("mixed") else dict.fromkeys(span, "s")
+    kd_r = {N - j: kd[j] for j in span} if mirror else kd
+    if family.startswith("tail"):
+        bt = _req_word(beta, n, "beta")
+        bt_r = _mirror(n, bt) if mirror else bt
+        start, end = bt_r + _pal_tail(n, ir, kd_r), (n, bt)
+        b = _Builder((N, start))
+        if family == "tail-real":
+            _build_tail_real(b, n, ir)
+        else:
+            _build_tail_mixed(b, n, ir, kd_r, len(bt_r))
         b.expect(bt_r)
-        edges = _mirror_edges(b.edges)
-        return _finish(item, (N, lhs), (n, bt), edges)
-    lhs = bt + _pal_tail(n, i, kd)
-    b = _Builder((N, lhs))
-    _build_tail_mixed(b, n, i, kd, len(bt))
-    b.expect(bt)
-    return _finish(item, (N, lhs), (n, bt), b.edges)
-
-
-def _pal_tail(n: int, c: int, kinds: dict[int, str]) -> tuple[int, ...]:
-    """t_n .. t_{c+1} t_c t_{c+1} .. t_n"""
-    down = [_kind_letter(kinds[j], j) for j in range(n, c, -1)]
-    return tuple(down) + (_kind_letter(kinds[c], c),) + tuple(reversed(down))
+    else:
+        b1 = _req_word(beta1, ir, "beta1")
+        b2 = _req_word(beta2, n, "beta2")
+        if mirror:
+            b1, b2 = _mirror(ir, b1), _mirror(n, b2)
+        start = _mid_letters(N, ir, b1, kd_r) + b2
+        rhs = _x_pattern(n, ir, b1, -1) + b2
+        end = (N, _mirror(N, rhs) if mirror else rhs)
+        if _reduce(start) != start or _reduce(rhs) != rhs:
+            lhs = _mirror(N, start) if mirror else start
+            return _finish(item, (N, lhs), end, _square_edges(N, lhs, end[1]))
+        b = _Builder((N, start))
+        _build_exchange_mixed(b, n, ir, b1, kd_r)
+    edges = _mirror_edges(b.edges) if mirror else b.edges
+    return _finish(item, (N, _mirror(N, start) if mirror else start), end, edges)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import REAL, TwinWord, pi
+from .words import REAL, TwinWord, _count, pi
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -242,14 +242,14 @@ def parse_gauss(text: str) -> GaussData:
         fields = line.split()
         try:
             if fields[0] == "crossings" and len(fields) == 2:
-                crossings = int(fields[1])
+                crossings = _count(fields[1])
             elif fields[0] == "freeloops" and len(fields) == 2:
-                free_loops = int(fields[1])
+                free_loops = _count(fields[1])
             elif fields[0] == "arc" and len(fields) == 3:
                 ends = []
                 for f in fields[1:]:
                     c, s = f.split(".")
-                    ends.append(End(int(c), int(s)))
+                    ends.append(End(_count(c), _count(s)))
                 arcs.append((ends[0], ends[1]))
             else:
                 raise ValueError

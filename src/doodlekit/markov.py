@@ -70,6 +70,7 @@ from .words import (
     Letter,
     TwinWord,
     _TOKEN,
+    _count,
     _reduce,
     closure_components,
     format_word,
@@ -760,7 +761,7 @@ def parse_certificate(text: str):
             name, strands = head.split()
             if name != label or not strands.startswith("n="):
                 raise ValueError(line)
-            return parse_word(body.strip(), int(strands[2:]))
+            return parse_word(body.strip(), _count(strands[2:]))
         except (ValueError, DoodleError) as exc:
             raise CertificateError(f"bad header line {line!r}") from exc
 
@@ -776,7 +777,7 @@ def parse_certificate(text: str):
         try:
             head, rhs = line[5:].split(" -> ", 1)
             body, ncl = rhs.rsplit("@ n=", 1)
-            n = int(ncl)
+            n = _count(ncl.strip())
             result = parse_word(body.strip(), n)
             fields = head.split()
             tag = fields[0]

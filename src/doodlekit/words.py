@@ -41,6 +41,14 @@ class Letter(NamedTuple):
 _TOKEN = re.compile(r"([sr])([0-9]+)$")
 
 
+def _count(text: str) -> int:
+    """A count written in ASCII digits; int() alone would also take a sign,
+    underscores and the digits of other scripts."""
+    if not text.isascii() or not text.isdigit():
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class TwinWord:
     """A word in VT_n, stored with its ambient strand count."""
@@ -94,7 +102,7 @@ def parse_word_file(text: str) -> TwinWord:
     if not lines or not lines[0].strip().startswith("n="):
         raise UnknownToken("word file must start with an n=<int> header line")
     try:
-        strands = int(lines[0].split("=", 1)[1])
+        strands = _count(lines[0].strip()[2:])
     except ValueError as exc:
         raise UnknownToken(f"bad strand header {lines[0]!r}") from exc
     body = lines[1] if len(lines) > 1 else ""

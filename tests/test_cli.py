@@ -56,10 +56,22 @@ class TestGaussCommands:
         assert code == 0 and out == golden("validate_kink.txt")
 
     def test_validate_rejects(self, tmp_path):
+        kink = "crossings 1\nfreeloops 0\narc {} {}\narc 1.4 1.2\n"
         bad = tmp_path / "bad.gauss"
-        bad.write_text("crossings 1\nfreeloops 0\narc 1.3 1.1\n")
-        code, _, err = invoke("gauss-validate", str(bad))
-        assert code == 65 and "doodlekit:" in err
+        for text in [
+            "crossings 1\nfreeloops 0\narc 1.3 1.1\n",
+            # counts and arc ends are ASCII digits only
+            "crossings +0\nfreeloops 0\n",
+            "crossings \u0660\nfreeloops 0\n",
+            "crossings 0_0\nfreeloops 0\n",
+            "crossings 0\nfreeloops +1\n",
+            kink.format("+1.3", "1.1"),
+            kink.format("1.3", "1.\u0661"),
+            kink.format("0_1.3", "1.1"),
+        ]:
+            bad.write_text(text, encoding="utf-8")
+            code, _, err = invoke("gauss-validate", str(bad))
+            assert code == 65 and "doodlekit:" in err, text
 
     def test_closure_golden(self):
         code, out, _ = invoke("closure-gauss", "--n", "2", "s1")

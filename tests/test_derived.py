@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doodlekit.derived import apply_derived
 from doodlekit.errors import PatternMismatch
 from doodlekit.markov import format_certificate, verify_certificate
-from doodlekit.words import parse_word
+from doodlekit.words import Letter, TwinWord, closure_components, free_reduce, parse_word
 
 
 def w(text, n):
@@ -68,7 +69,7 @@ class TestRightExchangeRun:
 
 
 class TestRightExchangeMixed:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery(self, n):
         for i in range(1, n + 1):
             for ks in itertools.product("sr", repeat=n - i + 1):
@@ -88,7 +89,7 @@ class TestRightTailMixed:
         assert dm.rhs == w("s1", 3)
         assert dm.trace.replay()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery(self, n):
         for c in range(1, n + 1):
             for ks in itertools.product("sr", repeat=n - c + 1):
@@ -104,7 +105,7 @@ class TestLeftVirtualDestab:
         assert dm.rhs == w("s1", 2)
         assert dm.trace.replay()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery(self, n):
         for b in betas(n):
             dm = apply_derived("left-virtual-destab", n=n, beta=w(b, n))
@@ -118,14 +119,14 @@ class TestMirrorItems:
         assert dm.rhs == w("r1", 2)
         assert dm.trace.replay()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery_left_tail(self, n):
         for i in range(1, n + 1):
             for b in betas(n):
                 dm = apply_derived("left-tail-real", n=n, i=i, beta=w(b, n))
                 assert dm.trace.replay()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery_left_exchange(self, n):
         for i in range(1, n + 1):
             m = n + 1 - i
@@ -140,7 +141,7 @@ class TestMirrorItems:
                 )
                 assert dm.trace.replay()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_battery_left_tail_mixed(self, n):
         for c in range(1, n + 1):
             for ks in itertools.product("sr", repeat=c):
@@ -152,6 +153,71 @@ class TestMirrorItems:
         dm = apply_derived("left-tail-mixed", n=2, i=1, beta=w("s1", 2), kinds=["r"])
         assert dm.lhs == w("s2 r1", 3)
         assert dm.rhs == w("s1", 2)
+
+
+class TestSearchFreeInstances:
+    """n = 4 instances beyond a bounded search of 200,000 states."""
+
+    def test_left_tail_mixed_n4(self):
+        dm = apply_derived("left-tail-mixed", n=4, i=2, beta=w("s1", 4), kinds=["s", "r"])
+        assert dm.lhs == w("s2 s1 r2 s1", 5) and dm.rhs == w("s1", 4)
+        assert dm.trace.replay() and dm.trace.end == dm.rhs
+
+    def test_right_exchange_run_n4(self):
+        dm = apply_derived(
+            "right-exchange-run", n=4, i=2, beta1=w("s1", 2), beta2=w("s2 r3", 4)
+        )
+        assert dm.lhs == w("s4 s3 s2 s1 s2 s3 s4 s2 r3", 5)
+        assert dm.rhs == w("r4 r3 r2 s1 r2 r3 r4 s2 r3", 5)
+        assert dm.trace.replay() and dm.trace.end == dm.rhs
+
+
+@st.composite
+def reduced_words(draw, n, max_len):
+    if n < 2:
+        return TwinWord(n, ())
+    letters = draw(
+        st.lists(st.tuples(st.sampled_from("sr"), st.integers(1, n - 1)), max_size=max_len)
+    )
+    return free_reduce(TwinWord(n, tuple(Letter(k, j) for k, j in letters)))
+
+
+@st.composite
+def derived_instances(draw):
+    item = draw(st.sampled_from([
+        "left-virtual-destab",
+        "right-exchange-run", "left-exchange-run",
+        "right-exchange-mixed", "left-exchange-mixed",
+        "right-tail-mixed", "left-tail-mixed",
+    ]))
+    n = draw(st.integers(2, 6))
+    if item == "left-virtual-destab":
+        return item, {"n": n, "beta": draw(reduced_words(n, 8))}
+    i = draw(st.integers(1, n))
+    kw = {"n": n, "i": i}
+    right = item.startswith("right-")
+    if item.endswith("tail-mixed"):
+        kw["beta"] = draw(reduced_words(n, 8))
+    else:
+        m = i if right else n + 1 - i
+        kw["beta1"] = draw(reduced_words(m, 4))
+        kw["beta2"] = draw(reduced_words(n, 6))
+    if item.endswith("mixed"):
+        span = n - i + 1 if right else i
+        kw["kinds"] = draw(st.lists(st.sampled_from("sr"), min_size=span, max_size=span))
+    return item, kw
+
+
+@settings(max_examples=150, deadline=None)
+@given(derived_instances())
+def test_derived_traces_replay_and_verify(instance):
+    item, kw = instance
+    dm = apply_derived(item, **kw)
+    assert dm.trace.start == dm.lhs and dm.trace.end == dm.rhs
+    assert dm.trace.replay()
+    cert = format_certificate(dm.lhs, dm.rhs, dm.trace)
+    assert verify_certificate(cert).end == dm.rhs
+    assert closure_components(dm.lhs) == closure_components(dm.rhs)
 
 
 class TestValidation:

@@ -406,6 +406,9 @@ class TestCertificates:
             "step M0 square-ins +0 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
             "step M0 square-ins 0_0 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
             "step M0 square-ins \u0660 s1 -> s1 s1 s1 @ n=2\nstep M0 square-del 0 -> s1 @ n=2",
+            "step M1 conj s1 -> s1 @ n=+2",     # sign in a strand count
+            "step M1 conj s1 -> s1 @ n=0_2",    # underscore in a strand count
+            "step M1 conj s1 -> s1 @ n=\u0662",  # Arabic-Indic digit two
         ],
     )
     def test_malformed_step_lines_rejected(self, line):
@@ -420,6 +423,9 @@ class TestCertificates:
             "left n=2 : s1\nright n=0 : \n",
             "left n=2 : x1\nright n=2 : s1\n",
             "left n=2 junk : s1\nright n=2 : s1\n",
+            "left n=+2 : s1\nright n=2 : s1\n",
+            "left n=0_2 : s1\nright n=2 : s1\n",
+            "left n=2 : s1\nright n=\u0662 : s1\n",
         ],
     )
     def test_malformed_headers_rejected(self, headers):

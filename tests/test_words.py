@@ -70,6 +70,11 @@ class TestParse:
         word = w("s1 r2", 3)
         assert parse_word_file(format_word_file(word)) == word
 
+    @pytest.mark.parametrize("header", ["n=+3", "n=0_3", "n=\u0663", "n=", "n=three"])
+    def test_word_file_strand_count_is_ascii_digits(self, header):
+        with pytest.raises(UnknownToken):
+            parse_word_file(f"{header}\ns1 r2\n")
+
 
 class TestFreeReduce:
     def test_involution_pair(self):
