@@ -73,6 +73,8 @@ def validate(g: GaussData) -> None:
     """Check the structural invariants; raises a GaussDataError subclass."""
     if g.crossings < 0 or g.free_loops < 0:
         raise NegativeCount("crossing and free-loop counts must be >= 0")
+    if len(g.arcs) != 2 * g.crossings:
+        raise MatchingViolation(f"expected {2 * g.crossings} arcs, found {len(g.arcs)}")
     for frm, to in g.arcs:
         if frm.slot not in EXIT_SLOTS:
             raise SlotMisuse(f"arc source {frm} is not an exit end")
@@ -104,78 +106,59 @@ def relabel(g: GaussData, sigma: tuple[int, ...]) -> GaussData:
 # isomorphism
 
 
-def _profile(g: GaussData, c: int):
-    """Relabeling-invariant fingerprint of one crossing.
+def _partners(g: GaussData) -> dict[End, End]:
+    """Each end mapped to the other end of its arc."""
+    return dict(g.arcs) | {to: frm for frm, to in g.arcs}
 
-    For each of the four ends: its own slot, the partner slot along its
-    arc, and whether the arc returns to the same crossing.
-    """
-    prof = []
-    for frm, to in g.arcs:
-        if frm.crossing == c:
-            prof.append((frm.slot, to.slot, to.crossing == c))
-        if to.crossing == c:
-            prof.append((100 + to.slot, frm.slot, frm.crossing == c))
-    return tuple(sorted(prof))
+
+def _force(link1: dict[End, End], link2: dict[End, End], root: int, d: int):
+    """The map of root's connected piece forced by root -> d, or None."""
+    piece = {root: d}
+    stack = [root]
+    while stack:
+        c = stack.pop()
+        for slot in (1, 2, 3, 4):
+            a, s1 = link1[End(c, slot)]
+            b, s2 = link2[End(piece[c], slot)]
+            if a not in piece:
+                piece[a] = b
+                stack.append(a)
+            if s1 != s2 or piece[a] != b:
+                return None
+    return piece if len(set(piece.values())) == len(piece) else None
 
 
 def isomorphic(g1: GaussData, g2: GaussData) -> Optional[tuple[int, ...]]:
     """Crossing bijection carrying the arcs of g1 onto g2, or None.
 
-    Deterministic: returns the lexicographically least witness, found by
-    backtracking with degree-profile pruning.  Free-loop counts must agree.
+    Deterministic: returns the lexicographically least witness.  Slots are
+    fixed, so the image of one crossing forces the map of its connected
+    piece, found by a walk with an explicit stack; nothing recurses.  The
+    least unmapped crossing roots the next piece, and its unused images
+    are tried in ascending order; the first whose piece closes is kept.
+    That is exact, because pieces that map onto one another are
+    interchangeable.  Free-loop counts must agree.
     """
     validate(g1)
     validate(g2)
     if g1.crossings != g2.crossings or g1.free_loops != g2.free_loops:
         return None
     n = g1.crossings
-    if n == 0:
-        return ()
-
-    prof1 = {c: _profile(g1, c) for c in range(1, n + 1)}
-    prof2 = {c: _profile(g2, c) for c in range(1, n + 1)}
-    candidates = {
-        c: [d for d in range(1, n + 1) if prof2[d] == prof1[c]]
-        for c in range(1, n + 1)
-    }
-    arcs2 = g2.arcs
-    by_source = {frm: to for frm, to in g1.arcs}
-
-    sigma: dict[int, int] = {}
-    used = [False] * (n + 1)
-
-    def consistent(c: int) -> bool:
-        # check every arc with both endpoints assigned that involves c
-        for frm, to in g1.arcs:
-            if frm.crossing in sigma and to.crossing in sigma and (
-                frm.crossing == c or to.crossing == c
-            ):
-                mapped = (
-                    End(sigma[frm.crossing], frm.slot),
-                    End(sigma[to.crossing], to.slot),
-                )
-                if mapped not in arcs2:
-                    return False
-        return True
-
-    def backtrack(c: int) -> bool:
-        if c > n:
-            return True
-        for d in candidates[c]:
-            if used[d]:
-                continue
-            sigma[c] = d
-            used[d] = True
-            if consistent(c) and backtrack(c + 1):
-                return True
-            del sigma[c]
-            used[d] = False
-        return False
-
-    if backtrack(1):
-        return tuple(sigma[c] for c in range(1, n + 1))
-    return None
+    link1, link2 = _partners(g1), _partners(g2)
+    sigma = [0] * (n + 1)
+    used: set[int] = set()  # whole pieces of g2: a walk from an unused d never enters them
+    for root in range(1, n + 1):
+        if sigma[root]:
+            continue
+        for d in range(1, n + 1):
+            if d not in used and (piece := _force(link1, link2, root, d)):
+                break
+        else:
+            return None
+        for c, e in piece.items():
+            sigma[c] = e
+        used.update(piece.values())
+    return tuple(sigma[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +215,18 @@ def format_gauss(g: GaussData) -> str:
 
 def parse_gauss(text: str) -> GaussData:
     """Parse the line-oriented format; '#' starts a comment."""
-    crossings = None
-    free_loops = 0
+    counts: dict[str, int] = {}
     arcs = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
+        if fields[0] in counts:
+            raise UnknownToken(f"repeated {fields[0]!r} line")
         try:
-            if fields[0] == "crossings" and len(fields) == 2:
-                crossings = _count(fields[1])
-            elif fields[0] == "freeloops" and len(fields) == 2:
-                free_loops = _count(fields[1])
+            if fields[0] in ("crossings", "freeloops") and len(fields) == 2:
+                counts[fields[0]] = _count(fields[1])
             elif fields[0] == "arc" and len(fields) == 3:
                 ends = []
                 for f in fields[1:]:
@@ -255,9 +237,9 @@ def parse_gauss(text: str) -> GaussData:
                 raise ValueError
         except (ValueError, IndexError) as exc:
             raise UnknownToken(f"bad gauss line {raw!r}") from exc
-    if crossings is None:
+    if "crossings" not in counts:
         raise UnknownToken("missing 'crossings <n>' line")
-    g = GaussData(crossings, frozenset(arcs), free_loops)
+    g = GaussData(counts["crossings"], frozenset(arcs), counts.get("freeloops", 0))
     if len(arcs) != len(g.arcs):
         raise MatchingViolation("duplicate arc line")
     validate(g)

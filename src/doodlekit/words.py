@@ -105,6 +105,8 @@ def parse_word_file(text: str) -> TwinWord:
         strands = _count(lines[0].strip()[2:])
     except ValueError as exc:
         raise UnknownToken(f"bad strand header {lines[0]!r}") from exc
+    if len(lines) > 2:
+        raise UnknownToken(f"word file has a second token line {lines[2]!r}")
     body = lines[1] if len(lines) > 1 else ""
     return parse_word(body, strands)
 

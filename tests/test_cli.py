@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,10 +69,17 @@ class TestGaussCommands:
             kink.format("+1.3", "1.1"),
             kink.format("1.3", "1.\u0661"),
             kink.format("0_1.3", "1.1"),
+            # each count line at most once
+            "crossings 1\n" + kink.format("1.3", "1.1"),
+            kink.format("1.3", "1.1") + "freeloops 0\n",
+            # the arc count is checked before any per-crossing work
+            "crossings 1000000000\nfreeloops 0\n",
         ]:
             bad.write_text(text, encoding="utf-8")
+            start = time.perf_counter()
             code, _, err = invoke("gauss-validate", str(bad))
             assert code == 65 and "doodlekit:" in err, text
+            assert time.perf_counter() - start < 1.0, text
 
     def test_closure_golden(self):
         code, out, _ = invoke("closure-gauss", "--n", "2", "s1")

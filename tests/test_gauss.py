@@ -1,6 +1,11 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from conftest import fixture_text
+from test_cli import invoke
 from doodlekit.errors import MatchingViolation, NegativeCount, SlotMisuse
 from doodlekit.gauss import (
     End,
@@ -13,7 +18,7 @@ from doodlekit.gauss import (
     relabel,
     validate,
 )
-from doodlekit.words import REAL, parse_word, pi, random_word
+from doodlekit.words import REAL, Letter, TwinWord, parse_word, pi, random_word
 
 KINK = make_gauss(1, [((1, 3), (1, 1)), ((1, 4), (1, 2))])
 TWISTED = make_gauss(1, [((1, 3), (1, 2)), ((1, 4), (1, 1))])
@@ -122,6 +127,13 @@ class TestIsomorphic:
         g = closure_gauss(w("s1 s1", 2))
         assert isomorphic(g, relabel(g, (2, 1))) == (1, 2)
 
+    def test_double_cover_is_not_a_witness(self):
+        # both crossings of s1 s1 map onto the kink slot for slot, but not injectively
+        kink_and_twisted = make_gauss(
+            2, [((1, 3), (1, 1)), ((1, 4), (1, 2)), ((2, 3), (2, 2)), ((2, 4), (2, 1))]
+        )
+        assert isomorphic(closure_gauss(w("s1 s1", 2)), kink_and_twisted) is None
+
     def test_free_loop_mismatch(self):
         assert isomorphic(GaussData(0, frozenset(), 1), GaussData(0, frozenset(), 2)) is None
 
@@ -138,6 +150,67 @@ class TestIsomorphic:
             found = isomorphic(g, h)
             assert found is not None
             assert relabel(g, found) == h
+
+    @staticmethod
+    def least_witness(g1, g2):
+        """Brute force: the least sigma over every permutation, else None."""
+        if (g1.crossings, g1.free_loops) != (g2.crossings, g2.free_loops):
+            return None
+        for sigma in itertools.permutations(range(1, g1.crossings + 1)):
+            if relabel(g1, sigma) == g2:
+                return sigma
+        return None
+
+    def test_least_witness_brute_force(self, rng):
+        outcomes = set()
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            word = random_word(rng, n, rng.randint(0, 10))
+            g1 = closure_gauss(word)
+            if g1.crossings > 6:
+                continue
+            # same letter kinds, fresh indices: same crossing count, isomorphic or not
+            fresh = (Letter(l.kind, rng.randint(1, n - 1)) for l in word.letters)
+            other = TwinWord(n, tuple(fresh))
+            g2 = closure_gauss(other if rng.random() < 0.5 else word)
+            perm = list(range(1, g2.crossings + 1))
+            rng.shuffle(perm)
+            g2 = relabel(g2, tuple(perm))
+            expect = self.least_witness(g1, g2)
+            assert isomorphic(g1, g2) == expect
+            outcomes.add(expect is None)
+        assert outcomes == {True, False}
+
+    @staticmethod
+    def large_diagram():
+        """About 1,300 crossings: past the depth a recursive matcher reaches."""
+        rng = random.Random(2600)
+        return closure_gauss(random_word(rng, 8, 2_600))
+
+    def test_large_aligned_pair(self):
+        g = self.large_diagram()
+        assert g.crossings > 1_200
+        assert isomorphic(g, g) == tuple(range(1, g.crossings + 1))
+
+    def test_large_aligned_pair_cli(self, tmp_path):
+        g = self.large_diagram()
+        paths = [tmp_path / "a.gauss", tmp_path / "b.gauss"]
+        for path in paths:
+            path.write_text(format_gauss(g), encoding="utf-8")
+        code, out, _ = invoke("gauss-iso", *map(str, paths))
+        assert code == 0
+        assert out.split() == [f"{k}->{k}" for k in range(1, g.crossings + 1)]
+
+    def test_symmetric_relabeled_copy_is_fast(self):
+        # five disjoint 13-crossing chains whose crossings all look alike
+        g = closure_gauss(parse_word("s1 s3 s5 s7 s9 " * 13, 10))
+        perm = list(range(1, g.crossings + 1))
+        random.Random(0).shuffle(perm)
+        h = relabel(g, tuple(perm))
+        start = time.perf_counter()
+        sigma = isomorphic(g, h)
+        assert time.perf_counter() - start < 0.5
+        assert relabel(g, sigma) == h
 
     def test_symmetric_and_transitive(self, rng):
         words = [random_word(rng, 3, rng.randint(1, 8)) for _ in range(12)]

@@ -75,6 +75,10 @@ class TestParse:
         with pytest.raises(UnknownToken):
             parse_word_file(f"{header}\ns1 r2\n")
 
+    def test_word_file_has_one_token_line(self):
+        with pytest.raises(UnknownToken):
+            parse_word_file("n=3\ns1\ns2\n")
+
 
 class TestFreeReduce:
     def test_involution_pair(self):
