@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import InvalidGaussData
 from .gauss import GaussData, validate
-from .words import REAL, VIRTUAL, Letter, TwinWord
+from .words import TwinWord
 
 
 def braid(g: GaussData) -> TwinWord:
@@ -53,11 +53,11 @@ def braid(g: GaussData) -> TwinWord:
     initial = tuple(order)
     m = len(order)
 
-    letters: list[Letter] = []
+    code: list[int] = []
 
     def swap(p: int) -> None:
         """Exchange radial slots p and p+1 (1-based) with a virtual letter."""
-        letters.append(Letter(VIRTUAL, p))
+        code.append(-p)
         order[p - 1], order[p] = order[p], order[p - 1]
 
     for c in range(1, n + 1):
@@ -71,7 +71,7 @@ def braid(g: GaussData) -> TwinWord:
             for p in range(a - 1, b - 1, -1):
                 swap(p)
             pair = b
-        letters.append(Letter(REAL, pair))
+        code.append(pair)
         order[pair - 1] = starts_at[(c, 3)]
         order[pair] = starts_at[(c, 4)]
 
@@ -82,4 +82,4 @@ def braid(g: GaussData) -> TwinWord:
             swap(p)
             p -= 1
 
-    return TwinWord(m, tuple(letters))
+    return TwinWord(m, tuple(code))

@@ -49,14 +49,10 @@ from .markov import (
     State,
     _apply_int,
     _edge_trace,
-    _from_int,
     _inverse_edges,
-    _reduce,
-    _shift,
     _square_edges,
-    _to_int,
 )
-from .words import TwinWord
+from .words import TwinWord, _reduce, _shift
 
 
 @dataclass
@@ -461,7 +457,7 @@ class DerivedMove:
 
 
 def _finish(item: str, lhs_state: State, rhs_state: State, edges: list[Edge]) -> DerivedMove:
-    lhs, rhs = _from_int(lhs_state), _from_int(rhs_state)
+    lhs, rhs = TwinWord(*lhs_state), TwinWord(*rhs_state)
     trace = _edge_trace(lhs, edges)
     if not trace.replay() or trace.end != rhs:
         raise PatternMismatch(f"derived trace for {item} failed to replay")
@@ -473,7 +469,7 @@ def _req_word(w: TwinWord | None, strands: int, label: str) -> tuple[int, ...]:
         return ()
     if w.strands != strands:
         raise PatternMismatch(f"{label} must live in VT_{strands}")
-    t = _to_int(w)[1]
+    t = w.code
     if _reduce(t) != t:
         raise PatternMismatch(f"{label} must be free-reduced")
     return t

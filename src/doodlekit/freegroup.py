@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RankMismatch
-from .words import REAL, VIRTUAL, Letter, TwinWord
+from .words import TwinWord
 
 # ---------------------------------------------------------------------------
 # free words
@@ -117,10 +117,11 @@ def compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(f.rank, tuple(f.apply(img) for img in g.images))
 
 
-def mu_letter(let: Letter, rank: int) -> FreeEndomorphism:
-    i = let.index
+def mu_letter(a: int, rank: int) -> FreeEndomorphism:
+    """mu of one letter, given as its signed int (a Letter is one)."""
+    i = abs(a)
     images = [generator(rank, k) for k in range(1, rank + 1)]
-    if let.kind == REAL:
+    if a > 0:
         images[i - 1] = FreeWord(rank, (i, i + 1))
         images[i] = FreeWord(rank, (-(i + 1),))
     else:
@@ -132,8 +133,8 @@ def mu_letter(let: Letter, rank: int) -> FreeEndomorphism:
 def mu(w: TwinWord) -> FreeEndomorphism:
     """mu(w) at rank = strand count; rightmost letter acts first."""
     acc = FreeEndomorphism.identity(w.strands)
-    for let in w.letters:
-        acc = compose(acc, mu_letter(let, w.strands))
+    for a in w.code:
+        acc = compose(acc, mu_letter(a, w.strands))
     return acc
 
 
@@ -159,11 +160,11 @@ def relation_instances(n: int) -> list[tuple[str, TwinWord, TwinWord]]:
     if n < 2:
         raise RankMismatch(f"relations need n >= 2, got {n}")
 
-    def w(*letters: Letter) -> TwinWord:
-        return TwinWord(n, letters)
+    def w(*code: int) -> TwinWord:
+        return TwinWord(n, code)
 
-    s = lambda i: Letter(REAL, i)
-    r = lambda i: Letter(VIRTUAL, i)
+    s = lambda i: i
+    r = lambda i: -i
     empty = TwinWord(n, ())
 
     out: list[tuple[str, TwinWord, TwinWord]] = []

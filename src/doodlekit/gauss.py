@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import REAL, TwinWord, _count, pi
+from .words import TwinWord, _count, pi
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -176,11 +176,11 @@ def closure_gauss(w: TwinWord) -> GaussData:
     pos = list(range(n))  # pos[k] = current 0-based position of strand k
     events: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     crossing = 0
-    for let in w.letters:
-        i = let.index - 1  # 0-based position of the left strand
+    for a in w.code:
+        i = abs(a) - 1  # 0-based position of the left strand
         left = pos.index(i)
         right = pos.index(i + 1)
-        if let.kind == REAL:
+        if a > 0:  # real
             crossing += 1
             events[left].append((crossing, 1, CONTINUATION[1]))
             events[right].append((crossing, 2, CONTINUATION[2]))

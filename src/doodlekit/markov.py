@@ -53,8 +53,8 @@ pairs with destabilization, taking the kind of the removed letter.  A
 conjugation needs no insertions: conjugating again cancels the same
 letters.
 
-Internally words are tuples of signed ints (+i for s_i, -i for r_i);
-public entry points speak TwinWord.
+A search state is the plain tuple (w.strands, w.code), which hashes
+faster than a word; TwinWord(*state) turns it back into one.
 """
 
 from __future__ import annotations
@@ -65,59 +65,19 @@ from typing import Iterator, Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
 from .words import (
-    REAL,
-    VIRTUAL,
-    Letter,
     TwinWord,
-    _TOKEN,
     _count,
+    _letter,
     _reduce,
+    _shift,
+    _tok,
     closure_components,
     format_word,
     parse_word,
 )
 
-# ---------------------------------------------------------------------------
-# int encoding
-
 State = tuple[int, tuple[int, ...]]  # (strand count, letters)
 Edge = tuple[State, str, tuple, State]  # (source, tag, params, result)
-
-
-def _to_int(w: TwinWord) -> State:
-    return w.strands, tuple(
-        let.index if let.kind == REAL else -let.index for let in w.letters
-    )
-
-
-class _Letters(dict):
-    """The Letter of each int, built on first use; letters are immutable,
-    so one cache serves every caller."""
-
-    def __missing__(self, a: int) -> Letter:
-        let = self[a] = Letter(REAL if a > 0 else VIRTUAL, abs(a))
-        return let
-
-
-_LETTER = _Letters()
-
-
-def _from_int(state: State) -> TwinWord:
-    n, t = state
-    return TwinWord(n, tuple(map(_LETTER.__getitem__, t)))
-
-
-def _tok(a: int) -> str:
-    return f"s{a}" if a > 0 else f"r{-a}"
-
-
-def _untok(s: str) -> int:
-    m = _TOKEN.fullmatch(s)
-    if m is None or int(m.group(2)) < 1:
-        raise CertificateError(f"bad letter token {s!r}")
-    idx = int(m.group(2))
-    return idx if m.group(1) == "s" else -idx
-
 
 _POSITION = re.compile(r"-?[0-9]+")
 
@@ -131,13 +91,6 @@ _RELATORS = {"braid": (-1, -2, -1, -2, -1, -2), "mix": (-1, -2, 1, -2, -1, 2)}
 
 # rules whose parameters carry the letter they insert
 _LETTER_RULES = ("comm-grow", "square-ins")
-
-
-def _shift(t: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Every index moved by d, kinds kept; no index may fall below 1."""
-    if not d:
-        return t
-    return tuple([a + d if a > 0 else a - d for a in t])
 
 
 def _m0_tables() -> tuple[dict, dict]:
@@ -437,8 +390,9 @@ class MoveInstance:
     result: TwinWord
 
     def replay(self) -> bool:
-        got = _apply_int(_to_int(self.source), self.tag, self.params)
-        return got is not None and got == _to_int(self.result)
+        src, res = self.source, self.result
+        got = _apply_int((src.strands, src.code), self.tag, self.params)
+        return got == (res.strands, res.code)
 
     def describe(self) -> str:
         return " ".join([self.tag] + _render_params(self.tag, self.params))
@@ -501,10 +455,10 @@ Verdict = Union[Equivalent, Distinct, Unknown]
 
 def apply_move(w: TwinWord, tag: str, params: tuple) -> TwinWord:
     """Apply one tagged rewrite; raises PatternMismatch if it does not fit."""
-    res = _apply_int(_to_int(w), tag, params)
+    res = _apply_int((w.strands, w.code), tag, params)
     if res is None:
         raise PatternMismatch(f"move {tag} {params} does not apply to '{w}'")
-    return _from_int(res)
+    return TwinWord(*res)
 
 
 def neighbors(
@@ -513,14 +467,14 @@ def neighbors(
     """All words one move away, deduplicated by resulting word."""
     caps = caps or Budget()
     _, ml, mn = caps.resolve(w, w)
-    state = _to_int(w)
+    state = (w.strands, w.code)
     seen = {state}
     out = []
     for tag, params, res in _moves_int(state, ml, mn):
         if res in seen:
             continue
         seen.add(res)
-        rw = _from_int(res)
+        rw = TwinWord(*res)
         out.append((MoveInstance(tag, params, w, rw), rw))
     return out
 
@@ -601,7 +555,7 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
 
 def _edge_trace(start: TwinWord, edges: list[Edge]) -> MoveTrace:
     steps = tuple(
-        MoveInstance(tag, params, _from_int(a), _from_int(b))
+        MoveInstance(tag, params, TwinWord(*a), TwinWord(*b))
         for a, tag, params, b in edges
     )
     return MoveTrace(start, steps)
@@ -627,8 +581,8 @@ def equivalent_closures(
         return Distinct("closure_components", cu, cv)
 
     max_states, max_len, max_n = budget.resolve(u, v)
-    nu, tu = _to_int(u)
-    nv, tv = _to_int(v)
+    nu, tu = u.strands, u.code
+    nv, tv = v.strands, v.code
     su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
     visited: list[dict] = [{su: None}, {sv: None}]
     frontier: list[list[State]] = [[su], [sv]]
@@ -722,13 +676,13 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
         if rule in _LETTER_RULES:
             if len(fields) != 3:
                 raise bad()
-            return (rule, pos, _untok(fields[2]))
+            return (rule, pos, _letter(fields[2]))
         if len(fields) != 2:
             raise bad()
         return (rule, pos)
     if tag == "M1":
         if len(fields) == 2 and fields[0] == "conj":
-            return ("conj", _untok(fields[1]))
+            return ("conj", _letter(fields[1]))
         if len(fields) == 2 and fields[0] == "shift" and fields[1] in ("left", "right"):
             return ("shift", fields[1])
         raise bad()

@@ -6,6 +6,10 @@ Conventions used throughout the package:
   (virtual crossing) with 1-based index ``1 <= i <= n-1``, read left to
   right, which on a diagram means top to bottom.  Every letter is an
   involution.
+- A letter is stored as a signed int: ``+i`` for ``s_i`` and ``-i`` for
+  ``r_i``.  ``TwinWord.code`` holds these exact ints and every algorithm
+  computes on them; :class:`Letter` is the same int with a kind, an index
+  and the token ``s<i>`` / ``r<i>`` as its string.
 - Words carry their strand count ``n`` explicitly.  There is no implicit
   embedding of VT_n into VT_{n+1}; changing ``n`` is done by
   :func:`shift_left` or by stabilization moves in :mod:`doodlekit.markov`.
@@ -20,9 +24,11 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import IndexOutOfRange, InvalidStrandCount, UnknownToken
 
@@ -30,15 +36,60 @@ REAL = "s"
 VIRTUAL = "r"
 
 
-class Letter(NamedTuple):
-    kind: str  # REAL or VIRTUAL
-    index: int  # 1-based, valid range 1..strands-1
+def _tok(a: int) -> str:
+    """The token of a letter; ``:d`` keeps a Letter from printing its kind twice."""
+    return f"s{a:d}" if a > 0 else f"r{-a:d}"
+
+
+class Letter(int):
+    """One generator as its signed int, with its kind, index and token."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "Letter":
+        if kind not in (REAL, VIRTUAL):
+            raise UnknownToken(f"bad letter kind {kind!r}")
+        index = operator.index(index)
+        if index < 1:
+            raise IndexOutOfRange(f"letter index must be >= 1, got {index}")
+        return super().__new__(cls, index if kind == REAL else -index)
+
+    def __getnewargs__(self) -> tuple[str, int]:
+        return self.kind, self.index
+
+    @property
+    def kind(self) -> str:
+        return REAL if self > 0 else VIRTUAL
+
+    @property
+    def index(self) -> int:
+        return abs(self)
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+        return _tok(self)
+
+    def __repr__(self) -> str:
+        return f"Letter(kind={self.kind!r}, index={self.index})"
+
+
+@functools.cache
+def _view(a: int) -> Letter:
+    """The Letter of an int; letters are immutable, so one cache serves all."""
+    return Letter(REAL if a > 0 else VIRTUAL, abs(a))
 
 
 _TOKEN = re.compile(r"([sr])([0-9]+)$")
+
+
+def _letter(tok: str) -> int:
+    """The int of one token ``s<i>`` or ``r<i>``."""
+    m = _TOKEN.match(tok)
+    if m is None:
+        raise UnknownToken(f"bad token {tok!r}")
+    i = int(m.group(2))
+    if i < 1:
+        raise IndexOutOfRange(f"letter {tok} has index below 1")
+    return i if m.group(1) == REAL else -i
 
 
 def _count(text: str) -> int:
@@ -51,22 +102,27 @@ def _count(text: str) -> int:
 
 @dataclass(frozen=True)
 class TwinWord:
-    """A word in VT_n, stored with its ambient strand count."""
+    """A word in VT_n: its strand count and its letters as exact ints."""
 
     strands: int
-    letters: tuple[Letter, ...]
+    code: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise InvalidStrandCount(f"strand count must be >= 1, got {self.strands}")
-        for let in self.letters:
-            if not 1 <= let.index <= self.strands - 1:
-                raise IndexOutOfRange(
-                    f"letter {let} invalid on {self.strands} strands"
-                )
+        n = self.strands
+        if n < 1:
+            raise InvalidStrandCount(f"strand count must be >= 1, got {n}")
+        code = tuple(map(operator.index, self.code))  # Letters become exact ints
+        object.__setattr__(self, "code", code)
+        for a in code:
+            if not 0 < abs(a) < n:
+                raise IndexOutOfRange(f"letter {_tok(a)} invalid on {n} strands")
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(_view, self.code))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.code)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
@@ -77,23 +133,12 @@ class TwinWord:
 
 def parse_word(text: str, strands: int) -> TwinWord:
     """Parse whitespace-separated tokens ``s<i>`` / ``r<i>`` into a word."""
-    if strands < 1:
-        raise InvalidStrandCount(f"strand count must be >= 1, got {strands}")
-    letters = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise UnknownToken(f"bad token {tok!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        if not 1 <= idx <= strands - 1:
-            raise IndexOutOfRange(f"index {idx} out of range for n={strands}")
-        letters.append(Letter(kind, idx))
-    return TwinWord(strands, tuple(letters))
+    return TwinWord(strands, tuple(map(_letter, text.split())))
 
 
 def format_word(w: TwinWord) -> str:
     """Canonical token string: lowercase, single spaces, empty for identity."""
-    return " ".join(str(let) for let in w.letters)
+    return " ".join(map(_tok, w.code))
 
 
 def parse_word_file(text: str) -> TwinWord:
@@ -121,17 +166,13 @@ def concat(u: TwinWord, v: TwinWord) -> TwinWord:
         raise InvalidStrandCount(
             f"cannot concatenate words on {u.strands} and {v.strands} strands"
         )
-    return TwinWord(u.strands, u.letters + v.letters)
+    return TwinWord(u.strands, u.code + v.code)
 
 
-def _reduce(letters: tuple) -> tuple:
-    """Delete adjacent equal items until none remain, in one pass.
-
-    Works on any letter encoding: Letter tuples here, signed ints in
-    :mod:`doodlekit.markov`.
-    """
-    out: list = []
-    for a in letters:
+def _reduce(code: tuple[int, ...]) -> tuple[int, ...]:
+    """Delete adjacent equal letters until none remain, in one pass."""
+    out: list[int] = []
+    for a in code:
         if out and out[-1] == a:
             out.pop()
         else:
@@ -146,21 +187,26 @@ def free_reduce(w: TwinWord) -> TwinWord:
     No commutation or braid rewriting is applied here; those are Markov
     M0 moves.
     """
-    return TwinWord(w.strands, _reduce(w.letters))
+    return TwinWord(w.strands, _reduce(w.code))
 
 
 def inverse(w: TwinWord) -> TwinWord:
     """Reversal of the word; inverse because every letter is an involution."""
-    return TwinWord(w.strands, tuple(reversed(w.letters)))
+    return TwinWord(w.strands, w.code[::-1])
 
 
 def shift_left(m: int, w: TwinWord) -> TwinWord:
     """Put m trivial strands on the left: every index grows by m."""
     if m < 0:
         raise InvalidStrandCount(f"shift amount must be >= 0, got {m}")
-    return TwinWord(
-        w.strands + m, tuple(Letter(let.kind, let.index + m) for let in w.letters)
-    )
+    return TwinWord(w.strands + m, _shift(w.code, m))
+
+
+def _shift(code: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Every index moved by d, kinds kept; no index may fall below 1."""
+    if not d:
+        return code
+    return tuple([a + d if a > 0 else a - d for a in code])
 
 
 @dataclass(frozen=True)
@@ -232,8 +278,8 @@ def pi(w: TwinWord) -> Permutation:
     (i, i+1); letters act leftmost first.
     """
     images = list(range(1, w.strands + 1))
-    for let in w.letters:
-        i = let.index
+    for a in w.code:
+        i = abs(a)
         for k in range(w.strands):
             if images[k] == i:
                 images[k] = i + 1
@@ -250,9 +296,9 @@ def closure_components(w: TwinWord) -> int:
 def random_word(rng, strands: int, length: int) -> TwinWord:
     """Uniform random word of exactly the given length (length 0 if n = 1)."""
     if strands < 2:
-        return TwinWord(max(strands, 1), ())
-    letters = tuple(
+        return TwinWord(strands, ())
+    letters = [
         Letter(rng.choice((REAL, VIRTUAL)), rng.randint(1, strands - 1))
         for _ in range(length)
-    )
+    ]
     return TwinWord(strands, letters)

@@ -234,3 +234,19 @@ class TestUsage:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0 and proc.stdout == golden("pi_s1r2.txt")
+
+
+@pytest.mark.parametrize("script, args, line", [
+    ("rebraid_roundtrip.py", ["--samples", "30"], "30/30 round trips closed"),
+    ("kishino_probe.py", ["--max-states", "2000"], "verdict: Unknown(states_explored=2000"),
+])
+def test_scripts_run(script, args, line):
+    # the scripts call format_word and random_word; run them as a user would
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(FIXTURES.parent / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout

@@ -22,7 +22,6 @@ from doodlekit.markov import (
     _moves_int,
     _reduce,
     _render_params,
-    _to_int,
     _tok,
     neighbors,
 )
@@ -77,7 +76,7 @@ def letters(t):
 def fan_block(word) -> str:
     """The state line and one line per _moves_int edge, default caps."""
     _, max_len, max_n = Budget().resolve(word, word)
-    state = _to_int(word)
+    state = (word.strands, word.code)
     lines = [f"state n={state[0]} : {letters(state[1])}"]
     for tag, params, (n, t) in _moves_int(state, max_len, max_n):
         head = " ".join([tag] + _render_params(tag, params))

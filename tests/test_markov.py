@@ -15,7 +15,6 @@ from doodlekit.markov import (
     MoveInstance,
     Unknown,
     _apply_int,
-    _from_int,
     _inverse_edges,
     _moves_int,
     _parse_params,
@@ -28,6 +27,7 @@ from doodlekit.markov import (
     verify_certificate,
 )
 from doodlekit.words import (
+    TwinWord,
     closure_components,
     format_word,
     free_reduce,
@@ -182,13 +182,13 @@ class TestM0Rules:
         counts = dict.fromkeys(M0_WINDOW_COUNTS, 0)
         for width in (2, 3, 4):
             for win in itertools.product(letters, repeat=width):
-                word = _from_int((7, win))
+                word = TwinWord(7, win)
                 for rule, (rule_width, _) in M0_WINDOW_COUNTS.items():
                     got = _apply_int((7, win), "M0", (rule, 0))
                     if got is None or width != rule_width:
                         continue
                     counts[rule] += 1
-                    result = _from_int(got)
+                    result = TwinWord(*got)
                     assert pi(result) == pi(word), (rule, win)
                     assert mu(result) == mu(word), (rule, win)
         assert counts == {rule: count for rule, (_, count) in M0_WINDOW_COUNTS.items()}

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +62,10 @@ class TestParse:
     def test_bad_strand_count(self):
         with pytest.raises(InvalidStrandCount):
             w("", 0)
+
+    def test_index_zero(self):
+        with pytest.raises(IndexOutOfRange):
+            w("s0", 3)
 
     def test_one_strand_word_must_be_empty(self):
         with pytest.raises(IndexOutOfRange):
@@ -178,3 +187,75 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     assert Permutation.identity(3)(2) == 2
+
+
+class TestLetter:
+    def test_is_its_signed_int(self):
+        assert Letter("s", 2) == 2 and Letter("r", 2) == -2
+        assert (Letter("r", 3).kind, Letter("r", 3).index) == ("r", 3)
+        assert type(Letter("r", 3).index) is int
+
+    def test_token_and_repr(self):
+        let = Letter("r", 12)
+        assert str(let) == f"{let}" == "r12"
+        assert repr(let) == "Letter(kind='r', index=12)"
+
+    def test_unknown_kind(self):
+        with pytest.raises(UnknownToken):
+            Letter("x", 1)
+        with pytest.raises(UnknownToken):
+            TwinWord(2, (Letter("x", 1),))
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_index_below_one(self, index):
+        with pytest.raises(IndexOutOfRange):
+            Letter("s", index)
+
+    def test_word_stores_exact_ints(self):
+        word = TwinWord(3, (Letter("s", 1), Letter("r", 2)))
+        assert word.code == (1, -2) and all(type(a) is int for a in word.code)
+        assert word == TwinWord(3, (1, -2)) == w("s1 r2", 3)
+        assert hash(word) == hash(TwinWord(3, (1, -2)))
+        assert word.letters == (Letter("s", 1), Letter("r", 2))
+        assert all(type(let) is Letter for let in word.letters)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    letter: Letter
+
+
+class TestRoundTrips:
+    WORD = TwinWord(4, (Letter("s", 3), Letter("r", 1), Letter("s", 1)))
+
+    def test_pickle(self):
+        assert pickle.loads(pickle.dumps(self.WORD)) == self.WORD
+        let = pickle.loads(pickle.dumps(Letter("r", 2)))
+        assert type(let) is Letter and repr(let) == "Letter(kind='r', index=2)"
+
+    def test_deepcopy(self):
+        assert copy.deepcopy(self.WORD) == self.WORD
+        let = copy.deepcopy(Letter("s", 5))
+        assert type(let) is Letter and (let.kind, let.index) == ("s", 5)
+
+    def test_asdict(self):
+        assert dataclasses.asdict(self.WORD) == {"strands": 4, "code": (3, -1, 1)}
+        assert TwinWord(**dataclasses.asdict(self.WORD)) == self.WORD
+        held = dataclasses.asdict(_Holder(Letter("r", 4)))["letter"]
+        assert type(held) is Letter and held == Letter("r", 4)
+
+
+class TestRandomWord:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_strand_count_below_one(self, n):
+        with pytest.raises(InvalidStrandCount):
+            random_word(random.Random(0), n, 5)
+
+    def test_one_strand_is_empty(self):
+        assert random_word(random.Random(0), 1, 5) == TwinWord(1, ())
+
+    def test_draws_kind_then_index(self):
+        rng = random.Random(7)
+        want = [(rng.choice("sr"), rng.randint(1, 4)) for _ in range(12)]
+        got = random_word(random.Random(7), 5, 12)
+        assert [(let.kind, let.index) for let in got.letters] == want
