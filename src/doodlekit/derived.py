@@ -17,10 +17,12 @@ Construction strategy: every trace is an explicit chain of moves; none
 is searched for.  The right tail and exchange items are built by an
 inductive chain (exchange-move flip, mixed-relation pushes through the
 nested palindrome, commutation sweeps, cyclic shifts, recursion, and a
-final braid merge); mixed-kind arms are converted pair by pair, outside
-in, by running the exchange chain forwards and backwards; the mixed tail
-reduces to that plus an endgame.  Two rules carry the rest, with
-V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
+final braid merge).  Mixed-kind arms convert run by run: each maximal
+run of real levels takes one exchange chain, after the virtual levels
+above it are unwound to real by that chain run backwards.  The mixed
+tail then moves its palindrome outward in one stage loop, by braid steps
+around a virtual center and mix3 steps around a real one.  Two rules
+carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
 
 - Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
   around one braid or mix3 step).  left-virtual-destab wraps Q around the
@@ -275,18 +277,21 @@ def _build_exchange_mixed(
     """word = t_n .. t_i b1 t_i .. t_n + b2  ->  all-virtual version + b2."""
     lead = len(_mid_letters(n + 1, i, b1, kinds))
     b2 = b.word[lead:]
+    top = n
     for j in range(n, i - 1, -1):
-        mid = _mid_letters(j, i, b1, kinds)
         if kinds[j] == "r":
-            continue
-        if j < n:
-            blk = (j,) + mid + (j,)
-            scratch = _Builder((b.n, _x_pattern(n, j + 1, blk) + b2))
-            _build_exchange_run(scratch, n, j + 1, blk)
-            if scratch.state != b.state:
-                raise PatternMismatch("kind-flip scratch trace mismatch")
-            b.splice(_invert_edges(scratch.edges))
-        _build_exchange_run(b, n, j, mid)
+            top = j - 1
+        elif j == i or kinds[j - 1] == "r":
+            # top .. j is a maximal run of real levels: unwind the virtual
+            # levels above it to real, then turn levels n .. j virtual
+            if top < n:
+                blk = _mid_letters(top + 1, i, b1, kinds)
+                scratch = _Builder((b.n, _x_pattern(n, top + 1, blk) + b2))
+                _build_exchange_run(scratch, n, top + 1, blk)
+                if scratch.state != b.state:
+                    raise PatternMismatch("kind-flip scratch trace mismatch")
+                b.splice(_invert_edges(scratch.edges))
+            _build_exchange_run(b, n, j, _mid_letters(j, i, b1, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +314,20 @@ def _build_tail_mixed(
         b.shift_left()
     tc = _kind_letter(kinds[c], c)
     _build_exchange_mixed(b, n, c + 1, (tc,), kinds)
-    # word = r_n .. r_{c+1} t_c r_{c+1} .. r_n + beta
-    if tc < 0:
-        # braid the palindrome outward stage by stage
-        for k in range(c, n):
-            center = n - c - 1
-            b.m0("braid", center)
-            for step in range(n - k - 1):
-                b.comm(center - 1 - step)
-            for step in range(n - k - 1):
-                b.comm(center + 2 + step)
-        for _ in range(n - c + 1):
-            b.shift_left()
-        b.apply("M2", ("destab",))
-        for k in range(n - 1, c - 1, -1):
-            b.conj(-k)
-    else:
-        blk = (c,)
-        scratch = _Builder((b.n, _x_pattern(n, c + 1, blk) + b.word[2 * (n - c) + 1 :]))
-        _build_exchange_run(scratch, n, c + 1, blk)
-        if scratch.state != b.state:
-            raise PatternMismatch("mixed-tail scratch trace mismatch")
-        b.splice(_invert_edges(scratch.edges))
-        for _ in range(blen):
-            b.shift_right()
-        _build_tail_real(b, n, c)
+    # word = r_n .. r_{c+1} t_c r_{c+1} .. r_n + beta; move the palindrome
+    # outward stage by stage (r_{k+1} t_k r_{k+1} = r_k t_{k+1} r_k)
+    rule, center = "braid" if tc < 0 else "mix3", n - c - 1
+    for k in range(c, n):
+        b.m0(rule, center)
+        for step in range(n - k - 1):
+            b.comm(center - 1 - step)
+        for step in range(n - k - 1):
+            b.comm(center + 2 + step)
+    for _ in range(n - c + 1):
+        b.shift_left()
+    b.apply("M2", ("destab",))
+    for k in range(n - 1, c - 1, -1):
+        b.conj(-k)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +375,11 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
 # strand mirror (left-handed family)
 
 
+# mirrored exchange: the other exchange, the shift that exposes its pair,
+# and the shift back
+_MIRROR_EXCHANGE = {"M4": ("M5", "right", "left"), "M5": ("M4", "left", "right")}
+
+
 def _mirror_edges(edges: list[Edge]) -> list[Edge]:
     """Map a right-handed trace through the index reversal j -> n+1-j."""
     out: list[Edge] = []
@@ -419,26 +418,17 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
             emit(msrc, "M2", ("stab", "s"), mdst)
         elif tag == "M3":
             emit(msrc, "M2", ("destab",), mdst)
-        elif tag == "M4":
-            # mirrored pattern has its index-1 pair at (p, end); expose a
-            # leading pair for M5 when needed
-            if _apply_int(msrc, "M5", ()) == mdst:
-                emit(msrc, "M5", (), mdst)
+        elif tag in _MIRROR_EXCHANGE:
+            # the mirrored pair may sit at the wrong end for the other exchange
+            other, out_dir, back_dir = _MIRROR_EXCHANGE[tag]
+            if _apply_int(msrc, other, ()) == mdst:
+                emit(msrc, other, (), mdst)
             else:
-                step1 = _apply_int(msrc, "M1", ("shift", "right"))
-                emit(msrc, "M1", ("shift", "right"), step1)
-                step2 = _apply_int(step1, "M5", ())
-                emit(step1, "M5", (), step2)
-                emit(step2, "M1", ("shift", "left"), mdst)
-        elif tag == "M5":
-            if _apply_int(msrc, "M4", ()) == mdst:
-                emit(msrc, "M4", (), mdst)
-            else:
-                step1 = _apply_int(msrc, "M1", ("shift", "left"))
-                emit(msrc, "M1", ("shift", "left"), step1)
-                step2 = _apply_int(step1, "M4", ())
-                emit(step1, "M4", (), step2)
-                emit(step2, "M1", ("shift", "right"), mdst)
+                step1 = _apply_int(msrc, "M1", ("shift", out_dir))
+                emit(msrc, "M1", ("shift", out_dir), step1)
+                step2 = _apply_int(step1, other, ())
+                emit(step1, other, (), step2)
+                emit(step2, "M1", ("shift", back_dir), mdst)
         else:
             raise PatternMismatch(f"cannot mirror move {tag}")
     return out

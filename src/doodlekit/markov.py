@@ -20,7 +20,9 @@ splice seams only, see below):
   emitted; deleting one never fires because states are already reduced.
 - M1: conjugation by a single generator (w -> g w g) and one-letter
   cyclic shifts in both directions.  Generator conjugations generate all
-  conjugations because every letter is an involution.
+  conjugations because every letter is an involution.  The search fan
+  leaves shifts out: a shift reduces to the conjugation by the letter it
+  moves, so it never reaches a state the conjugations miss.
 - M2: right stabilization w -> w s_n or w r_n (strand count grows by
   one); destabilization removes a trailing extreme-index letter that
   occurs nowhere else in the word.
@@ -316,7 +318,7 @@ def _moves_int(
     """
     n, t = state
     L = len(t)
-    pre = [t[:p] for p in range(L + 1)]
+    pre = [t[:p] for p in range(L)]
     suf = [t[p:] for p in range(L + 1)]
     if any(map(int.__eq__, t, t[1:])):
         pre = [_reduce(h) for h in pre]
@@ -356,20 +358,13 @@ def _moves_int(
                         if len(res) <= max_len:
                             yield "M0", ("comm-grow", pos, h), (n, res)
 
-        # M1 conjugations (g w g: cancel at the front, then at the back)
-        # and cyclic shifts
+        # M1 conjugations (g w g: cancel at the front, then at the back);
+        # no shifts, which reduce to conjugation by the letter they move
         for j in range(1, n):
             for g in (j, -j):
                 res = _join(_join((), (g,), suf[0]), (g,), ())
                 if len(res) <= max_len:
                     yield "M1", ("conj", g), (n, res)
-        if L:
-            res = _join(suf[1], t[:1], ())
-            if len(res) <= max_len:
-                yield "M1", ("shift", "left"), (n, res)
-            res = _join((), t[-1:], pre[L - 1])
-            if len(res) <= max_len:
-                yield "M1", ("shift", "right"), (n, res)
 
     # M2 / M3 stabilizations and M4 / M5 exchanges
     for tag, params in _FIXED_MOVES:
@@ -656,10 +651,8 @@ def format_certificate(left: TwinWord, right: TwinWord, trace: MoveTrace) -> str
         f"right n={right.strands} : {format_word(right)}",
     ]
     for step in trace.steps:
-        head = " ".join([step.tag] + _render_params(step.tag, step.params))
-        lines.append(
-            f"step {head} -> {format_word(step.result)} @ n={step.result.strands}"
-        )
+        res = step.result
+        lines.append(f"step {step.describe()} -> {format_word(res)} @ n={res.strands}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,19 @@
+"""Derived moves: shapes, batteries, pinned traces and their golden.
+
+``tests/golden/derived.txt`` has one line per battery instance: the item,
+its arguments, the trace's step count and the sha256 of its certificate.
+Regenerate it, on code whose chains are known good, with
+
+    PYTHONPATH=src python tests/test_derived.py
+"""
+
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import GOLDEN
 from doodlekit.derived import apply_derived
 from doodlekit.errors import PatternMismatch
 from doodlekit.markov import format_certificate, verify_certificate
@@ -156,7 +167,9 @@ class TestMirrorItems:
 
 
 class TestSearchFreeInstances:
-    """n = 4 instances beyond a bounded search of 200,000 states."""
+    """n = 4 instances with pinned traces.  The first two lie beyond a
+    bounded search of 200,000 states; the tail-mixed one has only real
+    levels, so its arms convert in a single exchange run."""
 
     def test_left_tail_mixed_n4(self):
         dm = apply_derived("left-tail-mixed", n=4, i=2, beta=w("s1", 4), kinds=["s", "r"])
@@ -170,6 +183,13 @@ class TestSearchFreeInstances:
         assert dm.lhs == w("s4 s3 s2 s1 s2 s3 s4 s2 r3", 5)
         assert dm.rhs == w("r4 r3 r2 s1 r2 r3 r4 s2 r3", 5)
         assert dm.trace.replay() and dm.trace.end == dm.rhs
+        assert len(dm.trace.steps) == 63
+
+    def test_right_tail_mixed_n4(self):
+        dm = apply_derived("right-tail-mixed", n=4, i=1, beta=w("s1", 4), kinds=list("ssss"))
+        assert dm.lhs == w("s1 s4 s3 s2 s1 s2 s3 s4", 5) and dm.rhs == w("s1", 4)
+        assert dm.trace.replay() and dm.trace.end == dm.rhs
+        assert len(dm.trace.steps) == 83
 
 
 @st.composite
@@ -246,3 +266,83 @@ def test_traces_export_as_certificates():
     dm = apply_derived("right-tail-real", n=3, i=1, beta=w("r1", 3))
     cert = format_certificate(dm.lhs, dm.rhs, dm.trace)
     assert verify_certificate(cert).end == dm.rhs
+
+
+DERIVED_GOLDEN = GOLDEN / "derived.txt"
+
+
+def battery_instances():
+    """(item, keyword arguments) of every battery case above, item by item."""
+    ns = (2, 3, 4)
+    for n in ns:
+        for i in range(1, n + 1):
+            for b in betas(n):
+                yield "right-tail-real", dict(n=n, i=i, beta=b)
+    for n in ns:
+        for i in range(1, n + 1):
+            for b1, b2 in itertools.product(betas(i), betas(n)):
+                yield "right-exchange-run", dict(n=n, i=i, beta1=b1, beta2=b2)
+    for n in ns:
+        for i in range(1, n + 1):
+            for ks in itertools.product("sr", repeat=n - i + 1):
+                for b1, b2 in itertools.product(betas(i), betas(n)):
+                    yield "right-exchange-mixed", dict(
+                        n=n, i=i, beta1=b1, beta2=b2, kinds="".join(ks)
+                    )
+    for n in ns:
+        for c in range(1, n + 1):
+            for ks in itertools.product("sr", repeat=n - c + 1):
+                for b in betas(n):
+                    yield "right-tail-mixed", dict(n=n, i=c, beta=b, kinds="".join(ks))
+    for n in ns:
+        for b in betas(n):
+            yield "left-virtual-destab", dict(n=n, beta=b)
+    for n in ns:
+        for i in range(1, n + 1):
+            for b in betas(n):
+                yield "left-tail-real", dict(n=n, i=i, beta=b)
+    for n in ns:
+        for i in range(1, n + 1):
+            m = n + 1 - i
+            for b1, b2 in itertools.product(betas(m), betas(n)):
+                yield "left-exchange-run", dict(n=n, i=i, beta1=b1, beta2=b2)
+            for ks in itertools.product("sr", repeat=i):
+                yield "left-exchange-mixed", dict(
+                    n=n, i=i, beta1=betas(m)[-1], beta2="r1", kinds="".join(ks)
+                )
+    for n in ns:
+        for c in range(1, n + 1):
+            for ks in itertools.product("sr", repeat=c):
+                for b in betas(n):
+                    yield "left-tail-mixed", dict(n=n, i=c, beta=b, kinds="".join(ks))
+
+
+def golden_line(item, args) -> str:
+    """The instance's line: item, arguments, step count, certificate hash."""
+    n, i = args["n"], args.get("i")
+    kw = dict(args)
+    for k in ("beta", "beta2"):
+        if k in kw:
+            kw[k] = w(kw[k], n)
+    if "beta1" in kw:
+        kw["beta1"] = w(kw["beta1"], i if item.startswith("right-") else n + 1 - i)
+    if "kinds" in kw:
+        kw["kinds"] = list(kw["kinds"])
+    dm = apply_derived(item, **kw)
+    digest = hashlib.sha256(format_certificate(dm.lhs, dm.rhs, dm.trace).encode())
+    fields = [item] + [f"{k}={v!r}" for k, v in args.items()]
+    return " ".join(fields + [f"steps={len(dm.trace.steps)}", f"sha256={digest.hexdigest()}"])
+
+
+def test_batteries_match_golden():
+    want = DERIVED_GOLDEN.read_text().splitlines()
+    got = [golden_line(item, args) for item, args in battery_instances()]
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        assert line == expected
+
+
+if __name__ == "__main__":
+    lines = [golden_line(item, args) for item, args in battery_instances()]
+    DERIVED_GOLDEN.write_text("\n".join(lines) + "\n")
+    print(f"wrote {DERIVED_GOLDEN}")

@@ -134,6 +134,11 @@ class TestFanReference:
         for tag, params, res in fan:
             assert _apply_int(state, tag, params) == res, (state, tag, params)
             assert len(res[1]) <= max_len and 1 <= res[0] <= max_n
+        # shifts are not emitted; conjugation by the moved letter stands in
+        if t and n <= max_n:
+            results = {res for _, _, res in fan}
+            for side in ("left", "right"):
+                assert _apply_int(state, "M1", ("shift", side)) in results, state
         m0 = {(params, res) for tag, params, res in fan if tag == "M0" and res != state}
         brute = m0_brute_force(state, max_len, max_n)
         want = {(params, res) for params, res in brute if res != state}
