@@ -44,20 +44,19 @@ def braid(g: GaussData) -> TwinWord:
         starts_at[(frm.crossing, frm.slot)] = a
         ends_at[(to.crossing, to.slot)] = a
 
-    LOOP = -1  # sentinel occupying a radial slot for a crossing-free component
-    cut_arcs = [
-        a for a, (frm, to) in enumerate(arcs) if to.crossing <= frm.crossing
-    ]
-    cut_arcs.sort(key=lambda a: (arcs[a][0].crossing, arcs[a][0].slot))
-    order: list[int] = [LOOP] * g.free_loops + cut_arcs
+    # free loops sit innermost and no arc passes them, so they are only a
+    # count: order holds the cut arcs, and each letter is offset past them
+    loops = g.free_loops
+    order = [a for a, (frm, to) in enumerate(arcs) if to.crossing <= frm.crossing]
+    order.sort(key=lambda a: (arcs[a][0].crossing, arcs[a][0].slot))
     initial = tuple(order)
     m = len(order)
 
     code: list[int] = []
 
     def swap(p: int) -> None:
-        """Exchange radial slots p and p+1 (1-based) with a virtual letter."""
-        code.append(-p)
+        """Exchange arc slots p and p+1 (1-based) with a virtual letter."""
+        code.append(-(loops + p))
         order[p - 1], order[p] = order[p], order[p - 1]
 
     for c in range(1, n + 1):
@@ -71,7 +70,7 @@ def braid(g: GaussData) -> TwinWord:
             for p in range(a - 1, b - 1, -1):
                 swap(p)
             pair = b
-        code.append(pair)
+        code.append(loops + pair)
         order[pair - 1] = starts_at[(c, 3)]
         order[pair] = starts_at[(c, 4)]
 
@@ -82,4 +81,4 @@ def braid(g: GaussData) -> TwinWord:
             swap(p)
             p -= 1
 
-    return TwinWord(m, tuple(code))
+    return TwinWord(loops + m, tuple(code))

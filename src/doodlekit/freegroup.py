@@ -7,9 +7,11 @@ The representation mu_n : VT_n -> Aut(F_n) acts on generators by
 
 with all other generators fixed.  For a word the rightmost letter's
 substitution is applied first, i.e. mu(uv) = mu(u) o mu(v) where the right
-operand acts first.  The relation set of VT_n is closed under word
-reversal, so this convention is consistent; verify_relations() checks it
-instance by instance.
+operand acts first.  So appending a letter rewrites two images of the map
+f computed so far, both from f's old images: s_i sets f(x_i) to the reduced
+f(x_i) f(x_{i+1}) and f(x_{i+1}) to f(x_{i+1})^{-1}; r_i swaps the two.
+The relation set of VT_n is closed under word reversal, so this convention
+is consistent; verify_relations() checks it instance by instance.
 
 Equality proved by mu is sound: if the images differ the words differ in
 VT_n.  No faithfulness is claimed, so a separation failure proves nothing.
@@ -101,13 +103,8 @@ class FreeEndomorphism:
         out: list[int] = []
         for a in w.letters:
             img = self.images[abs(a) - 1]
-            piece = img.letters if a > 0 else tuple(-b for b in reversed(img.letters))
-            for b in piece:
-                if out and out[-1] == -b:
-                    out.pop()
-                else:
-                    out.append(b)
-        return FreeWord(self.rank, tuple(out))
+            out.extend((img if a > 0 else inverse_free(img)).letters)
+        return reduce_free(FreeWord(self.rank, tuple(out)))
 
 
 def compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
@@ -117,25 +114,19 @@ def compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(f.rank, tuple(f.apply(img) for img in g.images))
 
 
-def mu_letter(a: int, rank: int) -> FreeEndomorphism:
-    """mu of one letter, given as its signed int (a Letter is one)."""
-    i = abs(a)
-    images = [generator(rank, k) for k in range(1, rank + 1)]
-    if a > 0:
-        images[i - 1] = FreeWord(rank, (i, i + 1))
-        images[i] = FreeWord(rank, (-(i + 1),))
-    else:
-        images[i - 1] = generator(rank, i + 1)
-        images[i] = generator(rank, i)
-    return FreeEndomorphism(rank, tuple(images))
-
-
 def mu(w: TwinWord) -> FreeEndomorphism:
     """mu(w) at rank = strand count; rightmost letter acts first."""
-    acc = FreeEndomorphism.identity(w.strands)
+    rank = w.strands
+    images = list(FreeEndomorphism.identity(rank).images)
     for a in w.code:
-        acc = compose(acc, mu_letter(a, w.strands))
-    return acc
+        i = abs(a)
+        if a > 0:
+            head, tail = images[i - 1], images[i]
+            images[i - 1] = reduce_free(FreeWord(rank, head.letters + tail.letters))
+            images[i] = inverse_free(tail)
+        else:
+            images[i - 1], images[i] = images[i], images[i - 1]
+    return FreeEndomorphism(rank, tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ class TestGaussCommands:
         code, out, _ = invoke("braid", str(FIXTURES / "kink.gauss"))
         assert (code, out) == (0, golden("braid_kink.txt"))
 
+    def test_braid_free_loops_are_a_count(self, tmp_path):
+        loops = tmp_path / "loops.gauss"
+        loops.write_text(
+            "crossings 1\nfreeloops 1000000000\narc 1.3 1.1\narc 1.4 1.2\n",
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        code, out, _ = invoke("braid", str(loops))
+        assert (code, out) == (0, "n=1000000002\ns1000000001\n")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestEquivCommands:
     def test_equiv_destab(self):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doodlekit.errors import RankMismatch
 from doodlekit.freegroup import (
@@ -6,7 +7,6 @@ from doodlekit.freegroup import (
     FreeWord,
     compose,
     mu,
-    mu_letter,
     reduce_free,
     relation_count,
     relation_instances,
@@ -14,11 +14,36 @@ from doodlekit.freegroup import (
     separating_generator,
     verify_relations,
 )
-from doodlekit.words import Letter, parse_word, random_word, concat
+from doodlekit.words import Letter, TwinWord, parse_word, random_word, concat
 
 
 def w(text, n):
     return parse_word(text, n)
+
+
+def one_letter_map(a, n):
+    """mu of one signed letter, read off the substitution table directly."""
+    i = abs(a)
+    images = [FreeWord(n, (k,)) for k in range(1, n + 1)]
+    if a > 0:
+        images[i - 1], images[i] = FreeWord(n, (i, i + 1)), FreeWord(n, (-(i + 1),))
+    else:
+        images[i - 1], images[i] = FreeWord(n, (i + 1,)), FreeWord(n, (i,))
+    return FreeEndomorphism(n, tuple(images))
+
+
+def signed_letters(n):
+    return [a for i in range(1, n) for a in (i, -i)]
+
+
+@st.composite
+def sized_words(draw):
+    """Words at the sizes the round-trip benchmark uses: n <= 8, <= 120 letters."""
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        return TwinWord(1, ())
+    letters = st.lists(st.sampled_from(signed_letters(n)), max_size=120)
+    return TwinWord(n, tuple(draw(letters)))
 
 
 class TestFreeWords:
@@ -71,7 +96,7 @@ class TestMu:
         for n in (2, 3, 4):
             for kind in "sr":
                 for i in range(1, n):
-                    m = mu_letter(Letter(kind, i), n)
+                    m = one_letter_map(Letter(kind, i), n)
                     assert compose(m, m) == FreeEndomorphism.identity(n)
 
     def test_homomorphism_sampled(self, rng):
@@ -80,6 +105,24 @@ class TestMu:
             u = random_word(rng, n, rng.randint(0, 8))
             v = random_word(rng, n, rng.randint(0, 8))
             assert mu(concat(u, v)) == compose(mu(u), mu(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized_words(), st.data())
+    def test_fold_of_one_letter_maps(self, word, data):
+        n, code = word.strands, word.code
+        fold = FreeEndomorphism.identity(n)
+        for a in code:
+            fold = compose(fold, one_letter_map(a, n))
+        assert mu(word) == fold
+        far = [p for p in range(len(code) - 1) if abs(abs(code[p]) - abs(code[p + 1])) >= 2]
+        if far:
+            p = data.draw(st.sampled_from(far))
+            swapped = code[:p] + (code[p + 1], code[p]) + code[p + 2 :]
+            assert not separates(word, TwinWord(n, swapped))
+        if n > 1:
+            p = data.draw(st.integers(0, len(code)))
+            g = data.draw(st.sampled_from(signed_letters(n)))
+            assert not separates(word, TwinWord(n, code[:p] + (g, g) + code[p:]))
 
 
 class TestRelations:
