@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import TwinWord, _count, pi
+from .words import Permutation, TwinWord, _count
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -75,22 +75,25 @@ def validate(g: GaussData) -> None:
         raise NegativeCount("crossing and free-loop counts must be >= 0")
     if len(g.arcs) != 2 * g.crossings:
         raise MatchingViolation(f"expected {2 * g.crossings} arcs, found {len(g.arcs)}")
-    for frm, to in g.arcs:
+    n = g.crossings
+    sources = {frm for frm, _ in g.arcs}
+    targets = {to for _, to in g.arcs}
+    want_sources = {(c, s) for c in range(1, n + 1) for s in EXIT_SLOTS}
+    want_targets = {(c, s) for c in range(1, n + 1) for s in ENTRY_SLOTS}
+    if sources == want_sources and targets == want_targets:
+        return  # 2n arcs onto all 2n exit and 2n entry ends: each occurs once
+    for frm, to in g.arcs:  # only to name the first bad end
         if frm.slot not in EXIT_SLOTS:
             raise SlotMisuse(f"arc source {frm} is not an exit end")
         if to.slot not in ENTRY_SLOTS:
             raise SlotMisuse(f"arc target {to} is not an entry end")
         for end in (frm, to):
-            if not 1 <= end.crossing <= g.crossings:
+            if not 1 <= end.crossing <= n:
                 raise MatchingViolation(f"end {end} names no crossing")
-    sources = [frm for frm, _ in g.arcs]
-    targets = [to for _, to in g.arcs]
-    want_sources = {End(c, s) for c in range(1, g.crossings + 1) for s in EXIT_SLOTS}
-    want_targets = {End(c, s) for c in range(1, g.crossings + 1) for s in ENTRY_SLOTS}
-    if len(sources) != len(set(sources)) or set(sources) != want_sources:
+    # with 2n arcs, a repeated end leaves a set short of the 2n wanted
+    if sources != want_sources:
         raise MatchingViolation("exit ends must each occur exactly once as a source")
-    if len(targets) != len(set(targets)) or set(targets) != want_targets:
-        raise MatchingViolation("entry ends must each occur exactly once as a target")
+    raise MatchingViolation("entry ends must each occur exactly once as a target")
 
 
 def relabel(g: GaussData, sigma: tuple[int, ...]) -> GaussData:
@@ -113,13 +116,16 @@ def _partners(g: GaussData) -> dict[End, End]:
 
 def _force(link1: dict[End, End], link2: dict[End, End], root: int, d: int):
     """The map of root's connected piece forced by root -> d, or None."""
+    # End is a plain tuple subclass, so (crossing, slot) hashes and compares
+    # equal to the End key and finds it without building an End per lookup
     piece = {root: d}
     stack = [root]
     while stack:
         c = stack.pop()
+        e = piece[c]
         for slot in (1, 2, 3, 4):
-            a, s1 = link1[End(c, slot)]
-            b, s2 = link2[End(piece[c], slot)]
+            a, s1 = link1[c, slot]
+            b, s2 = link2[e, slot]
             if a not in piece:
                 piece[a] = b
                 stack.append(a)
@@ -173,20 +179,19 @@ def closure_gauss(w: TwinWord) -> GaussData:
     s1 s1 genuinely has two crossings.
     """
     n = w.strands
-    pos = list(range(n))  # pos[k] = current 0-based position of strand k
+    at = list(range(n))  # at[p] = the 0-based strand at 0-based position p
     events: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     crossing = 0
     for a in w.code:
         i = abs(a) - 1  # 0-based position of the left strand
-        left = pos.index(i)
-        right = pos.index(i + 1)
+        left, right = at[i], at[i + 1]
         if a > 0:  # real
             crossing += 1
             events[left].append((crossing, 1, CONTINUATION[1]))
             events[right].append((crossing, 2, CONTINUATION[2]))
-        pos[left], pos[right] = pos[right], pos[left]
+        at[i], at[i + 1] = right, left
 
-    perm = pi(w)
+    perm = Permutation(tuple(s + 1 for s in at)).inverse()  # pi(w)
     arcs: set[Arc] = set()
     free_loops = 0
     for cyc in perm.cycles():

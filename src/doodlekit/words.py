@@ -278,13 +278,12 @@ def pi(w: TwinWord) -> Permutation:
     (i, i+1); letters act leftmost first.
     """
     images = list(range(1, w.strands + 1))
+    where = [0, *range(w.strands)]  # where[v] = the k with images[k] == v
     for a in w.code:
         i = abs(a)
-        for k in range(w.strands):
-            if images[k] == i:
-                images[k] = i + 1
-            elif images[k] == i + 1:
-                images[k] = i
+        k, m = where[i], where[i + 1]
+        images[k], images[m] = i + 1, i
+        where[i], where[i + 1] = m, k
     return Permutation(tuple(images))
 
 

@@ -250,6 +250,7 @@ class TestUsage:
 @pytest.mark.parametrize("script, args, line", [
     ("rebraid_roundtrip.py", ["--samples", "30"], "30/30 round trips closed"),
     ("kishino_probe.py", ["--max-states", "2000"], "verdict: Unknown(states_explored=2000"),
+    ("layer_timings.py", ["--repeat", "1", "--number", "1"], '"layers": {"mu": {"us": '),
 ])
 def test_scripts_run(script, args, line):
     # the scripts call format_word and random_word; run them as a user would

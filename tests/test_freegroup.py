@@ -38,12 +38,22 @@ def signed_letters(n):
 
 @st.composite
 def sized_words(draw):
-    """Words at the sizes the round-trip benchmark uses: n <= 8, <= 120 letters."""
+    """Words at the sizes the round-trip benchmark uses: n <= 8, <= 120 letters.
+
+    Besides single letters, the word is built from runs of one s_i, where
+    every second s_i cancels a whole image at the seam, and runs of s_i r_i,
+    which lengthen both images with every pair.
+    """
     n = draw(st.integers(1, 8))
     if n == 1:
         return TwinWord(1, ())
-    letters = st.lists(st.sampled_from(signed_letters(n)), max_size=120)
-    return TwinWord(n, tuple(draw(letters)))
+    index = st.integers(1, n - 1)
+    block = st.one_of(
+        st.sampled_from(signed_letters(n)).map(lambda a: (a,)),
+        st.builds(lambda i, k: (i,) * k, index, st.integers(2, 24)),
+        st.builds(lambda i, k: (i, -i) * k, index, st.integers(1, 12)),
+    )
+    return TwinWord(n, sum(draw(st.lists(block, max_size=120)), ())[:120])
 
 
 class TestFreeWords:
@@ -59,6 +69,16 @@ class TestFreeWords:
     def test_display(self):
         assert str(FreeWord(3, (1, -2))) == "x1 x2^-1"
         assert str(FreeWord(3, ())) == "1"
+
+    @pytest.mark.parametrize("letters,message", [
+        ((1, 0, 2), "letter 0 out of range for rank 3"),
+        ((1, 4, -5), "letter 4 out of range for rank 3"),
+        ((2, -4, 0), "letter -4 out of range for rank 3"),
+    ])
+    def test_rejects_first_bad_letter(self, letters, message):
+        with pytest.raises(ValueError) as exc:
+            FreeWord(3, letters)
+        assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 class TestMu:
@@ -91,6 +111,10 @@ class TestMu:
     def test_images_must_be_reduced(self):
         with pytest.raises(ValueError):
             FreeEndomorphism(1, (FreeWord(1, (1, -1)),))
+        with pytest.raises(ValueError) as exc:
+            FreeEndomorphism(2, (FreeWord(2, (2,)), FreeWord(2, (1, 2, -2, 1))))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "image x1 x2 x2^-1 x1 is not reduced"
 
     def test_letter_squares(self):
         for n in (2, 3, 4):

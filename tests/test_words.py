@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from doodlekit.errors import IndexOutOfRange, InvalidStrandCount, UnknownToken
 from doodlekit.words import (
@@ -70,6 +70,17 @@ class TestParse:
     def test_one_strand_word_must_be_empty(self):
         with pytest.raises(IndexOutOfRange):
             TwinWord(1, (Letter("s", 1),))
+
+    @pytest.mark.parametrize("code,token", [
+        ((1, 3, -2), "s3"),
+        ((-1, -3, 3), "r3"),
+        ((2, 0, -3), "r0"),
+    ])
+    def test_out_of_range_names_first_bad_token(self, code, token):
+        with pytest.raises(IndexOutOfRange) as exc:
+            TwinWord(3, code)
+        assert type(exc.value) is IndexOutOfRange
+        assert str(exc.value) == f"letter {token} invalid on 3 strands"
 
     @given(twin_words(4))
     def test_format_parse_roundtrip(self, word):
@@ -142,7 +153,36 @@ class TestShift:
         assert shift_left(1, w("r1 s1", 2)) == w("r2 s2", 3)
 
 
+@st.composite
+def long_words(draw):
+    """Words on 1..9 strands with 0..150 letters."""
+    n = draw(st.integers(1, 9))
+    if n == 1:
+        return TwinWord(1, ())
+    signed = [a for i in range(1, n) for a in (i, -i)]
+    return TwinWord(n, tuple(draw(st.lists(st.sampled_from(signed), max_size=150))))
+
+
 class TestPi:
+    @settings(max_examples=300, deadline=None)
+    @given(long_words())
+    def test_matches_transposition_oracle(self, word):
+        n = word.strands
+        at = list(range(1, n + 1))  # at[p] = the strand at position p + 1
+        for a in word.code:
+            i = abs(a)
+            at[i - 1], at[i] = at[i], at[i - 1]
+        bottom = {strand: p for p, strand in enumerate(at, start=1)}
+        assert pi(word).images == tuple(bottom[k] for k in range(1, n + 1))
+        unseen, cycles = set(range(1, n + 1)), 0
+        while unseen:
+            k = bottom[unseen.pop()]
+            cycles += 1
+            while k in unseen:
+                unseen.remove(k)
+                k = bottom[k]
+        assert closure_components(word) == cycles
+
     def test_hand_traced(self):
         assert pi(w("s1 r2", 3)).images == (3, 1, 2)
 
