@@ -47,13 +47,9 @@ class FreeWord:
     letters: tuple[int, ...]  # signed indices, never 0, abs value <= rank
 
     def __post_init__(self) -> None:
-        # images run to thousands of letters but hold at most 2 * rank
-        # distinct ones, so the range test reads those, in C
-        seen, rank = set(self.letters), self.rank
-        if seen and (0 in seen or max(seen) > rank or min(seen) < -rank):
-            for a in self.letters:  # only to name the first bad letter
-                if a == 0 or abs(a) > rank:
-                    raise ValueError(f"letter {a} out of range for rank {rank}")
+        for a in self.letters:
+            if a == 0 or abs(a) > self.rank:
+                raise ValueError(f"letter {a} out of range for rank {self.rank}")
 
     def __str__(self) -> str:
         if not self.letters:
