@@ -1,24 +1,48 @@
 #!/usr/bin/env python3
-"""Time the diagram layers call by call and print one JSON object.
+"""Time the diagram layers and the search fan call by call; print one JSON object.
 
 Draws one random word (seed 1, n = 8, 120 letters), then times mu and pi
 on it, closure_gauss and braid of it, the aligned isomorphic test of its
 closure against the closure of its braid, and validate of its closure.
-Each figure is the best of --repeat timeit runs of --number calls, in
-microseconds per call, next to the input size it was taken at: strands n,
-letters and crossings.
+The search fan is timed as one fully consumed _moves_int call with the
+default caps, on the braided Kishino doodle (fan) and on a free-reduced
+random word (fan_random: seed 1, n = 6, 14 letters), and as one neighbors
+call on the Kishino word.  Each figure is the best of --repeat timeit runs
+of --number calls, in microseconds per call, next to the input size it was
+taken at: strands n, letters and, for the diagram layers, crossings.
 """
 
 import argparse
+import collections
 import json
+import pathlib
 import platform
 import random
 import timeit
 
-from doodlekit import braid, closure_gauss, isomorphic, mu, pi, validate
-from doodlekit.words import random_word
+from doodlekit import (
+    braid,
+    closure_gauss,
+    isomorphic,
+    mu,
+    neighbors,
+    parse_gauss,
+    pi,
+    validate,
+)
+from doodlekit.markov import Budget, _moves_int
+from doodlekit.words import TwinWord, free_reduce, random_word
 
 SEED, STRANDS, LETTERS = 1, 8, 120
+FAN_STRANDS, FAN_LETTERS = 6, 14
+FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
+
+
+def fan_call(w: TwinWord):
+    """One _moves_int call on w with the default caps, every edge consumed."""
+    state = (w.strands, w.code)
+    _, max_len, max_n = Budget().resolve(w, w)
+    return lambda: collections.deque(_moves_int(state, max_len, max_n), 0)
 
 
 def main() -> int:
@@ -30,19 +54,26 @@ def main() -> int:
     w = random_word(random.Random(SEED), STRANDS, LETTERS)
     g = closure_gauss(w)
     h = closure_gauss(braid(g))
-    calls = {
-        "mu": lambda: mu(w),
-        "pi": lambda: pi(w),
-        "closure_gauss": lambda: closure_gauss(w),
-        "braid": lambda: braid(g),
-        "isomorphic": lambda: isomorphic(h, g),
-        "validate": lambda: validate(g),
-    }
+    kishino = braid(parse_gauss(FIXTURE.read_text()))
+    # a prefix of a free-reduced word is free-reduced
+    drawn = free_reduce(random_word(random.Random(SEED), FAN_STRANDS, 4 * FAN_LETTERS))
+    other = TwinWord(FAN_STRANDS, drawn.code[:FAN_LETTERS])
     size = {"n": w.strands, "letters": len(w), "crossings": g.crossings}
+    calls = {
+        "mu": (lambda: mu(w), size),
+        "pi": (lambda: pi(w), size),
+        "closure_gauss": (lambda: closure_gauss(w), size),
+        "braid": (lambda: braid(g), size),
+        "isomorphic": (lambda: isomorphic(h, g), size),
+        "validate": (lambda: validate(g), size),
+        "fan": (fan_call(kishino), {"n": kishino.strands, "letters": len(kishino)}),
+        "fan_random": (fan_call(other), {"n": other.strands, "letters": len(other)}),
+        "neighbors": (lambda: neighbors(kishino), {"n": kishino.strands, "letters": len(kishino)}),
+    }
     layers = {}
-    for name, call in calls.items():
+    for name, (call, at) in calls.items():
         best = min(timeit.repeat(call, repeat=args.repeat, number=args.number))
-        layers[name] = {"us": round(best / args.number * 1e6, 2), **size}
+        layers[name] = {"us": round(best / args.number * 1e6, 2), **at}
     print(json.dumps({
         "python": platform.python_version(),
         "seed": SEED,

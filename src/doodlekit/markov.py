@@ -15,9 +15,11 @@ splice seams only, see below):
   rest; the window rewrites to the rest reversed.  Width 3 keeps the
   length (braid, mix3), a 2-letter window grows and a 4-letter window
   shrinks (braid-, mixr-, mixs-grow/-shrink; a mixed rule is mixr when
-  its 2-letter side is all virtual).  Inserting a bare square g g is a
-  legal relation application but reduces straight back, so it is never
-  emitted; deleting one never fires because states are already reduced.
+  its 2-letter side is all virtual).  The fan and _splice look a window
+  up in one table per level i = d + 1, _splices_at(d), by its raw first
+  two letters.  Inserting a bare square g g is a legal relation
+  application but reduces straight back, so it is never emitted; deleting
+  one never fires because states are already reduced.
 - M1: conjugation by a single generator (w -> g w g) and one-letter
   cyclic shifts in both directions.  Generator conjugations generate all
   conjugations because every letter is an involution.  The search fan
@@ -41,9 +43,11 @@ An M0 move rewrites one window of a word and an M1 move puts letters at
 its ends, so on a reduced word letters can cancel only where the new
 letters meet the untouched prefix and suffix.  Each neighbor is therefore
 the prefix, the new letters and the suffix joined by _join, which cancels
-at the two seams and nowhere else.  An unreduced word (neighbors accepts
-one) has its prefixes and suffixes reduced once first; that gives the
-same neighbors, because free reduction is confluent.
+at the two seams and nowhere else.  The new letters are never empty and
+never cancel among themselves, so where neither seam cancels _join only
+concatenates.  An unreduced word (neighbors accepts one) has its prefixes
+and suffixes reduced once first; that gives the same neighbors, because
+free reduction is confluent.
 
 Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
@@ -100,11 +105,10 @@ def _m0_tables() -> tuple[dict, dict]:
 
     A rotation of a relator, or of its reversal, split into a window of 2,
     3 or 4 letters and the rest gives the rewrite window -> rest reversed.
-    Relator indices alternate between i and i+1, so a window shifted to
-    i = 1 is the key: it records whether the window starts on the lower
-    index, and its signs.  Each entry is (rule, replacement at i = 1).  The
-    rule table maps every M0 rule id to its window width and the rule that
-    undoes it at the same position.
+    The splice table maps each window at i = 1 to its entries (rule,
+    replacement); _splices_at moves them to other levels.  The rule table
+    maps every M0 rule id to its window width and the rule that undoes it
+    at the same position.
     """
     splices: dict[tuple, list] = {}
     rules = {
@@ -145,15 +149,19 @@ def _far(a: int, b: int) -> bool:
     return abs(abs(a) - abs(b)) >= 2
 
 
-def _relator_key(win: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(d, key) for a window of at least two letters: the key is the window
-    moved down by d to base index 1.  An index below the base becomes 0,
-    which is no relator letter, so a key is in _SPLICES only where the
-    window is exactly relator letters at i = d + 1."""
-    d = min(abs(win[0]), abs(win[1])) - 1
-    if not d:
-        return 0, win
-    return d, tuple([a - d if a > d else a + d if a < -d else 0 for a in win])
+@cache
+def _splices_at(d: int) -> dict[tuple[int, int], tuple]:
+    """_SPLICES moved up to i = d + 1 and keyed by the raw first two letters
+    of each window (6 keys): entries (width, rest of the window, rule,
+    replacement), in fan order within a key (width 3, then 4, then 2)."""
+    table: dict[tuple[int, int], tuple] = {}
+    for width in (3, 4, 2):
+        for win, entries in _SPLICES.items():
+            if len(win) == width:
+                raw = _shift(win, d)
+                new = tuple((width, raw[2:], rule, _shift(rhs, d)) for rule, rhs in entries)
+                table[raw[:2]] = table.get(raw[:2], ()) + new
+    return table
 
 
 def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None):
@@ -179,11 +187,11 @@ def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None
     elif rule == "square-del":
         if win[0] == win[1]:
             rhs = ()
-    else:
-        d, key = _relator_key(win)
-        for r, letters in _SPLICES.get(key, ()):
-            if r == rule:
-                rhs = _shift(letters, d)
+    elif abs(abs(win[0]) - abs(win[1])) == 1:
+        d = min(abs(win[0]), abs(win[1])) - 1
+        for _, rest, r, letters in _splices_at(d).get(win[:2], ()):
+            if r == rule and rest == win[2:]:
+                rhs = letters
     return None if rhs is None else t[:pos] + rhs + t[pos + width :]
 
 
@@ -237,37 +245,34 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
                 if sum(1 for a in t if abs(a) == 1) == 1:
                     return (n - 1, _shift(t[:-1], -1))
         return None
-    if tag == "M4" and params == ():
-        e = n - 1
+    if tag in ("M4", "M5") and params == ():
+        # the extreme index ends (M4) or starts (M5) the word and occurs
+        # once more, with the same kind; both occurrences flip kind
+        e, end = (n - 1, -1) if tag == "M4" else (1, 0)
+        if not t or abs(t[end]) != e:
+            return None
         ps = [p for p, a in enumerate(t) if abs(a) == e]
-        if e >= 1 and len(ps) == 2 and ps[1] == len(t) - 1 and (
-            (t[ps[0]] > 0) == (t[ps[1]] > 0)
-        ):
+        if len(ps) == 2 and (t[ps[0]] > 0) == (t[ps[1]] > 0):
             out = list(t)
-            out[ps[0]] = -out[ps[0]]
-            out[ps[1]] = -out[ps[1]]
+            for p in ps:
+                out[p] = -out[p]
             return (n, tuple(out))
-        return None
-    if tag == "M5" and params == ():
-        ps = [p for p, a in enumerate(t) if abs(a) == 1]
-        if len(ps) == 2 and ps[0] == 0 and (t[ps[0]] > 0) == (t[ps[1]] > 0):
-            out = list(t)
-            out[ps[0]] = -out[ps[0]]
-            out[ps[1]] = -out[ps[1]]
-            return (n, tuple(out))
-        return None
     return None
 
 
 def _join(
     head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """_reduce(head + mid + tail) for free-reduced head and tail.
+    """_reduce(head + mid + tail) for free-reduced head and tail and a
+    non-empty, free-reduced mid.
 
-    Letters can only cancel at the two seams: mid is cancelled against the
-    end of head on a small stack, then the start of tail against that,
-    stopping at the first letter of tail that does not cancel.
+    Letters can only cancel at the two seams; if neither cancels, the parts
+    are concatenated.  Else mid is cancelled against the end of head on a
+    small stack, then the start of tail against that, stopping at the first
+    letter of tail that does not cancel.
     """
+    if (not head or head[-1] != mid[0]) and (not tail or tail[0] != mid[-1]):
+        return head + mid + tail
     i = len(head)
     out: list[int] = []
     for a in mid:
@@ -334,22 +339,24 @@ def _moves_int(
             g = t[pos]
             head = pre[pos]
             if pos + 1 < L:
-                if _far(g, t[pos + 1]):
-                    res = _join(head, (t[pos + 1], g), suf[pos + 2])
+                b = t[pos + 1]
+                gap = abs(abs(g) - abs(b))
+                if gap >= 2:
+                    res = _join(head, (b, g), suf[pos + 2])
                     if len(res) <= max_len:
                         yield "M0", ("comm", pos), (n, res)
                     if pos + 2 < L and t[pos + 2] == g:
-                        res = _join(head, (t[pos + 1],), suf[pos + 3])
+                        res = _join(head, (b,), suf[pos + 3])
                         if len(res) <= max_len:
                             yield "M0", ("comm-shrink", pos), (n, res)
-                else:
-                    d, key = _relator_key(t[pos : pos + 4])
-                    for w in (3, 4, 2):
-                        if w <= len(key):
-                            for rule, rhs in _SPLICES.get(key[:w], ()):
-                                res = _join(head, _shift(rhs, d), suf[pos + w])
-                                if len(res) <= max_len:
-                                    yield "M0", (rule, pos), (n, res)
+                elif gap == 1:
+                    # relator letters alternate indices i and i + 1
+                    table = _splices_at(min(abs(g), abs(b)) - 1)
+                    for width, rest, rule, rhs in table.get((g, b), ()):
+                        if t[pos + 2 : pos + width] == rest:
+                            res = _join(head, rhs, suf[pos + width])
+                            if len(res) <= max_len:
+                                yield "M0", (rule, pos), (n, res)
             tail = suf[pos + 1]
             for j in range(1, n):
                 if abs(j - abs(g)) >= 2:
@@ -360,14 +367,20 @@ def _moves_int(
 
         # M1 conjugations (g w g: cancel at the front, then at the back);
         # no shifts, which reduce to conjugation by the letter they move
+        word = suf[0]
         for j in range(1, n):
             for g in (j, -j):
-                res = _join(_join((), (g,), suf[0]), (g,), ())
+                res = word[1:] if word and word[0] == g else (g,) + word
+                res = res[:-1] if res and res[-1] == g else res + (g,)
                 if len(res) <= max_len:
                     yield "M1", ("conj", g), (n, res)
 
-    # M2 / M3 stabilizations and M4 / M5 exchanges
+    # M2 / M3 stabilizations (skipped unless a strand and a letter fit)
+    # and M4 / M5 exchanges
+    grow = n < max_n and L < max_len
     for tag, params in _FIXED_MOVES:
+        if params[:1] == ("stab",) and not grow:
+            continue
         res = _apply_int(state, tag, params)
         if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
             yield tag, params, res
@@ -549,10 +562,10 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
 
 
 def _edge_trace(start: TwinWord, edges: list[Edge]) -> MoveTrace:
-    steps = tuple(
-        MoveInstance(tag, params, TwinWord(*a), TwinWord(*b))
-        for a, tag, params, b in edges
-    )
+    """The trace of a chain of edges, one TwinWord per distinct state."""
+    states = dict.fromkeys(s for a, _, _, b in edges for s in (a, b))
+    words = {s: TwinWord(*s) for s in states}
+    steps = tuple(MoveInstance(tag, params, words[a], words[b]) for a, tag, params, b in edges)
     return MoveTrace(start, steps)
 
 
@@ -612,15 +625,16 @@ def equivalent_closures(
         else:
             side = 0 if roots[0] <= roots[1] else 1
         nxt: list[State] = []
+        mine, other = visited[side], visited[1 - side]
         for state in sorted(frontier[side]):
             if explored >= max_states:
                 return Unknown(explored, budget)
             explored += 1
             for tag, params, res in _moves_int(state, max_len, max_n):
-                if res in visited[side]:
+                if res in mine:
                     continue
-                visited[side][res] = (state, tag, params)
-                if res in visited[1 - side]:
+                mine[res] = (state, tag, params)
+                if res in other:
                     return build_verdict(res)
                 nxt.append(res)
         frontier[side] = nxt
@@ -743,13 +757,14 @@ def verify_certificate(text: str) -> MoveTrace:
     steps = []
     cur = left
     for tag, params, result in raw_steps:
-        try:
-            got = apply_move(cur, tag, params)
-        except PatternMismatch as exc:
-            raise CertificateError(str(exc)) from exc
-        if got != result:
+        got = _apply_int((cur.strands, cur.code), tag, params)
+        if got != (result.strands, result.code):
+            try:
+                word = apply_move(cur, tag, params)
+            except PatternMismatch as exc:
+                raise CertificateError(str(exc)) from exc
             raise CertificateError(
-                f"step {tag} {params} gives '{got}', certificate claims '{result}'"
+                f"step {tag} {params} gives '{word}', certificate claims '{result}'"
             )
         steps.append(MoveInstance(tag, params, cur, result))
         cur = result

@@ -9,6 +9,7 @@ Regenerate it, on code whose fan is known good, with
 """
 
 import gzip
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from doodlekit.markov import (
     _moves_int,
     _reduce,
     _render_params,
+    _splices_at,
     _tok,
     neighbors,
 )
@@ -123,6 +125,23 @@ def m0_brute_force(state, max_len, max_n):
     return out
 
 
+def brute_force(state, max_len, max_n):
+    """(tag, params, result) of every move the fan may emit: the M0 rules
+    of m0_brute_force, conjugation by every generator, M2 and M3
+    stabilization and destabilization, and M4 and M5, each applied to the
+    whole word and kept if the result fits the caps."""
+    n = state[0]
+    out = {("M0", params, res) for params, res in m0_brute_force(state, max_len, max_n)}
+    moves = [("M1", ("conj", g)) for j in range(1, n) for g in (j, -j)]
+    moves += [("M2", ("stab", "s")), ("M2", ("stab", "r")), ("M2", ("destab",)),
+              ("M3", ("stab",)), ("M3", ("destab",)), ("M4", ()), ("M5", ())]
+    for tag, params in moves:
+        res = _apply_int(state, tag, params)
+        if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
+            out.add((tag, params, res))
+    return out
+
+
 class TestFanReference:
     @settings(max_examples=400, deadline=None)
     @given(int_states(), st.integers(0, 4), st.integers(-1, 1))
@@ -143,6 +162,109 @@ class TestFanReference:
         brute = m0_brute_force(state, max_len, max_n)
         want = {(params, res) for params, res in brute if res != state}
         assert m0 == want, state
+
+    @settings(max_examples=400, deadline=None)
+    @given(int_states(), st.integers(0, 4), st.integers(-1, 1))
+    def test_every_family_equals_brute_force(self, state, len_slack, n_slack):
+        # the caps are drawn tight enough that a stabilization often does
+        # not fit, so a cap check that drops too much or too little shows
+        n, t = state
+        max_len, max_n = len(t) + len_slack, n + n_slack
+        fan = {edge for edge in _moves_int(state, max_len, max_n) if edge[2] != state}
+        want = {edge for edge in brute_force(state, max_len, max_n) if edge[2] != state}
+        assert fan == want, state
+
+
+# ---------------------------------------------------------------------------
+# an oracle for the relator rules, written from the relators alone
+
+RELATOR_TOKENS = {"braid": "r1 r2 r1 r2 r1 r2", "mix": "r1 r2 s1 r2 r1 s2"}
+
+
+def relator_at(tokens, d):
+    """The relator with every index raised by d, as ints (+i s_i, -i r_i)."""
+    return tuple(
+        (1 if tok[0] == "s" else -1) * (int(tok[1:]) + d) for tok in tokens.split()
+    )
+
+
+def oracle_splices(n):
+    """(family, level d, window, replacement) for every split of every
+    rotation of each relator and of its reversal, at every level on n
+    strands, into a window of 2, 3 or 4 letters and the rest reversed."""
+    out = set()
+    for family, tokens in RELATOR_TOKENS.items():
+        for d in range(n - 2):
+            relator = relator_at(tokens, d)
+            for word in (relator, relator[::-1]):
+                for k in range(len(word)):
+                    rot = word[k:] + word[:k]
+                    for width in (2, 3, 4):
+                        out.add((family, d, rot[:width], rot[width:][::-1]))
+    return out
+
+
+def oracle_rule(family, win, rhs):
+    """The rule id of a split, from the naming in the markov docstring."""
+    if len(win) == 3:
+        return "braid" if family == "braid" else "mix3"
+    short = win if len(win) == 2 else rhs
+    if family == "braid":
+        name = "braid"
+    else:
+        name = "mixr" if all(a < 0 for a in short) else "mixs"
+    return name + ("-grow" if len(win) == 2 else "-shrink")
+
+
+def random_reduced(rng, n, length):
+    t = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+    return _reduce(t)
+
+
+def planted_words(n, rng):
+    """(t, pos, split): every oracle split at n strands, planted at a random
+    position of a random reduced word."""
+    for split in sorted(oracle_splices(n)):
+        word = random_reduced(rng, n, rng.randint(0, 8))
+        pos = rng.randint(0, len(word))
+        yield word[:pos] + split[2] + word[pos:], pos, split
+
+
+RELATOR_RULES = {rule for rule in _M0_RULES if not rule.startswith(("comm", "square"))}
+
+
+class TestRelatorOracle:
+    def test_table_size_and_order(self):
+        for d in range(6):
+            table = _splices_at(d)
+            entries = [entry for group in table.values() for entry in group]
+            assert len(table) <= 6 and len(entries) <= 24
+            order = {3: 0, 4: 1, 2: 2}
+            for key, group in table.items():
+                assert [order[e[0]] for e in group] == sorted(order[e[0]] for e in group)
+                assert all(len(e[1]) == e[0] - 2 for e in group), key
+
+    def test_fan_relator_edges_are_sound_and_complete(self):
+        rng = random.Random(11)
+        for n in range(3, 9):
+            splices = oracle_splices(n)
+            for t, pos, (family, d, win, rhs) in planted_words(n, rng):
+                fan = list(_moves_int((n, t), len(t) + 4, n))
+                # completeness: the planted split is among the fan's edges
+                want = ("M0", (oracle_rule(family, win, rhs), pos),
+                        (n, _reduce(t[:pos] + rhs + t[pos + len(win):])))
+                assert want in fan, (n, t, pos, win, rhs)
+                # soundness: each relator edge is explained by some split
+                for tag, params, res in fan:
+                    if tag != "M0" or params[0] not in RELATOR_RULES:
+                        continue
+                    rule, at = params
+                    assert any(
+                        t[at : at + len(w)] == w
+                        and oracle_rule(f, w, r) == rule
+                        and _reduce(t[:at] + r + t[at + len(w):]) == res[1]
+                        for f, _, w, r in splices
+                    ), (n, t, params)
 
 
 if __name__ == "__main__":

@@ -432,6 +432,35 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             parse_certificate("doodlekit certificate\n" + headers)
 
+    @pytest.mark.parametrize(
+        "line,message,cause",
+        [
+            ("step M2 stab s -> s1 @ n=2",
+             "step M2 ('stab', 's') gives 's1 s2', certificate claims 's1'", None),
+            # same letters, other strand count
+            ("step M2 stab s -> s1 s2 @ n=4",
+             "step M2 ('stab', 's') gives 's1 s2', certificate claims 's1 s2'", None),
+            ("step M1 conj r1 -> s1 @ n=2",
+             "step M1 ('conj', -1) gives 'r1 s1 r1', certificate claims 's1'", None),
+            ("step M4 -> r1 @ n=2", "move M4 () does not apply to 's1'", PatternMismatch),
+            ("step M0 braid 0 -> s1 @ n=2",
+             "move M0 ('braid', 0) does not apply to 's1'", PatternMismatch),
+        ],
+    )
+    def test_rejected_step_messages(self, line, message, cause):
+        cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
+        with pytest.raises(CertificateError) as info:
+            verify_certificate(cert)
+        assert str(info.value) == message
+        assert type(info.value.__cause__) is (cause or type(None))
+
+    def test_trace_steps_share_words(self):
+        verdict = equivalent_closures(w("s2 r1", 3), w("s1", 2))
+        steps = verdict.trace.steps
+        assert len(steps) >= 2 and verdict.trace.replay()
+        for step, following in zip(steps, steps[1:]):
+            assert step.result is following.source
+
     @pytest.mark.parametrize("kind,ok", [("r", True), ("s", False), ("sr", False), ("rs", False)])
     def test_stab_kind_is_one_token(self, kind, ok):
         cert = f"doodlekit certificate\nleft n=2 :\nright n=3 : r2\nstep M2 stab {kind} -> r2 @ n=3\n"
