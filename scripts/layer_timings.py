@@ -9,7 +9,9 @@ default caps, on the braided Kishino doodle (fan) and on a free-reduced
 random word (fan_random: seed 1, n = 6, 14 letters), and as one neighbors
 call on the Kishino word.  Each figure is the best of --repeat timeit runs
 of --number calls, in microseconds per call, next to the input size it was
-taken at: strands n, letters and, for the diagram layers, crossings.
+taken at: strands n, letters and, for the diagram layers, crossings.  The
+two fans also give the edges the call emits and their distinct results, so
+the share of edges that reach a new word shows next to the time.
 """
 
 import argparse
@@ -38,11 +40,15 @@ FAN_STRANDS, FAN_LETTERS = 6, 14
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
 
 
-def fan_call(w: TwinWord):
-    """One _moves_int call on w with the default caps, every edge consumed."""
+def fan(w: TwinWord):
+    """One _moves_int call on w with the default caps, every edge consumed,
+    and the input size with the edges the call emits and their distinct
+    results."""
     state = (w.strands, w.code)
     _, max_len, max_n = Budget().resolve(w, w)
-    return lambda: collections.deque(_moves_int(state, max_len, max_n), 0)
+    results = [res for _, _, res in _moves_int(state, max_len, max_n)]
+    at = {"n": w.strands, "letters": len(w), "edges": len(results), "distinct": len(set(results))}
+    return (lambda: collections.deque(_moves_int(state, max_len, max_n), 0)), at
 
 
 def main() -> int:
@@ -66,8 +72,8 @@ def main() -> int:
         "braid": (lambda: braid(g), size),
         "isomorphic": (lambda: isomorphic(h, g), size),
         "validate": (lambda: validate(g), size),
-        "fan": (fan_call(kishino), {"n": kishino.strands, "letters": len(kishino)}),
-        "fan_random": (fan_call(other), {"n": other.strands, "letters": len(other)}),
+        "fan": fan(kishino),
+        "fan_random": fan(other),
         "neighbors": (lambda: neighbors(kishino), {"n": kishino.strands, "letters": len(kishino)}),
     }
     layers = {}

@@ -15,11 +15,12 @@ splice seams only, see below):
   rest; the window rewrites to the rest reversed.  Width 3 keeps the
   length (braid, mix3), a 2-letter window grows and a 4-letter window
   shrinks (braid-, mixr-, mixs-grow/-shrink; a mixed rule is mixr when
-  its 2-letter side is all virtual).  The fan and _splice look a window
-  up in one table per level i = d + 1, _splices_at(d), by its raw first
-  two letters.  Inserting a bare square g g is a legal relation
-  application but reduces straight back, so it is never emitted; deleting
-  one never fires because states are already reduced.
+  its 2-letter side is all virtual).  Both lookups are cached per level
+  i = d + 1: _splice finds (window, rule) in _rules_at(d), and the fan
+  finds 3- and 2-letter windows in _splices_at(d) by their first two letters.
+  Inserting a bare square g g is a legal relation application but reduces
+  straight back, so it is never emitted; deleting one never fires because
+  states are already reduced.
 - M1: conjugation by a single generator (w -> g w g) and one-letter
   cyclic shifts in both directions.  Generator conjugations generate all
   conjugations because every letter is an involution.  The search fan
@@ -43,11 +44,20 @@ An M0 move rewrites one window of a word and an M1 move puts letters at
 its ends, so on a reduced word letters can cancel only where the new
 letters meet the untouched prefix and suffix.  Each neighbor is therefore
 the prefix, the new letters and the suffix joined by _join, which cancels
-at the two seams and nowhere else.  The new letters are never empty and
-never cancel among themselves, so where neither seam cancels _join only
-concatenates.  An unreduced word (neighbors accepts one) has its prefixes
+at the two seams and nowhere else, and only concatenates where neither
+seam cancels.  An unreduced word (neighbors accepts one) has its prefixes
 and suffixes reduced once first; that gives the same neighbors, because
 free reduction is confluent.
+
+The fan leaves out the M0 edges that provably repeat an earlier edge of
+the same fan, judged on raw letters so that reduced and unreduced words
+take one path: shrinks (4-letter windows, comm-shrink); a splice, comm or
+comm-grow whose new letters start with the letter before the window; a
+2-letter window or comm-grow whose new letters end with the letter after
+it.  Why: x x cancels wherever it sits, so the width-3 splice or comm at
+that position, or an edge one position left, reaches the word first.  On
+a reduced word _join then cancels only behind comm and width-3 splices.
+_splice, _apply_int and _inverse_edges keep every rule.
 
 Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
@@ -150,17 +160,21 @@ def _far(a: int, b: int) -> bool:
 
 
 @cache
+def _rules_at(d: int) -> dict[tuple[tuple, str], tuple[int, ...]]:
+    """_SPLICES moved up to i = d + 1, as (window, rule) -> replacement."""
+    return {(_shift(w, d), r): _shift(rhs, d) for w, rules in _SPLICES.items() for r, rhs in rules}
+
+
+@cache
 def _splices_at(d: int) -> dict[tuple[int, int], tuple]:
-    """_SPLICES moved up to i = d + 1 and keyed by the raw first two letters
-    of each window (6 keys): entries (width, rest of the window, rule,
-    replacement), in fan order within a key (width 3, then 4, then 2)."""
+    """The 3- and 2-letter windows of _rules_at(d), keyed by their raw first
+    two letters (6 keys): entries (width, rest of the window, rule,
+    replacement), in fan order within a key (width 3, then 2)."""
     table: dict[tuple[int, int], tuple] = {}
-    for width in (3, 4, 2):
-        for win, entries in _SPLICES.items():
+    for width in (3, 2):
+        for (win, rule), rhs in _rules_at(d).items():
             if len(win) == width:
-                raw = _shift(win, d)
-                new = tuple((width, raw[2:], rule, _shift(rhs, d)) for rule, rhs in entries)
-                table[raw[:2]] = table.get(raw[:2], ()) + new
+                table[win[:2]] = table.get(win[:2], ()) + ((width, win[2:], rule, rhs),)
     return table
 
 
@@ -188,10 +202,7 @@ def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None
         if win[0] == win[1]:
             rhs = ()
     elif abs(abs(win[0]) - abs(win[1])) == 1:
-        d = min(abs(win[0]), abs(win[1])) - 1
-        for _, rest, r, letters in _splices_at(d).get(win[:2], ()):
-            if r == rule and rest == win[2:]:
-                rhs = letters
+        rhs = _rules_at(min(abs(win[0]), abs(win[1])) - 1).get((win, rule))
     return None if rhs is None else t[:pos] + rhs + t[pos + width :]
 
 
@@ -315,11 +326,9 @@ def _moves_int(
 ) -> Iterator[tuple[str, tuple, State]]:
     """All single moves from state, deterministic order, caps applied.
 
-    Results are free-reduced; self-loops and duplicate results are
-    filtered by the caller.  Each result joins a prefix, the rewritten
-    letters and a suffix of the word with _join.  The slices are reduced
-    once if the word is not, which is exact because free reduction is
-    confluent: reduce(h + m + t) == reduce(reduce(h) + m + reduce(t)).
+    Results are free-reduced, each by _join on a prefix and a suffix that
+    are reduced once if the word is not (module docstring).  Self-loops and
+    the duplicate results the M0 skips leave are filtered by the caller.
     """
     n, t = state
     L = len(t)
@@ -331,39 +340,44 @@ def _moves_int(
 
     # M0 and M1 keep the strand count, so its cap is checked once
     if 1 <= n <= max_n:
+        left = 0  # the raw letter before pos; 0 is no letter
+        ix = list(map(abs, t))  # the index of each letter
         for pos in range(L):
-            # M0 at pos in fan order: length-preserving, shrinking, then
-            # growing rules.  Far commutation needs index distance >= 2 at
-            # pos and pos + 1, the relators need distance 1, so only one of
-            # the two groups matches.
+            # M0 at pos in fan order: length-preserving, then growing
+            # rules, less the repeats of the module docstring.  Far
+            # commutation needs index distance >= 2 at pos and pos + 1, the
+            # relators need distance 1, so only one of the two groups matches.
             g = t[pos]
             head = pre[pos]
-            if pos + 1 < L:
-                b = t[pos + 1]
-                gap = abs(abs(g) - abs(b))
+            b = t[pos + 1] if pos + 1 < L else 0
+            i = ix[pos]
+            if b:
+                k = ix[pos + 1]
+                gap = abs(i - k)
                 if gap >= 2:
-                    res = _join(head, (b, g), suf[pos + 2])
-                    if len(res) <= max_len:
-                        yield "M0", ("comm", pos), (n, res)
-                    if pos + 2 < L and t[pos + 2] == g:
-                        res = _join(head, (b,), suf[pos + 3])
+                    if b != left:
+                        res = _join(head, (b, g), suf[pos + 2])
                         if len(res) <= max_len:
-                            yield "M0", ("comm-shrink", pos), (n, res)
+                            yield "M0", ("comm", pos), (n, res)
                 elif gap == 1:
-                    # relator letters alternate indices i and i + 1
-                    table = _splices_at(min(abs(g), abs(b)) - 1)
+                    # relator letters alternate two adjacent indices
+                    table = _splices_at((i if i < k else k) - 1)
+                    # width 3 needs c as its third letter; a grow ending in c is skipped
+                    c = t[pos + 2] if pos + 2 < L else 0
                     for width, rest, rule, rhs in table.get((g, b), ()):
-                        if t[pos + 2 : pos + width] == rest:
+                        if rhs[0] != left and (rest[0] == c if rest else rhs[-1] != c):
                             res = _join(head, rhs, suf[pos + width])
                             if len(res) <= max_len:
                                 yield "M0", (rule, pos), (n, res)
             tail = suf[pos + 1]
             for j in range(1, n):
-                if abs(j - abs(g)) >= 2:
+                if abs(j - i) >= 2:
                     for h in (j, -j):
-                        res = _join(head, (h, g, h), tail)
-                        if len(res) <= max_len:
-                            yield "M0", ("comm-grow", pos, h), (n, res)
+                        if h != left and h != b:
+                            res = _join(head, (h, g, h), tail)
+                            if len(res) <= max_len:
+                                yield "M0", ("comm-grow", pos, h), (n, res)
+            left = g
 
         # M1 conjugations (g w g: cancel at the front, then at the back);
         # no shifts, which reduce to conjugation by the letter they move
@@ -375,15 +389,17 @@ def _moves_int(
                 if len(res) <= max_len:
                     yield "M1", ("conj", g), (n, res)
 
-    # M2 / M3 stabilizations (skipped unless a strand and a letter fit)
-    # and M4 / M5 exchanges
+    # M2 / M3 stabilizations if a strand and a letter fit, destabilizations
+    # and M4 / M5 exchanges if the index they need ends the word
     grow = n < max_n and L < max_len
-    for tag, params in _FIXED_MOVES:
-        if params[:1] == ("stab",) and not grow:
-            continue
-        res = _apply_int(state, tag, params)
-        if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
-            yield tag, params, res
+    last = abs(t[-1]) if t else 0
+    # one per _FIXED_MOVES entry
+    fits = (grow, grow, last == n - 1, grow, last == 1, last == n - 1, L and abs(t[0]) == 1)
+    for (tag, params), fit in zip(_FIXED_MOVES, fits):
+        if fit:
+            res = _apply_int(state, tag, params)
+            if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
+                yield tag, params, res
 
 
 # ---------------------------------------------------------------------------

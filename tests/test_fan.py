@@ -1,9 +1,12 @@
 """The search fan, pinned and checked against whole-word reduction.
 
-``tests/golden/fans.txt.gz`` holds the exact ``_moves_int`` sequence,
-with the default caps, of the first 200 states of a breadth-first walk
-from the braided Kishino doodle and of the unreduced words below.
-Regenerate it, on code whose fan is known good, with
+``tests/golden/fans.txt.gz`` holds a ``_moves_int`` sequence, with the
+default caps, of the first 200 states of a breadth-first walk from the
+braided Kishino doodle and of the unreduced words below.  It was written
+when the fan still emitted every rule application; the fan may leave out
+an edge whose result an earlier edge of the same fan reached, and must
+keep the rest in order.  Regenerate it, on code whose fan is known good,
+with
 
     PYTHONPATH=src python tests/test_fan.py
 """
@@ -86,12 +89,39 @@ def fan_block(word) -> str:
     return "\n".join(lines) + "\n"
 
 
+def fan_lines(block):
+    """The state line and the (edge line, result) pairs of one fan block."""
+    state, *edges = block.rstrip("\n").split("\n")
+    return state, [(line, line.split(" -> ")[1]) for line in edges]
+
+
+def first_reach(edges):
+    """The edge line that first reaches each result, in fan order."""
+    first = {}
+    for line, res in edges:
+        first.setdefault(res, line)
+    return list(first.values())
+
+
 def test_fans_match_golden():
+    # the golden holds every rule application; the fan skips those that
+    # provably repeat an earlier result, and keeps the rest in order
     want = gzip.decompress(FAN_GOLDEN.read_bytes()).decode().split("\nstate ")
     got = "".join(fan_block(word) for word in golden_words()).split("\nstate ")
     assert len(got) == len(want) == WALK_STATES + len(UNREDUCED)
-    for block, expected in zip(got, want):
-        assert block == expected
+    for k, (block, expected) in enumerate(zip(got, want)):
+        state, edges = fan_lines(block)
+        golden_state, golden_edges = fan_lines(expected)
+        assert state == golden_state
+        rest = iter(golden_edges)  # an order-preserving subsequence
+        assert all(edge in rest for edge in edges), state
+        assert first_reach(edges) == first_reach(golden_edges), state
+        if k < WALK_STATES:
+            # on a reduced word no M0 edge repeats a result
+            seen = set()
+            for line, res in edges:
+                assert not (line.startswith("M0 ") and res in seen), (state, line)
+                seen.add(res)
 
 
 def int_states():
@@ -158,10 +188,12 @@ class TestFanReference:
             results = {res for _, _, res in fan}
             for side in ("left", "right"):
                 assert _apply_int(state, "M1", ("shift", side)) in results, state
-        m0 = {(params, res) for tag, params, res in fan if tag == "M0" and res != state}
+        # every M0 edge is a rule application; every M0 result is reached
+        m0 = {(params, res) for tag, params, res in fan if tag == "M0"}
         brute = m0_brute_force(state, max_len, max_n)
-        want = {(params, res) for params, res in brute if res != state}
-        assert m0 == want, state
+        assert m0 <= brute, state
+        want = {res for _, res in brute if res != state}
+        assert {res for _, res in m0 if res != state} == want, state
 
     @settings(max_examples=400, deadline=None)
     @given(int_states(), st.integers(0, 4), st.integers(-1, 1))
@@ -170,9 +202,11 @@ class TestFanReference:
         # not fit, so a cap check that drops too much or too little shows
         n, t = state
         max_len, max_n = len(t) + len_slack, n + n_slack
-        fan = {edge for edge in _moves_int(state, max_len, max_n) if edge[2] != state}
-        want = {edge for edge in brute_force(state, max_len, max_n) if edge[2] != state}
-        assert fan == want, state
+        fan = set(_moves_int(state, max_len, max_n))
+        brute = brute_force(state, max_len, max_n)
+        assert fan <= brute, state
+        reached = {(tag, res) for tag, _, res in fan if res != state}
+        assert reached == {(tag, res) for tag, _, res in brute if res != state}, state
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +272,10 @@ class TestRelatorOracle:
         for d in range(6):
             table = _splices_at(d)
             entries = [entry for group in table.values() for entry in group]
-            assert len(table) <= 6 and len(entries) <= 24
-            order = {3: 0, 4: 1, 2: 2}
+            assert len(table) <= 6 and len(entries) <= 16
+            # the fan leaves shrinks out: width 3 at pos reaches their results
+            assert {e[0] for e in entries} <= {3, 2}
+            order = {3: 0, 2: 1}
             for key, group in table.items():
                 assert [order[e[0]] for e in group] == sorted(order[e[0]] for e in group)
                 assert all(len(e[1]) == e[0] - 2 for e in group), key
@@ -250,10 +286,9 @@ class TestRelatorOracle:
             splices = oracle_splices(n)
             for t, pos, (family, d, win, rhs) in planted_words(n, rng):
                 fan = list(_moves_int((n, t), len(t) + 4, n))
-                # completeness: the planted split is among the fan's edges
-                want = ("M0", (oracle_rule(family, win, rhs), pos),
-                        (n, _reduce(t[:pos] + rhs + t[pos + len(win):])))
-                assert want in fan, (n, t, pos, win, rhs)
+                # completeness: the planted split's result is reached by M0
+                want = (n, _reduce(t[:pos] + rhs + t[pos + len(win):]))
+                assert want in {res for tag, _, res in fan if tag == "M0"}, (n, t, pos, win, rhs)
                 # soundness: each relator edge is explained by some split
                 for tag, params, res in fan:
                     if tag != "M0" or params[0] not in RELATOR_RULES:

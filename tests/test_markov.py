@@ -35,6 +35,7 @@ from doodlekit.words import (
     pi,
     random_word,
 )
+from test_fan import m0_brute_force
 
 
 def w(text, n):
@@ -215,9 +216,13 @@ class TestEdgeInverse:
     @settings(max_examples=300, deadline=None)
     @given(int_states())
     def test_inverse_chain_replays_to_source(self, src):
-        # the single inverse rule is total: no fan scan or search backs it up
+        # the single inverse rule is total: no fan scan or search backs it up.
+        # Checked on the fan's edges and on every M0 rule at every position,
+        # with the shrinks the fan leaves out
         n, t = src
-        for tag, params, dst in _moves_int(src, len(t) + 4, n + 1):
+        edges = list(_moves_int(src, len(t) + 4, n + 1))
+        edges += [("M0", params, dst) for params, dst in m0_brute_force(src, len(t) + 4, n + 1)]
+        for tag, params, dst in edges:
             cur = dst
             for a, itag, iparams, b in _inverse_edges(src, tag, params, dst):
                 assert a == cur, (src, tag, params)
