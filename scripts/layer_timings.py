@@ -4,6 +4,9 @@
 Draws one random word (seed 1, n = 8, 120 letters), then times mu and pi
 on it, closure_gauss and braid of it, the aligned isomorphic test of its
 closure against the closure of its braid, and validate of its closure.
+The closure_gauss, braid and isomorphic calls are timed again on a wide
+word (seed 1, n = 40, 1,200 letters), as the *_wide rows, so that the
+cost of many strands shows.
 The search fan is timed as one fully consumed _moves_int call with the
 default caps, on the braided Kishino doodle (fan) and on a free-reduced
 random word (fan_random: seed 1, n = 6, 14 letters), and as one neighbors
@@ -36,6 +39,7 @@ from doodlekit.markov import Budget, _moves_int
 from doodlekit.words import TwinWord, free_reduce, random_word
 
 SEED, STRANDS, LETTERS = 1, 8, 120
+WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
 FAN_STRANDS, FAN_LETTERS = 6, 14
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
 
@@ -65,6 +69,10 @@ def main() -> int:
     drawn = free_reduce(random_word(random.Random(SEED), FAN_STRANDS, 4 * FAN_LETTERS))
     other = TwinWord(FAN_STRANDS, drawn.code[:FAN_LETTERS])
     size = {"n": w.strands, "letters": len(w), "crossings": g.crossings}
+    wide = random_word(random.Random(SEED), WIDE_STRANDS, WIDE_LETTERS)
+    wide_g = closure_gauss(wide)
+    wide_h = closure_gauss(braid(wide_g))
+    wide_size = {"n": wide.strands, "letters": len(wide), "crossings": wide_g.crossings}
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -75,6 +83,9 @@ def main() -> int:
         "fan": fan(kishino),
         "fan_random": fan(other),
         "neighbors": (lambda: neighbors(kishino), {"n": kishino.strands, "letters": len(kishino)}),
+        "closure_gauss_wide": (lambda: closure_gauss(wide), wide_size),
+        "braid_wide": (lambda: braid(wide_g), wide_size),
+        "isomorphic_wide": (lambda: isomorphic(wide_h, wide_g), wide_size),
     }
     layers = {}
     for name, (call, at) in calls.items():

@@ -24,61 +24,47 @@ its own top position.
 from __future__ import annotations
 
 from .errors import InvalidGaussData
-from .gauss import GaussData, validate
+from .gauss import GaussData
 from .words import TwinWord
 
 
 def braid(g: GaussData) -> TwinWord:
     """Deterministic braiding of valid Gauss data."""
-    validate(g)
-    n = g.crossings
+    n, link, loops = g.crossings, g.link, g.free_loops
     if n == 0:
-        if g.free_loops == 0:
+        if loops == 0:
             raise InvalidGaussData("empty diagram: nothing to braid")
-        return TwinWord(g.free_loops, ())
+        return TwinWord(loops, ())
 
-    arcs = sorted(g.arcs)
-    ends_at: dict[tuple[int, int], int] = {}  # (crossing, entry slot) -> arc id
-    starts_at: dict[tuple[int, int], int] = {}  # (crossing, exit slot) -> arc id
-    for a, (frm, to) in enumerate(arcs):
-        starts_at[(frm.crossing, frm.slot)] = a
-        ends_at[(to.crossing, to.slot)] = a
-
-    # free loops sit innermost and no arc passes them, so they are only a
-    # count: order holds the cut arcs, and each letter is offset past them
-    loops = g.free_loops
-    order = [a for a, (frm, to) in enumerate(arcs) if to.crossing <= frm.crossing]
-    order.sort(key=lambda a: (arcs[a][0].crossing, arcs[a][0].slot))
-    initial = tuple(order)
-    m = len(order)
-
+    # arcs are named by their exit ends (see gauss); order lists the arcs in
+    # transit by 0-based radial slot, the cut arcs first, and pos[x] is arc x's
+    # slot; free loops sit innermost and no arc passes them: only an offset
+    order = [x for x in range(4 * n) if x & 2 and link[x] >> 2 <= x >> 2]
+    pos = [0] * (4 * n)
     code: list[int] = []
 
-    def swap(p: int) -> None:
-        """Exchange arc slots p and p+1 (1-based) with a virtual letter."""
-        code.append(-(loops + p))
-        order[p - 1], order[p] = order[p], order[p - 1]
+    def move(src: int, dst: int) -> None:
+        """Carry the arc in slot src down to slot dst, one virtual letter a slot."""
+        if src > dst:
+            code.extend(range(-(loops + src), -(loops + dst)))
+            order[dst:src + 1] = [order[src]] + order[dst:src]
+            for p, x in enumerate(order[dst:src + 1], dst):
+                pos[x] = p
 
-    for c in range(1, n + 1):
-        a = order.index(ends_at[(c, 1)]) + 1
-        b = order.index(ends_at[(c, 2)]) + 1
-        if a < b:
-            for p in range(b - 1, a, -1):
-                swap(p)
-            pair = a
+    for p, x in enumerate(order):
+        pos[x] = p
+    for c in range(0, 4 * n, 4):
+        i, j = pos[link[c]], pos[link[c + 1]]  # the arcs entering slots 1 and 2
+        if i < j:
+            move(j, i + 1)
         else:
-            for p in range(a - 1, b - 1, -1):
-                swap(p)
-            pair = b
-        code.append(loops + pair)
-        order[pair - 1] = starts_at[(c, 3)]
-        order[pair] = starts_at[(c, 4)]
+            move(i, j)
+            i = j
+        code.append(loops + i + 1)
+        order[i], order[i + 1] = c + 2, c + 3
+        pos[c + 2], pos[c + 3] = i, i + 1
 
     # sort the surviving in-transit arcs back into the cut order
-    for target in range(m):
-        p = order.index(initial[target], target)
-        while p > target:
-            swap(p)
-            p -= 1
-
-    return TwinWord(loops + m, tuple(code))
+    for target, x in enumerate(sorted(order)):  # the cut arcs again
+        move(pos[x], target)
+    return TwinWord(loops + len(order), tuple(code))

@@ -18,6 +18,13 @@ data differ only by detour moves.
 Closed components that meet no real crossing cannot be expressed as arcs,
 so a ``free_loops`` count extends the arc relation; isomorphism requires
 equal counts.
+
+End (c, slot) is stored as e = 4(c - 1) + slot - 1: e % 4 is 0 or 1 at an
+entry and 2 or 3 at an exit, and e ^ 3 continues e through its crossing.
+A diagram is one tuple ``link``, link[e] the other end of e's arc: an
+involution on the 4n ends pairing exits with entries.  The constructor
+checks its arcs and keeps only ``link``, so invalid Gauss data cannot be
+built; ``arcs`` and ``End`` are a view, computed on each read.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import Permutation, TwinWord, _count
+from .words import TwinWord, _count
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -44,94 +51,112 @@ class End(NamedTuple):
 Arc = tuple[End, End]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GaussData:
     crossings: int
-    arcs: frozenset[Arc]
+    link: tuple[int, ...]
     free_loops: int
+
+    def __init__(self, crossings: int, arcs, free_loops: int) -> None:
+        _gauss(crossings, _link(crossings, arcs, free_loops), free_loops, self)
 
     @property
     def sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arcs)
+        ends = [End(e // 4 + 1, e % 4 + 1) for e in range(len(self.link))]
+        return [(ends[x], ends[y]) for x, y in enumerate(self.link) if x & 2]
+
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(self.sorted_arcs)
 
     def __str__(self) -> str:
         return format_gauss(self)
 
 
-def make_gauss(crossings: int, arcs, free_loops: int = 0) -> GaussData:
-    """Build and validate Gauss data from (from, to) pairs of (id, slot)."""
-    g = GaussData(
-        crossings,
-        frozenset((End(*a), End(*b)) for a, b in arcs),
-        free_loops,
-    )
-    validate(g)
+def _gauss(crossings: int, link: tuple[int, ...], free_loops: int, g=None) -> GaussData:
+    """Gauss data around a link that library code built; nothing is checked."""
+    g = object.__new__(GaussData) if g is None else g
+    for name, value in zip(("crossings", "link", "free_loops"), (crossings, link, free_loops)):
+        object.__setattr__(g, name, value)
     return g
 
 
-def validate(g: GaussData) -> None:
-    """Check the structural invariants; raises a GaussDataError subclass."""
-    if g.crossings < 0 or g.free_loops < 0:
+def make_gauss(crossings: int, arcs, free_loops: int = 0) -> GaussData:
+    """Build and validate Gauss data from (from, to) pairs of (id, slot)."""
+    return GaussData(crossings, frozenset((End(*a), End(*b)) for a, b in arcs), free_loops)
+
+
+def _link(n: int, arcs, free_loops: int) -> tuple[int, ...]:
+    """The link of n crossings and (from, to) arcs; raises a GaussDataError subclass."""
+    if n < 0 or free_loops < 0:
         raise NegativeCount("crossing and free-loop counts must be >= 0")
-    if len(g.arcs) != 2 * g.crossings:
-        raise MatchingViolation(f"expected {2 * g.crossings} arcs, found {len(g.arcs)}")
-    n = g.crossings
-    sources = {frm for frm, _ in g.arcs}
-    targets = {to for _, to in g.arcs}
-    want_sources = {(c, s) for c in range(1, n + 1) for s in EXIT_SLOTS}
-    want_targets = {(c, s) for c in range(1, n + 1) for s in ENTRY_SLOTS}
-    if sources == want_sources and targets == want_targets:
-        return  # 2n arcs onto all 2n exit and 2n entry ends: each occurs once
-    for frm, to in g.arcs:  # only to name the first bad end
-        if frm.slot not in EXIT_SLOTS:
-            raise SlotMisuse(f"arc source {frm} is not an exit end")
-        if to.slot not in ENTRY_SLOTS:
-            raise SlotMisuse(f"arc target {to} is not an entry end")
-        for end in (frm, to):
-            if not 1 <= end.crossing <= n:
-                raise MatchingViolation(f"end {end} names no crossing")
-    # with 2n arcs, a repeated end leaves a set short of the 2n wanted
-    if sources != want_sources:
+    if len(arcs) != 2 * n:
+        raise MatchingViolation(f"expected {2 * n} arcs, found {len(arcs)}")
+    link = [0] * (4 * n)
+    for (fc, fs), (tc, ts) in arcs:  # the first bad end is named
+        if fs not in EXIT_SLOTS:
+            raise SlotMisuse(f"arc source {fc}.{fs} is not an exit end")
+        if ts not in ENTRY_SLOTS:
+            raise SlotMisuse(f"arc target {tc}.{ts} is not an entry end")
+        for c, s in ((fc, fs), (tc, ts)):
+            if not 1 <= c <= n:
+                raise MatchingViolation(f"end {c}.{s} names no crossing")
+        link[4 * fc + fs - 5], link[4 * tc + ts - 5] = 4 * tc + ts - 5, 4 * fc + fs - 5
+    # with 2n arcs on valid ends, a repeated end leaves a set short of 2n
+    if len({frm for frm, _ in arcs}) != 2 * n:
         raise MatchingViolation("exit ends must each occur exactly once as a source")
-    raise MatchingViolation("entry ends must each occur exactly once as a target")
+    if len({to for _, to in arcs}) != 2 * n:
+        raise MatchingViolation("entry ends must each occur exactly once as a target")
+    return tuple(link)
+
+
+def validate(g: GaussData) -> None:
+    """Re-check g.link: an involution on the 4n ends pairing exits with entries."""
+    n, link = g.crossings, g.link
+    if n < 0 or g.free_loops < 0:
+        raise NegativeCount("crossing and free-loop counts must be >= 0")
+    ends = list(range(4 * n))
+    if set(link) != set(ends) or list(map(link.__getitem__, link)) != ends:
+        raise MatchingViolation("the link must pair off the 4n ends")
+    if [e & 2 for e in link] != [2, 2, 0, 0] * n:
+        raise SlotMisuse("the link must pair each exit end with an entry end")
 
 
 def relabel(g: GaussData, sigma: tuple[int, ...]) -> GaussData:
     """Relabel crossings by the bijection sigma (1-based), slots fixed."""
-    arcs = frozenset(
-        (End(sigma[f.crossing - 1], f.slot), End(sigma[t.crossing - 1], t.slot))
-        for f, t in g.arcs
-    )
-    return GaussData(g.crossings, arcs, g.free_loops)
+    n = g.crossings
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise MatchingViolation(f"sigma must be a permutation of 1..{n}")
+    new = [4 * sigma[e >> 2] - 4 + (e & 3) for e in range(4 * n)]  # each end's new name
+    link = [0] * (4 * n)
+    for e, f in zip(new, g.link):
+        link[e] = new[f]
+    return _gauss(n, tuple(link), g.free_loops)
 
 
 # ---------------------------------------------------------------------------
 # isomorphism
 
 
-def _partners(g: GaussData) -> dict[End, End]:
-    """Each end mapped to the other end of its arc."""
-    return dict(g.arcs) | {to: frm for frm, to in g.arcs}
+def _force(link1: tuple[int, ...], link2: tuple[int, ...], sigma: list[int], piece: list[int]):
+    """Extend sigma over the connected piece of piece[0] as its image forces.
 
-
-def _force(link1: dict[End, End], link2: dict[End, End], root: int, d: int):
-    """The map of root's connected piece forced by root -> d, or None."""
-    # End is a plain tuple subclass, so (crossing, slot) hashes and compares
-    # equal to the End key and finds it without building an End per lookup
-    piece = {root: d}
-    stack = [root]
-    while stack:
-        c = stack.pop()
-        e = piece[c]
-        for slot in (1, 2, 3, 4):
-            a, s1 = link1[c, slot]
-            b, s2 = link2[e, slot]
-            if a not in piece:
-                piece[a] = b
-                stack.append(a)
-            if s1 != s2 or piece[a] != b:
-                return None
-    return piece if len(set(piece.values())) == len(piece) else None
+    Each arc is checked once, at its entry end; strands are closed, so the
+    walk back along them meets the whole piece.  piece grows to the
+    crossings mapped; False when the two ends of an arc land on different
+    slots or arcs, or the map is not injective.
+    """
+    for c in piece:  # the list grows while it is walked
+        i, j = 4 * c, 4 * sigma[c]
+        for k in (0, 1):
+            x, y = link1[i + k], link2[j + k]
+            a, b = x >> 2, y >> 2
+            if sigma[a] < 0:
+                sigma[a] = b
+                piece.append(a)
+            if (x ^ y) & 3 or sigma[a] != b:
+                return False
+    return len(set(map(sigma.__getitem__, piece))) == len(piece)
 
 
 def isomorphic(g1: GaussData, g2: GaussData) -> Optional[tuple[int, ...]]:
@@ -139,32 +164,31 @@ def isomorphic(g1: GaussData, g2: GaussData) -> Optional[tuple[int, ...]]:
 
     Deterministic: returns the lexicographically least witness.  Slots are
     fixed, so the image of one crossing forces the map of its connected
-    piece, found by a walk with an explicit stack; nothing recurses.  The
+    piece, found by a walk over a growing list; nothing recurses.  The
     least unmapped crossing roots the next piece, and its unused images
     are tried in ascending order; the first whose piece closes is kept.
     That is exact, because pieces that map onto one another are
     interchangeable.  Free-loop counts must agree.
     """
-    validate(g1)
-    validate(g2)
     if g1.crossings != g2.crossings or g1.free_loops != g2.free_loops:
         return None
     n = g1.crossings
-    link1, link2 = _partners(g1), _partners(g2)
-    sigma = [0] * (n + 1)
-    used: set[int] = set()  # whole pieces of g2: a walk from an unused d never enters them
-    for root in range(1, n + 1):
-        if sigma[root]:
+    sigma = [-1] * n  # 0-based images
+    used = [False] * n  # whole pieces of g2: a walk from an unused d never enters them
+    for root in range(n):
+        if sigma[root] >= 0:
             continue
-        for d in range(1, n + 1):
-            if d not in used and (piece := _force(link1, link2, root, d)):
+        for d in (d for d in range(n) if not used[d]):
+            sigma[root], piece = d, [root]
+            if _force(g1.link, g2.link, sigma, piece):
                 break
+            for c in piece:
+                sigma[c] = -1
         else:
             return None
-        for c, e in piece.items():
-            sigma[c] = e
-        used.update(piece.values())
-    return tuple(sigma[1:])
+        for c in piece:
+            used[sigma[c]] = True
+    return tuple(s + 1 for s in sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +204,32 @@ def closure_gauss(w: TwinWord) -> GaussData:
     """
     n = w.strands
     at = list(range(n))  # at[p] = the 0-based strand at 0-based position p
-    events: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    crossing = 0
+    entries: list[list[int]] = [[] for _ in range(n)]  # entry ends along each strand
+    e = 0  # slot-1 end of the next crossing
     for a in w.code:
         i = abs(a) - 1  # 0-based position of the left strand
         left, right = at[i], at[i + 1]
         if a > 0:  # real
-            crossing += 1
-            events[left].append((crossing, 1, CONTINUATION[1]))
-            events[right].append((crossing, 2, CONTINUATION[2]))
+            entries[left].append(e)
+            entries[right].append(e + 1)
+            e += 4
         at[i], at[i + 1] = right, left
 
-    perm = Permutation(tuple(s + 1 for s in at)).inverse()  # pi(w)
-    arcs: set[Arc] = set()
-    free_loops = 0
-    for cyc in perm.cycles():
-        run: list[tuple[int, int, int]] = []
-        for strand in cyc:
-            run.extend(events[strand - 1])
-        if not run:
-            free_loops += 1
+    # the closure joins bottom position p to top position p, so the strand
+    # that ends at p runs on as strand p; each entry x leaves at exit x ^ 3
+    nxt = sorted(range(n), key=at.__getitem__)  # the inverse of at
+    link, free_loops = [0] * e, 0
+    for s in range(n):
+        if nxt[s] < 0:
             continue
-        for k, (c, _entry, exit_slot) in enumerate(run):
-            nc, nentry, _ = run[(k + 1) % len(run)]
-            arcs.add((End(c, exit_slot), End(nc, nentry)))
-    return GaussData(crossing, frozenset(arcs), free_loops)
+        run: list[int] = []
+        while nxt[s] >= 0:  # the entries of one component; walked strands get -1
+            run += entries[s]
+            nxt[s], s = -1, nxt[s]
+        free_loops += not run
+        for x, y in zip(run, run[1:] + run[:1]):
+            link[x ^ 3], link[y] = y, x ^ 3
+    return _gauss(e // 4, tuple(link), free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +269,7 @@ def parse_gauss(text: str) -> GaussData:
             raise UnknownToken(f"bad gauss line {raw!r}") from exc
     if "crossings" not in counts:
         raise UnknownToken("missing 'crossings <n>' line")
-    g = GaussData(counts["crossings"], frozenset(arcs), counts.get("freeloops", 0))
-    if len(arcs) != len(g.arcs):
+    unique = frozenset(arcs)
+    if len(arcs) != len(unique):
         raise MatchingViolation("duplicate arc line")
-    validate(g)
-    return g
+    return GaussData(counts["crossings"], unique, counts.get("freeloops", 0))

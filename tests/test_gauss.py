@@ -3,13 +3,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 from test_cli import invoke
+from doodlekit.alexander import braid
 from doodlekit.errors import MatchingViolation, NegativeCount, SlotMisuse
 from doodlekit.gauss import (
     End,
     GaussData,
+    _gauss,
     closure_gauss,
     format_gauss,
     isomorphic,
@@ -33,23 +36,75 @@ class TestValidate:
         validate(KINK)
 
     def test_slot_misuse(self):
-        bad = GaussData(1, frozenset({(End(1, 1), End(1, 3)), (End(1, 4), End(1, 2))}), 0)
         with pytest.raises(SlotMisuse):
-            validate(bad)
+            GaussData(1, frozenset({(End(1, 1), End(1, 3)), (End(1, 4), End(1, 2))}), 0)
 
     def test_matching_violation(self):
-        bad = GaussData(1, frozenset({(End(1, 3), End(1, 1))}), 0)
         with pytest.raises(MatchingViolation):
-            validate(bad)
+            GaussData(1, frozenset({(End(1, 3), End(1, 1))}), 0)
 
     def test_negative_count(self):
         with pytest.raises(NegativeCount):
-            validate(GaussData(0, frozenset(), -1))
+            GaussData(0, frozenset(), -1)
 
     def test_unknown_crossing_id(self):
-        bad = GaussData(1, frozenset({(End(1, 3), End(2, 1)), (End(1, 4), End(1, 2))}), 0)
         with pytest.raises(MatchingViolation):
-            validate(bad)
+            GaussData(1, frozenset({(End(1, 3), End(2, 1)), (End(1, 4), End(1, 2))}), 0)
+
+
+    def test_link_rechecked(self):
+        # validate re-checks a link that library code built without checks
+        validate(_gauss(1, (2, 3, 0, 1), 0))
+        for link, error in [
+            ((2, 3, 0), MatchingViolation),  # not 4n ends
+            ((2, 2, 0, 1), MatchingViolation),  # not a bijection
+            ((3, 2, 0, 1), MatchingViolation),  # not an involution
+            ((2, 3, 4, 1), MatchingViolation),  # names an end past 4n
+            ((1, 0, 3, 2), SlotMisuse),  # entries paired with entries
+        ]:
+            with pytest.raises(error):
+                validate(_gauss(1, link, 0))
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("sigma", [(1,), (1, 1), (1, 3), (0, 1), (2, 1, 3)])
+    def test_sigma_must_be_a_permutation(self, sigma):
+        g = closure_gauss(w("s1 s1", 2))
+        with pytest.raises(MatchingViolation):
+            relabel(g, sigma)
+
+    def test_swap(self):
+        g = closure_gauss(w("s1 s1", 2))
+        assert relabel(g, (2, 1)).sorted_arcs == sorted(
+            ((End(3 - f.crossing, f.slot), End(3 - t.crossing, t.slot)) for f, t in g.arcs)
+        )
+
+
+@st.composite
+def twin_words(draw):
+    n = draw(st.integers(1, 8))
+    # 1..n-1 are s_1..s_{n-1}; n..2n-2 become r_1..r_{n-1}
+    letters = draw(st.lists(st.integers(1, 2 * n - 2), max_size=60)) if n > 1 else []
+    return TwinWord(n, tuple(a if a < n else n - 1 - a for a in letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_words())
+def test_link_and_arcs_agree(word):
+    """The link built by closure_gauss and the one the checked constructor
+    builds from its arcs are the same data to every caller."""
+    g = closure_gauss(word)
+    h = make_gauss(g.crossings, g.arcs, g.free_loops)
+    assert h == g and hash(h) == hash(g) and h.arcs == g.arcs
+    assert parse_gauss(format_gauss(g)) == g
+    validate(g)
+    others = [relabel(g, tuple(range(g.crossings, 0, -1)))]
+    if g.crossings or g.free_loops:
+        assert braid(h) == braid(g)
+        others.append(closure_gauss(braid(g)))
+    for other in others:
+        assert isomorphic(h, other) == isomorphic(g, other) is not None
+        assert isomorphic(other, h) == isomorphic(other, g)
 
 
 class TestClosureGauss:
