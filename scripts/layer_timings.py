@@ -10,7 +10,11 @@ cost of many strands shows.
 The search fan is timed as one fully consumed _moves_int call with the
 default caps, on the braided Kishino doodle (fan) and on a free-reduced
 random word (fan_random: seed 1, n = 6, 14 letters), and as one neighbors
-call on the Kishino word.  Each figure is the best of --repeat timeit runs
+call on the Kishino word.  The fan_capped row times one _moves_int call at
+the length cap: on the first 15-letter word of the breadth-first walk from
+the Kishino word (the walk of the benchmark's fan sample), under the caps
+of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
+fits.  Each figure is the best of --repeat timeit runs
 of --number calls, in microseconds per call, next to the input size it was
 taken at: strands n, letters and, for the diagram layers, crossings.  The
 two fans also give the edges the call emits and their distinct results, so
@@ -41,18 +45,34 @@ from doodlekit.words import TwinWord, free_reduce, random_word
 SEED, STRANDS, LETTERS = 1, 8, 120
 WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
 FAN_STRANDS, FAN_LETTERS = 6, 14
+CAPPED_LETTERS = 15
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
 
 
-def fan(w: TwinWord):
-    """One _moves_int call on w with the default caps, every edge consumed,
-    and the input size with the edges the call emits and their distinct
-    results."""
+def fan(w: TwinWord, caps=None):
+    """One _moves_int call on w with the default caps, or caps = (max_len,
+    max_n), every edge consumed, and the input size with the edges the call
+    emits and their distinct results."""
     state = (w.strands, w.code)
-    _, max_len, max_n = Budget().resolve(w, w)
+    max_len, max_n = caps or Budget().resolve(w, w)[1:]
     results = [res for _, _, res in _moves_int(state, max_len, max_n)]
     at = {"n": w.strands, "letters": len(w), "edges": len(results), "distinct": len(set(results))}
+    if caps:
+        at.update(max_len=max_len, max_n=max_n)
     return (lambda: collections.deque(_moves_int(state, max_len, max_n), 0)), at
+
+
+def first_of_length(first: TwinWord, letters: int) -> TwinWord:
+    """The first word with this many letters in the breadth-first walk from first."""
+    seen, queue = {first}, [first]
+    for w in queue:
+        if len(w) == letters:
+            return w
+        for _, nb in neighbors(w):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    raise ValueError(f"the walk from {first} reaches no {letters}-letter word")
 
 
 def main() -> int:
@@ -82,6 +102,8 @@ def main() -> int:
         "validate": (lambda: validate(g), size),
         "fan": fan(kishino),
         "fan_random": fan(other),
+        # the Kishino searches cap at the Kishino word's default caps
+        "fan_capped": fan(first_of_length(kishino, CAPPED_LETTERS), Budget().resolve(kishino, kishino)[1:]),
         "neighbors": (lambda: neighbors(kishino), {"n": kishino.strands, "letters": len(kishino)}),
         "closure_gauss_wide": (lambda: closure_gauss(wide), wide_size),
         "braid_wide": (lambda: braid(wide_g), wide_size),

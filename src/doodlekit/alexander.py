@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import InvalidGaussData
 from .gauss import GaussData
-from .words import TwinWord
+from .words import TwinWord, _word
 
 
 def braid(g: GaussData) -> TwinWord:
@@ -34,7 +34,7 @@ def braid(g: GaussData) -> TwinWord:
     if n == 0:
         if loops == 0:
             raise InvalidGaussData("empty diagram: nothing to braid")
-        return TwinWord(loops, ())
+        return _word(loops, ())
 
     # arcs are named by their exit ends (see gauss); order lists the arcs in
     # transit by 0-based radial slot, the cut arcs first, and pos[x] is arc x's
@@ -67,4 +67,4 @@ def braid(g: GaussData) -> TwinWord:
     # sort the surviving in-transit arcs back into the cut order
     for target, x in enumerate(sorted(order)):  # the cut arcs again
         move(pos[x], target)
-    return TwinWord(loops + len(order), tuple(code))
+    return _word(loops + len(order), tuple(code))

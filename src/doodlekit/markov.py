@@ -56,8 +56,11 @@ comm-grow whose new letters start with the letter before the window; a
 2-letter window or comm-grow whose new letters end with the letter after
 it.  Why: x x cancels wherever it sits, so the width-3 splice or comm at
 that position, or an edge one position left, reaches the word first.  On
-a reduced word _join then cancels only behind comm and width-3 splices.
-_splice, _apply_int and _inverse_edges keep every rule.
+a reduced word _join then cancels only behind comm and width-3 splices,
+so every grow left (2-letter windows, comm-grow) has exactly two letters
+more than the word; where that passes the length cap none is built.
+_splice, _apply_int and _inverse_edges keep every rule.  The fan builds
+stabilizations and destabilizations inline; M4/M5 go through _apply_int.
 
 Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
@@ -88,6 +91,7 @@ from .words import (
     _reduce,
     _shift,
     _tok,
+    _word,
     closure_components,
     format_word,
     parse_word,
@@ -309,16 +313,11 @@ def _join(
     return head[:i] + tuple(out) + tail[j:]
 
 
-# the moves that reduce nothing, in fan order
-_FIXED_MOVES = (
-    ("M2", ("stab", "s")),
-    ("M2", ("stab", "r")),
-    ("M2", ("destab",)),
-    ("M3", ("stab",)),
-    ("M3", ("destab",)),
-    ("M4", ()),
-    ("M5", ()),
-)
+@cache
+def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i: the letters h on n strands whose index is at least 2 away
+    from i, in comm-grow fan order (index ascending, s before r)."""
+    return tuple(tuple(h for j in range(1, n) if abs(j - i) >= 2 for h in (j, -j)) for i in range(n))
 
 
 def _moves_int(
@@ -332,16 +331,19 @@ def _moves_int(
     """
     n, t = state
     L = len(t)
+    ix = list(map(abs, t))  # the index of each letter
     pre = [t[:p] for p in range(L)]
     suf = [t[p:] for p in range(L + 1)]
+    grows = L + 2 <= max_len  # a grow from a reduced word has L + 2 letters
     if any(map(int.__eq__, t, t[1:])):
         pre = [_reduce(h) for h in pre]
         suf = [_reduce(h) for h in suf]
+        grows = True  # its seams can cancel
 
     # M0 and M1 keep the strand count, so its cap is checked once
     if 1 <= n <= max_n:
         left = 0  # the raw letter before pos; 0 is no letter
-        ix = list(map(abs, t))  # the index of each letter
+        far = _far_letters(n)
         for pos in range(L):
             # M0 at pos in fan order: length-preserving, then growing
             # rules, less the repeats of the module docstring.  Far
@@ -365,18 +367,16 @@ def _moves_int(
                     # width 3 needs c as its third letter; a grow ending in c is skipped
                     c = t[pos + 2] if pos + 2 < L else 0
                     for width, rest, rule, rhs in table.get((g, b), ()):
-                        if rhs[0] != left and (rest[0] == c if rest else rhs[-1] != c):
+                        if rhs[0] != left and (rest[0] == c if rest else grows and rhs[-1] != c):
                             res = _join(head, rhs, suf[pos + width])
                             if len(res) <= max_len:
                                 yield "M0", (rule, pos), (n, res)
             tail = suf[pos + 1]
-            for j in range(1, n):
-                if abs(j - i) >= 2:
-                    for h in (j, -j):
-                        if h != left and h != b:
-                            res = _join(head, (h, g, h), tail)
-                            if len(res) <= max_len:
-                                yield "M0", ("comm-grow", pos, h), (n, res)
+            for h in far[i] if grows else ():
+                if h != left and h != b:
+                    res = _join(head, (h, g, h), tail)
+                    if len(res) <= max_len:
+                        yield "M0", ("comm-grow", pos, h), (n, res)
             left = g
 
         # M1 conjugations (g w g: cancel at the front, then at the back);
@@ -389,17 +389,26 @@ def _moves_int(
                 if len(res) <= max_len:
                     yield "M1", ("conj", g), (n, res)
 
-    # M2 / M3 stabilizations if a strand and a letter fit, destabilizations
-    # and M4 / M5 exchanges if the index they need ends the word
-    grow = n < max_n and L < max_len
-    last = abs(t[-1]) if t else 0
-    # one per _FIXED_MOVES entry
-    fits = (grow, grow, last == n - 1, grow, last == 1, last == n - 1, L and abs(t[0]) == 1)
-    for (tag, params), fit in zip(_FIXED_MOVES, fits):
-        if fit:
-            res = _apply_int(state, tag, params)
-            if res is not None and len(res[1]) <= max_len and 1 <= res[0] <= max_n:
-                yield tag, params, res
+    # M2 / M3 stabilizations if a strand and a letter fit; destabilizations
+    # if the extreme index ends the word and occurs nowhere else
+    stab = n < max_n and L < max_len
+    destab = n <= max_n + 1 and L <= max_len + 1
+    last = ix[-1] if t else 0
+    if stab:
+        yield "M2", ("stab", "s"), (n + 1, t + (n,))
+        yield "M2", ("stab", "r"), (n + 1, t + (-n,))
+    if destab and last == n - 1 and ix.count(last) == 1:
+        yield "M2", ("destab",), (n - 1, t[:-1])
+    if stab:
+        yield "M3", ("stab",), (n + 1, _shift(t, 1) + (1,))
+    if destab and t and t[-1] == 1 and ix.count(1) == 1:
+        yield "M3", ("destab",), (n - 1, _shift(t[:-1], -1))
+    # M4 / M5 exchanges if the index they need ends or starts the word
+    if n <= max_n and L <= max_len:
+        for tag, fit in (("M4", last == n - 1), ("M5", L and ix[0] == 1)):
+            res = _apply_int(state, tag, ()) if fit else None
+            if res is not None:
+                yield tag, (), res
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +507,7 @@ def neighbors(
         if res in seen:
             continue
         seen.add(res)
-        rw = TwinWord(*res)
+        rw = _word(*res)
         out.append((MoveInstance(tag, params, w, rw), rw))
     return out
 
@@ -580,7 +589,7 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
 def _edge_trace(start: TwinWord, edges: list[Edge]) -> MoveTrace:
     """The trace of a chain of edges, one TwinWord per distinct state."""
     states = dict.fromkeys(s for a, _, _, b in edges for s in (a, b))
-    words = {s: TwinWord(*s) for s in states}
+    words = {s: _word(*s) for s in states}
     steps = tuple(MoveInstance(tag, params, words[a], words[b]) for a, tag, params, b in edges)
     return MoveTrace(start, steps)
 
@@ -647,9 +656,9 @@ def equivalent_closures(
                 return Unknown(explored, budget)
             explored += 1
             for tag, params, res in _moves_int(state, max_len, max_n):
-                if res in mine:
+                entry = (state, tag, params)
+                if mine.setdefault(res, entry) is not entry:
                     continue
-                mine[res] = (state, tag, params)
                 if res in other:
                     return build_verdict(res)
                 nxt.append(res)

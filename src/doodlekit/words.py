@@ -131,6 +131,14 @@ class TwinWord:
         return format_word(self)
 
 
+def _word(n: int, code: tuple[int, ...]) -> TwinWord:
+    """A word that library code built from checked letters; nothing is checked."""
+    w = object.__new__(TwinWord)
+    object.__setattr__(w, "strands", n)
+    object.__setattr__(w, "code", code)
+    return w
+
+
 def parse_word(text: str, strands: int) -> TwinWord:
     """Parse whitespace-separated tokens ``s<i>`` / ``r<i>`` into a word."""
     return TwinWord(strands, tuple(map(_letter, text.split())))

@@ -1,7 +1,7 @@
 """Words keep one encoding: exact signed ints in ``code``, Letters as their view.
 
-Every way a word is made (parsing, braiding, single moves, the move fan and
-derived traces) must store exact ints, so that search states hash and
+Every way a word is made (parsing, braiding, single moves, the move fan,
+search traces and derived traces) must store exact ints, so that search states hash and
 compare on plain ints, and must show the same letters through ``letters``
 as through its tokens.
 """
@@ -11,11 +11,21 @@ from hypothesis import given, settings, strategies as st
 from test_derived import derived_instances
 from doodlekit import apply_derived, braid, closure_gauss
 from doodlekit.cli import run
-from doodlekit.markov import Budget, _moves_int, apply_move, neighbors
+from doodlekit.markov import (
+    Budget,
+    Equivalent,
+    _moves_int,
+    apply_move,
+    equivalent_closures,
+    neighbors,
+)
 from doodlekit.words import Letter, TwinWord, format_word, parse_word
 
 
 def check_word(w: TwinWord) -> None:
+    # braid, neighbors and search traces build words without the letter
+    # checks; each must equal the word the checked constructor builds
+    assert type(w.strands) is int and type(w.code) is tuple
     assert all(type(a) is int for a in w.code), w.code
     tokens = format_word(w).split()
     assert len(w.letters) == len(tokens)
@@ -53,6 +63,10 @@ def test_words_from_parse_braid_and_moves(w, data):
     if fan:
         move, nb = data.draw(st.sampled_from(fan))
         assert apply_move(w, move.tag, move.params) == nb
+        verdict = equivalent_closures(w, nb, Budget(2_000))
+        assert isinstance(verdict, Equivalent)
+        for step in verdict.trace.steps:
+            check_word(step.result)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,18 +11,22 @@ with
     PYTHONPATH=src python tests/test_fan.py
 """
 
+import collections
 import gzip
 import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN, fixture_text
-from doodlekit import braid, parse_gauss
+from doodlekit import braid, markov, parse_gauss
 from doodlekit.markov import (
     _LETTER_RULES,
     _M0_RULES,
     Budget,
     _apply_int,
+    _join,
     _moves_int,
     _reduce,
     _render_params,
@@ -207,6 +211,42 @@ class TestFanReference:
         assert fan <= brute, state
         reached = {(tag, res) for tag, _, res in fan if res != state}
         assert reached == {(tag, res) for tag, _, res in brute if res != state}, state
+
+
+class TestLengthCap:
+    """On a reduced word every grow has two letters more than the word, so
+    the fan builds none that the length cap would drop."""
+
+    @staticmethod
+    def longest_join(states, max_len, max_n):
+        """The longest word _join builds over the fans of states."""
+        lengths = [0]
+
+        def join(*parts):
+            res = _join(*parts)
+            lengths.append(len(res))
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_join", join)
+            for state in states:
+                collections.deque(_moves_int(state, max_len, max_n), 0)
+        return max(lengths)
+
+    def test_kishino_walk_under_search_caps(self):
+        walk = golden_words()[:WALK_STATES]
+        # the caps of the benchmark's Kishino searches (16 letters, 4 strands)
+        max_len, max_n = Budget(800).resolve(walk[0], parse_word("", 1))[1:]
+        states = [(w.strands, w.code) for w in walk if len(w) <= max_len]
+        assert any(len(t) + 2 > max_len for _, t in states)
+        assert self.longest_join(states, max_len, max_n) <= max_len
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_states(), st.integers(0, 4), st.integers(-1, 1))
+    def test_reduced_words(self, state, len_slack, n_slack):
+        n, t = state[0], _reduce(state[1])
+        max_len = len(t) + len_slack
+        assert self.longest_join([(n, t)], max_len, n + n_slack) <= max_len, (n, t, max_len)
 
 
 # ---------------------------------------------------------------------------
