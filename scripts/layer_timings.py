@@ -19,14 +19,21 @@ of --number calls, in microseconds per call, next to the input size it was
 taken at: strands n, letters and, for the diagram layers, crossings.  The
 two fans also give the edges the call emits and their distinct results, so
 the share of edges that reach a new word shows next to the time.
+
+Other tenants of a shared machine slow all Python code, by up to about
+1.3x between runs.  So before each timeit run a fixed pure-Python
+loop is timed too, and each row gives its best as ref_us next to the raw
+us: the ratio us / ref_us compares rows from runs made under different load.
 """
 
 import argparse
 import collections
+import gc
 import json
 import pathlib
 import platform
 import random
+import time
 import timeit
 
 from doodlekit import (
@@ -47,6 +54,24 @@ WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
 FAN_STRANDS, FAN_LETTERS = 6, 14
 CAPPED_LETTERS = 15
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
+
+
+def reference() -> float:
+    """Seconds a fixed pure-Python loop takes: the machine's current speed
+    (the loop of reference() in bench/run.py)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        counts, recent = {}, ()
+        for i in range(8000):
+            key = (i % 97, i % 13)
+            counts[key] = counts.get(key, 0) + 1
+            recent = (i,) if len(recent) > 8 else recent + (i,)
+        return time.perf_counter() - t0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def fan(w: TwinWord, caps=None):
@@ -111,8 +136,9 @@ def main() -> int:
     }
     layers = {}
     for name, (call, at) in calls.items():
-        best = min(timeit.repeat(call, repeat=args.repeat, number=args.number))
-        layers[name] = {"us": round(best / args.number * 1e6, 2), **at}
+        runs = [(reference(), timeit.timeit(call, number=args.number)) for _ in range(args.repeat)]
+        ref, best = map(min, zip(*runs))
+        layers[name] = {"us": round(best / args.number * 1e6, 2), "ref_us": round(ref * 1e6, 1), **at}
     print(json.dumps({
         "python": platform.python_version(),
         "seed": SEED,

@@ -57,6 +57,14 @@ class FreeWord:
         return " ".join(f"x{a}" if a > 0 else f"x{-a}^-1" for a in self.letters)
 
 
+def _free(rank: int, letters: tuple[int, ...]) -> FreeWord:
+    """A free word that library code built from checked letters; nothing is checked."""
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def reduce_free(w: FreeWord) -> FreeWord:
     """Cancel adjacent x x^-1 pairs; the normal form is unique."""
     out: list[int] = []
@@ -144,7 +152,11 @@ def mu(w: TwinWord) -> FreeEndomorphism:
         else:
             images[i - 1], images[i] = images[i], images[i - 1]
             inverses[i - 1], inverses[i] = inverses[i], inverses[i - 1]
-    return FreeEndomorphism(rank, tuple(FreeWord(rank, x) for x in images))
+    # the images are reduced words on 1..rank by construction: skip the checks
+    f = object.__new__(FreeEndomorphism)
+    object.__setattr__(f, "rank", rank)
+    object.__setattr__(f, "images", tuple(_free(rank, x) for x in images))
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ built; ``arcs`` and ``End`` are a view, computed on each read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
@@ -62,7 +63,8 @@ class GaussData:
 
     @property
     def sorted_arcs(self) -> list[Arc]:
-        ends = [End(e // 4 + 1, e % 4 + 1) for e in range(len(self.link))]
+        # tuple.__new__ skips the namedtuple's Python-level __new__, one call per end
+        ends = list(map(tuple.__new__, repeat(End), product(range(1, self.crossings + 1), (1, 2, 3, 4))))
         return [(ends[x], ends[y]) for x, y in enumerate(self.link) if x & 2]
 
     @property

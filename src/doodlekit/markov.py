@@ -45,9 +45,11 @@ its ends, so on a reduced word letters can cancel only where the new
 letters meet the untouched prefix and suffix.  Each neighbor is therefore
 the prefix, the new letters and the suffix joined by _join, which cancels
 at the two seams and nowhere else, and only concatenates where neither
-seam cancels.  An unreduced word (neighbors accepts one) has its prefixes
-and suffixes reduced once first; that gives the same neighbors, because
-free reduction is confluent.
+seam cancels; the prefix and suffix are sliced only for an edge that is
+built.  An unreduced word (only neighbors passes one) is joined by
+reducing the whole result instead (_rejoin); that gives the same neighbors
+as reducing its prefix and suffix first, because free reduction is
+confluent.
 
 The fan leaves out the M0 edges that provably repeat an earlier edge of
 the same fan, judged on raw letters so that reduced and unreduced words
@@ -60,7 +62,8 @@ a reduced word _join then cancels only behind comm and width-3 splices,
 so every grow left (2-letter windows, comm-grow) has exactly two letters
 more than the word; where that passes the length cap none is built.
 _splice, _apply_int and _inverse_edges keep every rule.  The fan builds
-stabilizations and destabilizations inline; M4/M5 go through _apply_int.
+every move inline and calls no _apply_int: an exchange only where its
+index list holds the extreme index exactly twice, both times of one kind.
 
 Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
@@ -313,6 +316,13 @@ def _join(
     return head[:i] + tuple(out) + tail[j:]
 
 
+def _rejoin(
+    head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
+) -> tuple[int, ...]:
+    """_reduce(head + mid + tail), _join for any head and tail."""
+    return _reduce(head + mid + tail)
+
+
 @cache
 def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry i: the letters h on n strands whose index is at least 2 away
@@ -325,19 +335,20 @@ def _moves_int(
 ) -> Iterator[tuple[str, tuple, State]]:
     """All single moves from state, deterministic order, caps applied.
 
-    Results are free-reduced, each by _join on a prefix and a suffix that
-    are reduced once if the word is not (module docstring).  Self-loops and
-    the duplicate results the M0 skips leave are filtered by the caller.
+    Results are free-reduced: on a reduced word by _join at the two seams,
+    on an unreduced one by reducing the whole result (module docstring).
+    Self-loops and the duplicate results the M0 skips leave are filtered
+    by the caller.
     """
     n, t = state
     L = len(t)
     ix = list(map(abs, t))  # the index of each letter
-    pre = [t[:p] for p in range(L)]
-    suf = [t[p:] for p in range(L + 1)]
+    join = _join
+    word = t
     grows = L + 2 <= max_len  # a grow from a reduced word has L + 2 letters
     if any(map(int.__eq__, t, t[1:])):
-        pre = [_reduce(h) for h in pre]
-        suf = [_reduce(h) for h in suf]
+        join = _rejoin
+        word = _reduce(t)
         grows = True  # its seams can cancel
 
     # M0 and M1 keep the strand count, so its cap is checked once
@@ -350,7 +361,6 @@ def _moves_int(
             # commutation needs index distance >= 2 at pos and pos + 1, the
             # relators need distance 1, so only one of the two groups matches.
             g = t[pos]
-            head = pre[pos]
             b = t[pos + 1] if pos + 1 < L else 0
             i = ix[pos]
             if b:
@@ -358,7 +368,7 @@ def _moves_int(
                 gap = abs(i - k)
                 if gap >= 2:
                     if b != left:
-                        res = _join(head, (b, g), suf[pos + 2])
+                        res = join(t[:pos], (b, g), t[pos + 2 :])
                         if len(res) <= max_len:
                             yield "M0", ("comm", pos), (n, res)
                 elif gap == 1:
@@ -368,20 +378,21 @@ def _moves_int(
                     c = t[pos + 2] if pos + 2 < L else 0
                     for width, rest, rule, rhs in table.get((g, b), ()):
                         if rhs[0] != left and (rest[0] == c if rest else grows and rhs[-1] != c):
-                            res = _join(head, rhs, suf[pos + width])
+                            res = join(t[:pos], rhs, t[pos + width :])
                             if len(res) <= max_len:
                                 yield "M0", (rule, pos), (n, res)
-            tail = suf[pos + 1]
-            for h in far[i] if grows else ():
-                if h != left and h != b:
-                    res = _join(head, (h, g, h), tail)
-                    if len(res) <= max_len:
-                        yield "M0", ("comm-grow", pos, h), (n, res)
+            if grows and far[i]:
+                # up to 2(n - 3) grows share one prefix and suffix
+                head, tail = t[:pos], t[pos + 1 :]
+                for h in far[i]:
+                    if h != left and h != b:
+                        res = join(head, (h, g, h), tail)
+                        if len(res) <= max_len:
+                            yield "M0", ("comm-grow", pos, h), (n, res)
             left = g
 
         # M1 conjugations (g w g: cancel at the front, then at the back);
         # no shifts, which reduce to conjugation by the letter they move
-        word = suf[0]
         for j in range(1, n):
             for g in (j, -j):
                 res = word[1:] if word and word[0] == g else (g,) + word
@@ -403,12 +414,18 @@ def _moves_int(
         yield "M3", ("stab",), (n + 1, _shift(t, 1) + (1,))
     if destab and t and t[-1] == 1 and ix.count(1) == 1:
         yield "M3", ("destab",), (n - 1, _shift(t[:-1], -1))
-    # M4 / M5 exchanges if the index they need ends or starts the word
+    # M4 / M5 exchanges if the extreme index ends (M4) or starts (M5) the
+    # word and occurs exactly twice, both times with the same kind, that is
+    # as the same letter; both occurrences flip kind
     if n <= max_n and L <= max_len:
-        for tag, fit in (("M4", last == n - 1), ("M5", L and ix[0] == 1)):
-            res = _apply_int(state, tag, ()) if fit else None
-            if res is not None:
-                yield tag, (), res
+        if last == n - 1 and ix.count(last) == 2:
+            p = ix.index(last)
+            if t[p] == t[-1]:
+                yield "M4", (), (n, t[:p] + (-t[p],) + t[p + 1 : -1] + (-t[p],))
+        if L and ix[0] == 1 and ix.count(1) == 2:
+            p = ix.index(1, 1)
+            if t[0] == t[p]:
+                yield "M5", (), (n, (-t[p],) + t[1:p] + (-t[p],) + t[p + 1 :])
 
 
 # ---------------------------------------------------------------------------

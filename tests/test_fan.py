@@ -342,6 +342,85 @@ class TestRelatorOracle:
                     ), (n, t, params)
 
 
+# ---------------------------------------------------------------------------
+# the exchange moves on planted words
+
+EXCHANGES = ("M4", "M5")
+
+
+def exchange_edges(state, max_len, max_n):
+    """(tag, result) of the fan's M4 and M5 edges from state."""
+    return {(tag, res) for tag, _, res in _moves_int(state, max_len, max_n) if tag in EXCHANGES}
+
+
+def exchange_oracle(state):
+    """(tag, result) of every M4 and M5 application _apply_int allows."""
+    results = ((tag, _apply_int(state, tag, ())) for tag in EXCHANGES)
+    return {(tag, res) for tag, res in results if res is not None}
+
+
+def planted_exchanges(n, rng):
+    """(t, place, same): words on n strands in which an extreme index e
+    (1 or n - 1) occurs exactly twice, with the same kind or with opposite
+    kinds, the pair planted at the end, at the start or only in the middle
+    of a random word on the other indices.  At n = 2 there are none, so
+    the word is the pair alone and the middle is skipped."""
+    for e in sorted({1, n - 1}):
+        others = [j for j in range(1, n) if j != e]
+        for place in ("end", "start", "middle"):
+            if place == "middle" and not others:
+                continue
+            for same in (True, False):
+                for _ in range(4):
+                    size = rng.randint(2, 8) if others else 0
+                    body = [rng.choice((1, -1)) * rng.choice(others) for _ in range(size)]
+                    L = len(body) + 2
+                    if place == "end":
+                        p, q = rng.randint(0, L - 2), L - 1
+                    elif place == "start":
+                        p, q = 0, rng.randint(1, L - 1)
+                    else:
+                        p, q = sorted(rng.sample(range(1, L - 1), 2))
+                    a = rng.choice((1, -1)) * e
+                    body.insert(p, a)
+                    body.insert(q, a if same else -a)
+                    yield tuple(body), place, same
+
+
+class TestExchangeOracle:
+    """M4 and M5 need the extreme index exactly twice, which random draws
+    seldom give at n >= 4; here the pattern is planted."""
+
+    def test_fan_exchanges_equal_apply_int(self):
+        rng = random.Random(15)
+        for n in range(2, 8):
+            applied = collections.Counter()
+            for t, place, same in planted_exchanges(n, rng):
+                for state in ((n, t), (n, _reduce(t))):
+                    want = exchange_oracle(state)
+                    assert exchange_edges(state, len(state[1]) + 4, n) == want, (state, place, same)
+                    applied.update(tag for tag, _ in want)
+            assert applied["M4"] and applied["M5"], n
+
+    def test_no_failed_attempt_on_kishino_walk(self):
+        # the fan tests the index list and builds each exchange itself, so
+        # it never calls _apply_int, whose M4/M5 attempts mostly fail
+        walk = golden_words()[:WALK_STATES]
+        max_len, max_n = Budget(800).resolve(walk[0], parse_word("", 1))[1:]
+        calls = []
+
+        def apply_int(*args):
+            calls.append(args)
+            return _apply_int(*args)
+
+        states = [(w.strands, w.code) for w in walk]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_apply_int", apply_int)
+            fans = [exchange_edges(state, max_len, max_n) for state in states]
+        assert not calls
+        assert fans == [exchange_oracle(state) for state in states]
+
+
 if __name__ == "__main__":
     text = "".join(fan_block(word) for word in golden_words())
     FAN_GOLDEN.write_bytes(gzip.compress(text.encode(), 9, mtime=0))

@@ -148,6 +148,17 @@ class TestMu:
             g = data.draw(st.sampled_from(signed_letters(n)))
             assert not separates(word, TwinWord(n, code[:p] + (g, g) + code[p:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(sized_words())
+    def test_unchecked_images_pass_the_checks(self, word):
+        # mu skips the constructors' checks; rebuilding through them passes
+        f = mu(word)
+        rebuilt = FreeEndomorphism(f.rank, tuple(FreeWord(f.rank, x.letters) for x in f.images))
+        assert f == rebuilt and hash(f) == hash(rebuilt)
+        for image in f.images:
+            assert type(image.letters) is tuple
+            assert reduce_free(image) == image
+
 
 class TestRelations:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 14), (5, 26), (6, 42)])
