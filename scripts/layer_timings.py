@@ -28,12 +28,11 @@ us: the ratio us / ref_us compares rows from runs made under different load.
 
 import argparse
 import collections
-import gc
 import json
 import pathlib
 import platform
 import random
-import time
+import sys
 import timeit
 
 from doodlekit import (
@@ -53,25 +52,12 @@ SEED, STRANDS, LETTERS = 1, 8, 120
 WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
 FAN_STRANDS, FAN_LETTERS = 6, 14
 CAPPED_LETTERS = 15
-FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino.gauss"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "kishino.gauss"
 
-
-def reference() -> float:
-    """Seconds a fixed pure-Python loop takes: the machine's current speed
-    (the loop of reference() in bench/run.py)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        counts, recent = {}, ()
-        for i in range(8000):
-            key = (i % 97, i % 13)
-            counts[key] = counts.get(key, 0) + 1
-            recent = (i,) if len(recent) > 8 else recent + (i,)
-        return time.perf_counter() - t0
-    finally:
-        if enabled:
-            gc.enable()
+# the benchmark's machine-speed loop, so that ref_us means the same in both
+sys.path.insert(0, str(ROOT / "bench"))
+from run import reference  # noqa: E402
 
 
 def fan(w: TwinWord, caps=None):

@@ -16,13 +16,13 @@ is the rewrite (1 (x) b) r_1 ~ b, which is not an atomic move.
 Construction strategy: every trace is an explicit chain of moves; none
 is searched for.  The right tail and exchange items are built by an
 inductive chain (exchange-move flip, mixed-relation pushes through the
-nested palindrome, commutation sweeps, cyclic shifts, recursion, and a
-final braid merge).  Mixed-kind arms convert run by run: each maximal
-run of real levels takes one exchange chain, after the virtual levels
-above it are unwound to real by that chain run backwards.  The mixed
-tail then moves its palindrome outward in one stage loop, by braid steps
-around a virtual center and mix3 steps around a real one.  Two rules
-carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
+nested palindrome, commutation sweeps, rotations by conjugation with an
+end letter, recursion, and a final braid merge).  Mixed-kind arms
+convert run by run: each maximal run of real levels takes one exchange
+chain, after the virtual levels above it are unwound to real by that
+chain run backwards.  The mixed tail then moves its palindrome outward
+in one stage loop, by braid steps around a virtual center and mix3 steps
+around a real one.  Two rules carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
 
 - Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
   around one braid or mix3 step).  left-virtual-destab wraps Q around the
@@ -87,12 +87,6 @@ class _Builder:
 
     def conj(self, g: int) -> None:
         self.apply("M1", ("conj", g))
-
-    def shift_left(self) -> None:
-        self.apply("M1", ("shift", "left"))
-
-    def shift_right(self) -> None:
-        self.apply("M1", ("shift", "right"))
 
     def splice(self, edges: list[Edge]) -> None:
         for src, tag, params, dst in edges:
@@ -180,7 +174,7 @@ def _build_tail_real(b: _Builder, n: int, i: int) -> None:
             tracked("comm", p + step, 0)
     # conjugate the flanking runs away and recurse on the shorter tail
     for _ in range(d):
-        b.shift_right()
+        b.conj(b.word[-1])
     _build_tail_real(b, n, i + 1)
     for k in range(i, n):
         b.conj(-k)
@@ -200,10 +194,10 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
 
     def flip_extremes() -> None:
         for _ in range(b2len):
-            b.shift_right()
+            b.conj(b.word[-1])
         b.apply("M4", ())
         for _ in range(b2len):
-            b.shift_left()
+            b.conj(b.word[0])
 
     if i == n:
         flip_extremes()
@@ -231,7 +225,7 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
             b.comm(p + step)
     # bury the left run and recurse at i+1
     for _ in range(d):
-        b.shift_left()
+        b.conj(b.word[0])
     b1p = (-i,) + b1 + (-i,)
     _build_exchange_run(b, n, i + 1, b1p)
 
@@ -311,7 +305,7 @@ def _build_tail_mixed(
         b.apply("M2", ("destab",))
         return
     for _ in range(blen):
-        b.shift_left()
+        b.conj(b.word[0])
     tc = _kind_letter(kinds[c], c)
     _build_exchange_mixed(b, n, c + 1, (tc,), kinds)
     # word = r_n .. r_{c+1} t_c r_{c+1} .. r_n + beta; move the palindrome
@@ -324,7 +318,7 @@ def _build_tail_mixed(
         for step in range(n - k - 1):
             b.comm(center + 2 + step)
     for _ in range(n - c + 1):
-        b.shift_left()
+        b.conj(b.word[0])
     b.apply("M2", ("destab",))
     for k in range(n - 1, c - 1, -1):
         b.conj(-k)
@@ -341,7 +335,7 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
     b = _Builder((n + 1, lifted + (-1,)))
     # Q + lifted + r_2 .. r_n, reduced: a trailing run r_{c+1} .. r_2 of
     # lifted cancels, leaving Q + lifted[:m] + r_{c+2} .. r_n
-    b.shift_right()
+    b.conj(b.word[-1])
     for j in range(2, n + 1):
         b.conj(-j)
     c = 0
@@ -362,7 +356,7 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
         for step in range(n - c - 1):
             b.comm(m + n - j + step)
     for _ in range(c):
-        b.shift_right()
+        b.conj(b.word[-1])
     kinds = dict.fromkeys(range(c + 1, n + 1), "r")
     _build_tail_mixed(b, n, c + 1, kinds, len(b.word) - len(_pal_tail(n, c + 1, kinds)))
     for j in range(c, 0, -1):
@@ -375,9 +369,9 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
 # strand mirror (left-handed family)
 
 
-# mirrored exchange: the other exchange, the shift that exposes its pair,
-# and the shift back
-_MIRROR_EXCHANGE = {"M4": ("M5", "right", "left"), "M5": ("M4", "left", "right")}
+# mirrored exchange: the other exchange, and the end whose letter it
+# conjugates by to expose its pair (the turn back uses the other end)
+_MIRROR_EXCHANGE = {"M4": ("M5", -1), "M5": ("M4", 0)}
 
 
 def _mirror_edges(edges: list[Edge]) -> list[Edge]:
@@ -397,10 +391,8 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
             if len(params) > 2:
                 params = (params[0], params[1], _mirror(N, params[2:])[0])
             emit(msrc, "M0", params, mdst)
-        elif tag == "M1" and params[0] == "conj":
-            emit(msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst)
         elif tag == "M1":
-            emit(msrc, "M1", params, mdst)
+            emit(msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst)
         elif tag == "M2" and params[0] == "stab":
             if params[1] == "s":
                 emit(msrc, "M3", ("stab",), mdst)
@@ -420,15 +412,16 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
             emit(msrc, "M2", ("destab",), mdst)
         elif tag in _MIRROR_EXCHANGE:
             # the mirrored pair may sit at the wrong end for the other exchange
-            other, out_dir, back_dir = _MIRROR_EXCHANGE[tag]
+            other, end = _MIRROR_EXCHANGE[tag]
             if _apply_int(msrc, other, ()) == mdst:
                 emit(msrc, other, (), mdst)
             else:
-                step1 = _apply_int(msrc, "M1", ("shift", out_dir))
-                emit(msrc, "M1", ("shift", out_dir), step1)
+                turn = ("conj", msrc[1][end])
+                step1 = _apply_int(msrc, "M1", turn)
+                emit(msrc, "M1", turn, step1)
                 step2 = _apply_int(step1, other, ())
                 emit(step1, other, (), step2)
-                emit(step2, "M1", ("shift", back_dir), mdst)
+                emit(step2, "M1", ("conj", step2[1][-1 - end]), mdst)
         else:
             raise PatternMismatch(f"cannot mirror move {tag}")
     return out

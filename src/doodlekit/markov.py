@@ -21,11 +21,10 @@ splice seams only, see below):
   Inserting a bare square g g is a legal relation application but reduces
   straight back, so it is never emitted; deleting one never fires because
   states are already reduced.
-- M1: conjugation by a single generator (w -> g w g) and one-letter
-  cyclic shifts in both directions.  Generator conjugations generate all
-  conjugations because every letter is an involution.  The search fan
-  leaves shifts out: a shift reduces to the conjugation by the letter it
-  moves, so it never reaches a state the conjugations miss.
+- M1: conjugation by a single generator (w -> g w g).  Generator
+  conjugations generate all conjugations because every letter is an
+  involution.  A one-letter cyclic shift is the conjugation by the letter
+  it moves (g w -> w g is g (g w) g reduced), so it is no separate move.
 - M2: right stabilization w -> w s_n or w r_n (strand count grows by
   one); destabilization removes a trailing extreme-index letter that
   occurs nowhere else in the word.
@@ -69,11 +68,10 @@ Every edge has one exact inverse, worked out from the move itself and used
 to reverse the backward half of a stitched trace: square insertions
 rebuild the letters the move cancelled (its image before free reduction),
 then the paired move at the same position restores the source.  M0 rules
-pair through _M0_RULES (grow with shrink), M1 shifts swap direction, M1
-conjugations and M4/M5 are their own inverses, and M2/M3 stabilization
-pairs with destabilization, taking the kind of the removed letter.  A
-conjugation needs no insertions: conjugating again cancels the same
-letters.
+pair through _M0_RULES (grow with shrink), M1 conjugations and M4/M5 are
+their own inverses, and M2/M3 stabilization pairs with destabilization,
+taking the kind of the removed letter.  A conjugation needs no insertions:
+conjugating again cancels the same letters.
 
 A search state is the plain tuple (w.strands, w.code), which hashes
 faster than a word; TwinWord(*state) turns it back into one.
@@ -242,10 +240,6 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
             g = params[1]
             if 1 <= abs(g) < n:
                 return (n, _reduce((g,) + t + (g,)))
-        elif params == ("shift", "left") and t:
-            return (n, _reduce(t[1:] + t[:1]))
-        elif params == ("shift", "right") and t:
-            return (n, _reduce(t[-1:] + t[:-1]))
         return None
     if tag == "M2":
         if params in (("stab", "s"), ("stab", "r")):
@@ -391,8 +385,7 @@ def _moves_int(
                             yield "M0", ("comm-grow", pos, h), (n, res)
             left = g
 
-        # M1 conjugations (g w g: cancel at the front, then at the back);
-        # no shifts, which reduce to conjugation by the letter they move
+        # M1 conjugations (g w g: cancel at the front, then at the back)
         for j in range(1, n):
             for g in (j, -j):
                 res = word[1:] if word and word[0] == g else (g,) + word
@@ -575,14 +568,10 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
         inv = (paired, pos) + ((t[pos],) if paired in _LETTER_RULES else ())
         if not rule.startswith("square-"):
             image = _splice(t, rule, pos, *params[2:])
-    elif tag == "M1" and params[0] == "conj":
+    elif tag == "M1":
         # conjugating again cancels whatever the first conjugation cancelled
         inv = params
         image = dst[1]
-    elif tag == "M1":
-        left = params[1] == "left"
-        inv = ("shift", "right" if left else "left")
-        image = t[1:] + t[:1] if left else t[-1:] + t[:-1]
     elif tag in ("M2", "M3"):
         if params[0] == "stab":
             inv = ("destab",)
@@ -694,9 +683,7 @@ def _render_params(tag: str, params: tuple) -> list[str]:
             out.append(_tok(params[2]))
         return out
     if tag == "M1":
-        if params[0] == "conj":
-            return ["conj", _tok(params[1])]
-        return ["shift", params[1]]
+        return ["conj", _tok(params[1])]
     return [str(p) for p in params]
 
 
@@ -732,8 +719,6 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
     if tag == "M1":
         if len(fields) == 2 and fields[0] == "conj":
             return ("conj", _letter(fields[1]))
-        if len(fields) == 2 and fields[0] == "shift" and fields[1] in ("left", "right"):
-            return ("shift", fields[1])
         raise bad()
     if tag == "M2":
         if fields == ["destab"] or (len(fields) == 2 and fields[0] == "stab" and fields[1] in ("s", "r")):

@@ -8,6 +8,9 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN
 from doodlekit.cli import run
+from doodlekit.errors import CertificateError
+from doodlekit.markov import verify_certificate
+from doodlekit.words import parse_word
 
 
 def invoke(*argv):
@@ -172,6 +175,22 @@ class TestEquivCommands:
         )
         code, _, err = invoke("verify-cert", str(path))
         assert code == 65 and "bad certificate" in err
+
+    def test_verify_cert_rejects_shift_steps(self, tmp_path):
+        # M1 has one spelling; the left shift of s1 r1 is "M1 conj s1"
+        text = (
+            "doodlekit certificate\n"
+            "left n=2 : s1 r1\n"
+            "right n=2 : r1 s1\n"
+            "step M1 shift left -> r1 s1 @ n=2\n"
+        )
+        with pytest.raises(CertificateError):
+            verify_certificate(text)
+        assert verify_certificate(text.replace("shift left", "conj s1")).end == parse_word("r1 s1", 2)
+        path = tmp_path / "shift.txt"
+        path.write_text(text)
+        code, _, err = invoke("verify-cert", str(path))
+        assert code == 65 and "certificate" in err
 
 
 # equiv runs whose certificates are pinned byte for byte; together they use

@@ -187,11 +187,12 @@ class TestFanReference:
         for tag, params, res in fan:
             assert _apply_int(state, tag, params) == res, (state, tag, params)
             assert len(res[1]) <= max_len and 1 <= res[0] <= max_n
-        # shifts are not emitted; conjugation by the moved letter stands in
+        # both one-letter rotations are reached, by conjugation with the
+        # letter they move
         if t and n <= max_n:
             results = {res for _, _, res in fan}
-            for side in ("left", "right"):
-                assert _apply_int(state, "M1", ("shift", side)) in results, state
+            for rot in (t[1:] + t[:1], t[-1:] + t[:-1]):
+                assert (n, _reduce(rot)) in results, state
         # every M0 edge is a rule application; every M0 result is reached
         m0 = {(params, res) for tag, params, res in fan if tag == "M0"}
         brute = m0_brute_force(state, max_len, max_n)

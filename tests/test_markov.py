@@ -147,6 +147,9 @@ class TestMalformedParams:
         ("M0", ("square-ins", 0, 9)),
         ("M4", ("x",)),
         ("M9", ()),
+        # a one-letter shift is spelled as conjugation by the letter it moves
+        ("M1", ("shift", "left")),
+        ("M1", ("shift", "right")),
     ]
 
     @pytest.mark.parametrize("tag,params", CASES)
@@ -229,6 +232,23 @@ class TestEdgeInverse:
                 assert _apply_int(a, itag, iparams) == b, (src, tag, params)
                 cur = b
             assert cur == src, (src, tag, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        min_size=1, max_size=20).map(tuple))))
+    def test_end_letter_conjugation_is_rotation(self, src):
+        # the lemma behind M1's single form: conjugating by an end letter
+        # rotates the word, reduced or not, and the edge reverses exactly
+        n, t = src
+        for g, rot in ((t[0], t[1:] + t[:1]), (t[-1], t[-1:] + t[:-1])):
+            dst = _apply_int(src, "M1", ("conj", g))
+            assert dst == (n, _reduce(rot)), (src, g)
+            cur = dst
+            for a, itag, iparams, b in _inverse_edges(src, "M1", ("conj", g), dst):
+                assert a == cur and _apply_int(a, itag, iparams) == b, (src, g)
+                cur = b
+            assert cur == src, (src, g)
 
     def test_cancelled_letters_are_rebuilt(self):
         # comm at 1 on s1 r3 s1 gives s1 s1 r3 -> r3; reversal reinserts s1 s1
@@ -497,7 +517,6 @@ def step_heads(n, length):
         st.tuples(st.just("M0"), st.just("square-del"), pos),
         st.tuples(st.just("M0"), any_rule, pos, letter),
         st.tuples(st.just("M1"), st.just("conj"), letter),
-        st.tuples(st.just("M1"), st.just("shift"), st.sampled_from(["left", "right"])),
         st.tuples(st.just("M2"), st.just("stab"), st.sampled_from(["s", "r", "sr"])),
         st.tuples(st.sampled_from(["M2", "M3"]), st.sampled_from(["stab", "destab"])),
         st.tuples(st.sampled_from(["M4", "M5"])),
