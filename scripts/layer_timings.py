@@ -14,9 +14,12 @@ call on the Kishino word.  The fan_capped row times one _moves_int call at
 the length cap: on the first 15-letter word of the breadth-first walk from
 the Kishino word (the walk of the benchmark's fan sample), under the caps
 of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
-fits.  Each figure is the best of --repeat timeit runs
-of --number calls, in microseconds per call, next to the input size it was
-taken at: strands n, letters and, for the diagram layers, crossings.  The
+fits.  The derived row times one apply_derived call, left-tail-mixed at
+n = 4, center 4, beta r1 r2 and kinds srsr (126 steps): a mirrored trace
+whose arm splices an exchange-mixed chain run backwards.  Each figure is
+the best of --repeat timeit runs of --number calls, in microseconds per
+call, next to the input size it was taken at: strands n, letters and, for
+the diagram layers, crossings, and for the derived row the trace steps.  The
 two fans also give the edges the call emits and their distinct results, so
 the share of edges that reach a new word shows next to the time.
 
@@ -36,12 +39,14 @@ import sys
 import timeit
 
 from doodlekit import (
+    apply_derived,
     braid,
     closure_gauss,
     isomorphic,
     mu,
     neighbors,
     parse_gauss,
+    parse_word,
     pi,
     validate,
 )
@@ -104,6 +109,8 @@ def main() -> int:
     wide_g = closure_gauss(wide)
     wide_h = closure_gauss(braid(wide_g))
     wide_size = {"n": wide.strands, "letters": len(wide), "crossings": wide_g.crossings}
+    item = dict(n=4, i=4, beta=parse_word("r1 r2", 4), kinds="srsr")
+    steps = len(apply_derived("left-tail-mixed", **item).trace.steps)
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -119,6 +126,7 @@ def main() -> int:
         "closure_gauss_wide": (lambda: closure_gauss(wide), wide_size),
         "braid_wide": (lambda: braid(wide_g), wide_size),
         "isomorphic_wide": (lambda: isomorphic(wide_h, wide_g), wide_size),
+        "derived": (lambda: apply_derived("left-tail-mixed", **item), {"n": 4, "i": 4, "steps": steps}),
     }
     layers = {}
     for name, (call, at) in calls.items():

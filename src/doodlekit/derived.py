@@ -38,6 +38,12 @@ Left-handed traces are produced by mirroring right-handed ones through
 the index reversal j -> n+1-j, which maps every splice rule to itself and
 swaps the left/right move families.  Degenerate instances whose two
 sides share a free reduction get a pure square-deletion/insertion trace.
+
+Each step is computed once, by the builder that takes it: chains run
+backwards (markov._invert_edges) and mirrored chains are passed on as
+built, not applied again.  The finished trace is replayed once, in
+markov._edge_trace, which also checks that it ends at the item's right
+side; a chain that goes wrong is an internal error (RuntimeError).
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .markov import (
     State,
     _apply_int,
     _edge_trace,
-    _inverse_edges,
+    _invert_edges,
     _square_edges,
 )
 from .words import TwinWord, _reduce, _shift
@@ -89,19 +95,11 @@ class _Builder:
         self.apply("M1", ("conj", g))
 
     def splice(self, edges: list[Edge]) -> None:
-        for src, tag, params, dst in edges:
-            if src != self.state:
-                raise PatternMismatch("spliced sub-trace does not chain")
-            self.apply(tag, params)
-
-    def expect(self, t: tuple[int, ...]) -> None:
-        if self.word != t:
-            raise PatternMismatch(f"derived chain reached {self.word}, wanted {t}")
-
-
-def _invert_edges(edges: list[Edge]) -> list[Edge]:
-    """Edge list of the reversed path."""
-    return [e for edge in reversed(edges) for e in _inverse_edges(*edge)]
+        """Append a chain built elsewhere; it must start here."""
+        if edges[0][0] != self.state:
+            raise PatternMismatch("spliced sub-trace does not chain")
+        self.edges += edges
+        self.state = edges[-1][3]
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +127,7 @@ def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 
 def _build_tail_real(b: _Builder, n: int, i: int) -> None:
     """word = (reduced VT_n prefix) + s_n .. s_i .. s_n  ->  prefix."""
-    tail = _x_pattern(n, i + 1, (i,))
-    base = len(b.word) - len(tail)
-    if base < 0 or b.word[base:] != tail:
-        raise PatternMismatch("word does not end with the stabilization tail")
+    base = len(b.word) - len(_x_pattern(n, i + 1, (i,)))
     if i == n:
         b.apply("M2", ("destab",))
         return
@@ -186,24 +181,15 @@ def _build_tail_real(b: _Builder, n: int, i: int) -> None:
 
 def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> None:
     """word = X(n, i, b1) + b2  ->  Y(n, i, b1) + b2."""
-    X = _x_pattern(n, i, b1)
-    if b.word[: len(X)] != X:
-        raise PatternMismatch("word does not start with the exchange pattern")
-    b2 = b.word[len(X) :]
-    b2len = len(b2)
-
-    def flip_extremes() -> None:
-        for _ in range(b2len):
-            b.conj(b.word[-1])
-        b.apply("M4", ())
-        for _ in range(b2len):
-            b.conj(b.word[0])
-
+    b2 = b.word[len(_x_pattern(n, i, b1)) :]
+    # rotate b2 round to the front, flip the extreme pair, rotate it back
+    for _ in b2:
+        b.conj(b.word[-1])
+    b.apply("M4", ())
+    for _ in b2:
+        b.conj(b.word[0])
     if i == n:
-        flip_extremes()
         return
-
-    flip_extremes()
     # pushes, bottom level included uniformly (b1 is nonempty here)
     ofs = 0
     for k in range(n, i, -1):
@@ -248,8 +234,6 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
         back.m0("braid", p)
         for step in range(n - j - 1):
             back.comm(p + 2 + step)
-    if back.state != b.state:
-        raise PatternMismatch("exchange-run tail chain mismatch")
     b.splice(_invert_edges(back.edges))
 
 
@@ -282,8 +266,6 @@ def _build_exchange_mixed(
                 blk = _mid_letters(top + 1, i, b1, kinds)
                 scratch = _Builder((b.n, _x_pattern(n, top + 1, blk) + b2))
                 _build_exchange_run(scratch, n, top + 1, blk)
-                if scratch.state != b.state:
-                    raise PatternMismatch("kind-flip scratch trace mismatch")
                 b.splice(_invert_edges(scratch.edges))
             _build_exchange_run(b, n, j, _mid_letters(j, i, b1, kinds))
 
@@ -361,7 +343,6 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
     _build_tail_mixed(b, n, c + 1, kinds, len(b.word) - len(_pal_tail(n, c + 1, kinds)))
     for j in range(c, 0, -1):
         b.conj(-j)
-    b.expect(t)
     return b.edges
 
 
@@ -375,53 +356,49 @@ _MIRROR_EXCHANGE = {"M4": ("M5", -1), "M5": ("M4", 0)}
 
 
 def _mirror_edges(edges: list[Edge]) -> list[Edge]:
-    """Map a right-handed trace through the index reversal j -> n+1-j."""
+    """Map a right-handed trace through the index reversal j -> n+1-j.
+
+    The mirrored states are the mirrors of the states the trace holds, so
+    no step is applied again; only the turn around a misplaced exchange
+    pair computes its two intermediate words."""
     out: list[Edge] = []
-
-    def emit(src: State, tag: str, params: tuple, dst: State) -> None:
-        got = _apply_int(src, tag, params)
-        if got != dst:
-            raise PatternMismatch(f"mirrored step {tag} {params} failed")
-        out.append((src, tag, params, dst))
-
     for src, tag, params, dst in edges:
         msrc, mdst = (src[0], _mirror(*src)), (dst[0], _mirror(*dst))
         N = src[0]
         if tag == "M0":
             if len(params) > 2:
                 params = (params[0], params[1], _mirror(N, params[2:])[0])
-            emit(msrc, "M0", params, mdst)
+            out.append((msrc, "M0", params, mdst))
         elif tag == "M1":
-            emit(msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst)
+            out.append((msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst))
         elif tag == "M2" and params[0] == "stab":
             if params[1] == "s":
-                emit(msrc, "M3", ("stab",), mdst)
+                out.append((msrc, "M3", ("stab",), mdst))
             else:
-                sub = _invert_edges(_virtual_destab_edges(msrc))
-                for e in sub:
-                    emit(*e)
+                out += _invert_edges(_virtual_destab_edges(msrc))
         elif tag == "M2":
             if src[1][-1] > 0:
-                emit(msrc, "M3", ("destab",), mdst)
+                out.append((msrc, "M3", ("destab",), mdst))
             else:
-                for e in _virtual_destab_edges(mdst):
-                    emit(*e)
+                out += _virtual_destab_edges(mdst)
         elif tag == "M3" and params[0] == "stab":
-            emit(msrc, "M2", ("stab", "s"), mdst)
+            out.append((msrc, "M2", ("stab", "s"), mdst))
         elif tag == "M3":
-            emit(msrc, "M2", ("destab",), mdst)
+            out.append((msrc, "M2", ("destab",), mdst))
         elif tag in _MIRROR_EXCHANGE:
             # the mirrored pair may sit at the wrong end for the other exchange
             other, end = _MIRROR_EXCHANGE[tag]
             if _apply_int(msrc, other, ()) == mdst:
-                emit(msrc, other, (), mdst)
+                out.append((msrc, other, (), mdst))
             else:
                 turn = ("conj", msrc[1][end])
                 step1 = _apply_int(msrc, "M1", turn)
-                emit(msrc, "M1", turn, step1)
                 step2 = _apply_int(step1, other, ())
-                emit(step1, other, (), step2)
-                emit(step2, "M1", ("conj", step2[1][-1 - end]), mdst)
+                out += [
+                    (msrc, "M1", turn, step1),
+                    (step1, other, (), step2),
+                    (step2, "M1", ("conj", step2[1][-1 - end]), mdst),
+                ]
         else:
             raise PatternMismatch(f"cannot mirror move {tag}")
     return out
@@ -439,12 +416,9 @@ class DerivedMove:
     trace: MoveTrace
 
 
-def _finish(item: str, lhs_state: State, rhs_state: State, edges: list[Edge]) -> DerivedMove:
-    lhs, rhs = TwinWord(*lhs_state), TwinWord(*rhs_state)
-    trace = _edge_trace(lhs, edges)
-    if not trace.replay() or trace.end != rhs:
-        raise PatternMismatch(f"derived trace for {item} failed to replay")
-    return DerivedMove(item, lhs, rhs, trace)
+def _finish(item: str, lhs: State, rhs: State, edges: list[Edge]) -> DerivedMove:
+    trace = _edge_trace(lhs, edges, rhs)
+    return DerivedMove(item, trace.start, trace.end, trace)
 
 
 def _req_word(w: TwinWord | None, strands: int, label: str) -> tuple[int, ...]:
@@ -518,7 +492,6 @@ def apply_derived(
             _build_tail_real(b, n, ir)
         else:
             _build_tail_mixed(b, n, ir, kd_r, len(bt_r))
-        b.expect(bt_r)
     else:
         b1 = _req_word(beta1, ir, "beta1")
         b2 = _req_word(beta2, n, "beta2")

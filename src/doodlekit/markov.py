@@ -64,17 +64,20 @@ _splice, _apply_int and _inverse_edges keep every rule.  The fan builds
 every move inline and calls no _apply_int: an exchange only where its
 index list holds the extreme index exactly twice, both times of one kind.
 
-Every edge has one exact inverse, worked out from the move itself and used
-to reverse the backward half of a stitched trace: square insertions
-rebuild the letters the move cancelled (its image before free reduction),
-then the paired move at the same position restores the source.  M0 rules
-pair through _M0_RULES (grow with shrink), M1 conjugations and M4/M5 are
-their own inverses, and M2/M3 stabilization pairs with destabilization,
-taking the kind of the removed letter.  A conjugation needs no insertions:
-conjugating again cancels the same letters.
+Every edge has one exact inverse, _inverse_edges, worked out from the
+move itself: square insertions rebuild the letters the move cancelled (its
+image before free reduction), then the paired move at the same position
+restores the source.  M0 rules pair through _M0_RULES (grow with shrink),
+M1 conjugations and M4/M5 are their own inverses, and M2/M3 stabilization
+pairs with destabilization, taking the kind of the removed letter.  A
+conjugation needs no insertions: conjugating again cancels the same
+letters.  _invert_edges reverses a whole path by this rule: the backward
+half of a stitched trace, and the derived chains that run backwards.
 
 A search state is the plain tuple (w.strands, w.code), which hashes
-faster than a word; TwinWord(*state) turns it back into one.
+faster than a word; _word turns it back into one.  An edge chain becomes
+a public MoveTrace in _edge_trace alone, which replays it once and
+checks where it ends.
 """
 
 from __future__ import annotations
@@ -592,12 +595,23 @@ def _inverse_edges(src: State, tag: str, params: tuple, dst: State) -> list[Edge
     return edges
 
 
-def _edge_trace(start: TwinWord, edges: list[Edge]) -> MoveTrace:
-    """The trace of a chain of edges, one TwinWord per distinct state."""
-    states = dict.fromkeys(s for a, _, _, b in edges for s in (a, b))
+def _invert_edges(edges: list[Edge]) -> list[Edge]:
+    """The edge list of the reversed path, one inverse chain per edge."""
+    return [e for edge in reversed(edges) for e in _inverse_edges(*edge)]
+
+
+def _edge_trace(start: State, edges: list[Edge], end: State) -> MoveTrace:
+    """The trace of a chain of edges from start, one TwinWord per distinct
+    state, replayed once.  Every trace the search and the derived moves
+    build is checked here and nowhere else: RuntimeError unless the chain
+    replays from start and ends at end."""
+    states = dict.fromkeys([start, end, *(s for a, _, _, b in edges for s in (a, b))])
     words = {s: _word(*s) for s in states}
     steps = tuple(MoveInstance(tag, params, words[a], words[b]) for a, tag, params, b in edges)
-    return MoveTrace(start, steps)
+    trace = MoveTrace(words[start], steps)
+    if not trace.replay() or trace.end != words[end]:
+        raise RuntimeError(f"internal: edge chain from {start} does not replay to {end}")
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +652,12 @@ def equivalent_closures(
                 cur = prev
         # the v-side edges run v -> meet; their inverses run meet -> v
         edges = _square_edges(nu, tu, su[1]) + paths[0][::-1]
-        for prev, tag, params, cur in paths[1]:
-            edges += _inverse_edges(prev, tag, params, cur)
-        edges += _square_edges(nv, sv[1], tv)
-        trace = _edge_trace(u, edges)
-        if not trace.replay() or trace.end != v:
-            raise RuntimeError("internal: stitched trace failed to replay")
-        return Equivalent(trace)
+        edges += _invert_edges(paths[1][::-1]) + _square_edges(nv, sv[1], tv)
+        return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
 
     if su == sv:
         edges = _square_edges(nu, tu, su[1]) + _square_edges(nv, sv[1], tv)
-        return Equivalent(_edge_trace(u, edges))
+        return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
 
     while frontier[0] and frontier[1]:
         if len(frontier[0]) != len(frontier[1]):

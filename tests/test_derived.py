@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN
+from doodlekit import derived
 from doodlekit.derived import apply_derived
 from doodlekit.errors import PatternMismatch
 from doodlekit.markov import format_certificate, verify_certificate
@@ -317,8 +318,8 @@ def battery_instances():
                     yield "left-tail-mixed", dict(n=n, i=c, beta=b, kinds="".join(ks))
 
 
-def golden_line(item, args) -> str:
-    """The instance's line: item, arguments, step count, certificate hash."""
+def battery_move(item, args):
+    """apply_derived on one battery_instances() case."""
     n, i = args["n"], args.get("i")
     kw = dict(args)
     for k in ("beta", "beta2"):
@@ -328,7 +329,12 @@ def golden_line(item, args) -> str:
         kw["beta1"] = w(kw["beta1"], i if item.startswith("right-") else n + 1 - i)
     if "kinds" in kw:
         kw["kinds"] = list(kw["kinds"])
-    dm = apply_derived(item, **kw)
+    return apply_derived(item, **kw)
+
+
+def golden_line(item, args) -> str:
+    """The instance's line: item, arguments, step count, certificate hash."""
+    dm = battery_move(item, args)
     digest = hashlib.sha256(format_certificate(dm.lhs, dm.rhs, dm.trace).encode())
     fields = [item] + [f"{k}={v!r}" for k, v in args.items()]
     return " ".join(fields + [f"steps={len(dm.trace.steps)}", f"sha256={digest.hexdigest()}"])
@@ -340,6 +346,26 @@ def test_batteries_match_golden():
     assert len(got) == len(want)
     for line, expected in zip(got, want):
         assert line == expected
+
+
+def test_each_step_is_computed_once(monkeypatch):
+    # builders pass on the states they computed; only the builder's own
+    # steps and the turn around a mirrored exchange apply a move, so the
+    # moves applied in derived.py never outnumber the trace steps
+    apply, calls = derived._apply_int, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    monkeypatch.setattr(derived, "_apply_int", counted)
+    steps = sum(
+        len(battery_move(item, args).trace.steps)
+        for item, args in battery_instances()
+        if args["n"] <= 3
+    )
+    assert 0 < calls <= steps, (calls, steps)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from doodlekit.markov import (
     MoveInstance,
     Unknown,
     _apply_int,
+    _edge_trace,
     _inverse_edges,
     _moves_int,
     _parse_params,
@@ -262,6 +263,23 @@ class TestEdgeInverse:
         ]
 
 
+class TestEdgeTrace:
+    # _edge_trace is the one check of every built trace
+    @pytest.mark.parametrize("fault", ["tampered result", "gap", "wrong end"])
+    def test_faulty_chain_is_internal_error(self, fault):
+        src, mid = (2, (1,)), (3, (1, 2))
+        edges = [(src, "M2", ("stab", "s"), mid), (mid, "M1", ("conj", 2), (3, (2, 1)))]
+        end = edges[-1][3]
+        if fault == "tampered result":
+            edges[0] = (src, "M2", ("stab", "s"), (3, (1, -2)))
+        elif fault == "gap":
+            edges[1] = ((3, (1, -2)), "M1", ("conj", -2), (3, (-2, 1)))
+        else:  # the chain replays, but passes the claimed end on the way
+            end = mid
+        with pytest.raises(RuntimeError, match="internal"):
+            _edge_trace(src, edges, end)
+
+
 class TestEquivalentClosures:
     def test_one_step_destab(self):
         verdict = equivalent_closures(w("s1", 2), w("", 1))
@@ -314,6 +332,7 @@ class TestEquivalentClosures:
             ("r1 r2", "r2 r1"),
             ("s1 r2 s1", "s1 s2 s1"),
             ("s1 s2 s1", ""),
+            ("s1 s1 r1", "r1"),  # one free reduction: a square-steps trace
         ],
     )
     def test_verdict_symmetry(self, a, b):
