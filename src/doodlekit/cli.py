@@ -10,6 +10,7 @@ test that proves nothing); 64 usage error; 65 parse or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import __version__
@@ -112,7 +113,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # argparse prints --version / --help there
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"doodlekit: {exc}", file=err)
         return USAGE_ERROR

@@ -17,12 +17,12 @@ Construction strategy: every trace is an explicit chain of moves; none
 is searched for.  The right tail and exchange items are built by an
 inductive chain (exchange-move flip, mixed-relation pushes through the
 nested palindrome, commutation sweeps, rotations by conjugation with an
-end letter, recursion, and a final braid merge).  Mixed-kind arms
-convert run by run: each maximal run of real levels takes one exchange
-chain, after the virtual levels above it are unwound to real by that
-chain run backwards.  The mixed tail then moves its palindrome outward
-in one stage loop, by braid steps around a virtual center and mix3 steps
-around a real one.  Two rules carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
+end letter, recursion, and a final braid merge); the tail and the
+exchange run share one push-and-sweep.  Mixed-kind arms convert run by
+run: each maximal run of real levels takes one exchange chain, after the
+virtual levels above it are unwound to real by that chain run backwards.
+The mixed tail then moves its palindrome outward in one stage loop, by
+braid steps around a virtual center and mix3 steps around a real one.  Two rules carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
 
 - Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
   around one braid or mix3 step).  left-virtual-destab wraps Q around the
@@ -36,8 +36,10 @@ around a real one.  Two rules carry the rest, with V = r_n .. r_i and Q = r_n ..
 
 Left-handed traces are produced by mirroring right-handed ones through
 the index reversal j -> n+1-j, which maps every splice rule to itself and
-swaps the left/right move families.  Degenerate instances whose two
-sides share a free reduction get a pure square-deletion/insertion trace.
+swaps the left/right move families; it maps the four moves right-handed
+chains make, M0, M1, M2 destabilization and M4.  Degenerate instances
+whose two sides share a free reduction get a pure square-deletion/insertion
+trace.
 
 Each step is computed once, by the builder that takes it: chains run
 backwards (markov._invert_edges) and mirrored chains are passed on as
@@ -79,14 +81,12 @@ class _Builder:
     def apply(self, tag: str, params: tuple) -> None:
         res = _apply_int(self.state, tag, params)
         if res is None:
-            raise PatternMismatch(
-                f"derived step {tag} {params} does not apply to {self.state}"
-            )
+            raise RuntimeError(f"internal: step {tag} {params} does not apply to {self.state}")
         self.edges.append((self.state, tag, params, res))
         self.state = res
 
-    def m0(self, rule: str, pos: int, extra: int | None = None) -> None:
-        self.apply("M0", (rule, pos, extra) if extra is not None else (rule, pos))
+    def m0(self, rule: str, pos: int) -> None:
+        self.apply("M0", (rule, pos))
 
     def comm(self, pos: int) -> None:
         self.m0("comm", pos)
@@ -97,7 +97,7 @@ class _Builder:
     def splice(self, edges: list[Edge]) -> None:
         """Append a chain built elsewhere; it must start here."""
         if edges[0][0] != self.state:
-            raise PatternMismatch("spliced sub-trace does not chain")
+            raise RuntimeError("internal: spliced sub-trace does not chain")
         self.edges += edges
         self.state = edges[-1][3]
 
@@ -125,6 +125,31 @@ def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 # right-tail-real
 
 
+def _push_sweep(step, start: int, levels: int, core: int, centre: bool) -> None:
+    """Push the virtual pair at start inward through a nest of push levels
+    around core letters, then sweep the nested virtual letters out to
+    flanking runs; a one-letter centre takes one more mix3 and one more
+    sweep level.  step(rule, pos) takes one M0 step."""
+    ofs = start
+    for k in range(levels, 0, -1):
+        step("mixs-grow", ofs)
+        zlen = 2 * (k - 1) + core
+        for j in range(zlen):
+            step("comm", ofs + 3 + j)
+        step("mix3", ofs + 3 + zlen)
+        ofs += 2
+    if centre:
+        step("mix3", ofs)
+    d = levels + centre
+    for j in range(1, d):
+        for k in range(j):
+            step("comm", start + 2 * j - 1 - k)
+    nest_end = start + 4 * levels + 1 + core
+    for j in range(1, d):
+        for k in range(j):
+            step("comm", nest_end - 2 * j + k)
+
+
 def _build_tail_real(b: _Builder, n: int, i: int) -> None:
     """word = (reduced VT_n prefix) + s_n .. s_i .. s_n  ->  prefix."""
     base = len(b.word) - len(_x_pattern(n, i + 1, (i,)))
@@ -132,43 +157,23 @@ def _build_tail_real(b: _Builder, n: int, i: int) -> None:
         b.apply("M2", ("destab",))
         return
     b.apply("M4", ())
-    # Push the virtual pair inward through the nested palindrome, then sweep
-    # the nested virtual letters out to flanking runs.  A push or sweep step
-    # can drop a letter pair into the word prefix (the prefix may end with
-    # the very letter arriving at its boundary); every such contact only
-    # consumes prefix-run letters that no later step touches, so tracking
-    # the accumulated slippage keeps all later positions exact.
+    # The nest is the exchange run's at level i + 1 around the centre s_i.
+    # A push or sweep step can drop a letter pair into the word prefix (the
+    # prefix may end with the very letter arriving at its boundary); every
+    # such contact only consumes prefix-run letters that no later step
+    # touches, so tracking the accumulated slippage keeps all later
+    # positions exact.
     slip = 0
 
-    def tracked(op, pos, expected_delta, extra=None):
+    def tracked(rule, pos):
         nonlocal slip
-        before = len(b.word)
-        if extra is None:
-            b.m0(op, pos - slip)
-        else:
-            b.m0(op, pos - slip, extra)
-        slip += before + expected_delta - len(b.word)
+        want = len(b.word) + (2 if rule == "mixs-grow" else 0)
+        b.m0(rule, pos - slip)
+        slip += want - len(b.word)
 
-    ofs = base
-    for k in range(n, i + 1, -1):
-        tracked("mixs-grow", ofs, 2)
-        zlen = 2 * (k - i) - 3
-        for step in range(zlen):
-            tracked("comm", ofs + 3 + step, 0)
-        tracked("mix3", ofs + 3 + zlen, 0)
-        ofs += 2
-    tracked("mix3", ofs, 0)
-    d = n - i
-    for j in range(1, d):
-        for step in range(j):
-            tracked("comm", base + 2 * j - 1 - step, 0)
-    nest_len = 4 * d - 1
-    for j in range(1, d):
-        p = base + nest_len - 1 - 2 * j
-        for step in range(j):
-            tracked("comm", p + step, 0)
+    _push_sweep(tracked, base, n - i - 1, 1, True)
     # conjugate the flanking runs away and recurse on the shorter tail
-    for _ in range(d):
+    for _ in range(n - i):
         b.conj(b.word[-1])
     _build_tail_real(b, n, i + 1)
     for k in range(i, n):
@@ -190,27 +195,11 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
         b.conj(b.word[0])
     if i == n:
         return
-    # pushes, bottom level included uniformly (b1 is nonempty here)
-    ofs = 0
-    for k in range(n, i, -1):
-        b.m0("mixs-grow", ofs)
-        zlen = 2 * (k - i - 1) + len(b1)
-        for step in range(zlen):
-            b.comm(ofs + 3 + step)
-        b.m0("mix3", ofs + 3 + zlen)
-        ofs += 2
-    # outward sweep
-    d = n - i
-    for j in range(1, d):
-        for step in range(j):
-            b.comm(2 * j - 1 - step)
-    nest_len = 4 * d + 2 + len(b1)
-    for j in range(1, d):
-        p = nest_len - 1 - 2 * j
-        for step in range(j):
-            b.comm(p + step)
+    # pushes, bottom level included uniformly (b1 is nonempty here); not
+    # slip-tracked, as a mix3 can cancel core letters inside the nest
+    _push_sweep(b.m0, 0, n - i, len(b1), False)
     # bury the left run and recurse at i+1
-    for _ in range(d):
+    for _ in range(n - i):
         b.conj(b.word[0])
     b1p = (-i,) + b1 + (-i,)
     _build_exchange_run(b, n, i + 1, b1p)
@@ -350,17 +339,13 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
 # strand mirror (left-handed family)
 
 
-# mirrored exchange: the other exchange, and the end whose letter it
-# conjugates by to expose its pair (the turn back uses the other end)
-_MIRROR_EXCHANGE = {"M4": ("M5", -1), "M5": ("M4", 0)}
-
-
 def _mirror_edges(edges: list[Edge]) -> list[Edge]:
     """Map a right-handed trace through the index reversal j -> n+1-j.
 
-    The mirrored states are the mirrors of the states the trace holds, so
-    no step is applied again; only the turn around a misplaced exchange
-    pair computes its two intermediate words."""
+    Right-handed chains, run backwards or not, take only M0, M1, M2
+    destabilization and M4 steps.  The mirrored states are the mirrors of
+    the states the trace holds, so no step is applied again; only the turn
+    around a misplaced exchange pair computes its two intermediate words."""
     out: list[Edge] = []
     for src, tag, params, dst in edges:
         msrc, mdst = (src[0], _mirror(*src)), (dst[0], _mirror(*dst))
@@ -371,36 +356,27 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
             out.append((msrc, "M0", params, mdst))
         elif tag == "M1":
             out.append((msrc, "M1", ("conj", _mirror(N, params[1:])[0]), mdst))
-        elif tag == "M2" and params[0] == "stab":
-            if params[1] == "s":
-                out.append((msrc, "M3", ("stab",), mdst))
-            else:
-                out += _invert_edges(_virtual_destab_edges(msrc))
-        elif tag == "M2":
+        elif tag == "M2" and params == ("destab",):
             if src[1][-1] > 0:
                 out.append((msrc, "M3", ("destab",), mdst))
             else:
                 out += _virtual_destab_edges(mdst)
-        elif tag == "M3" and params[0] == "stab":
-            out.append((msrc, "M2", ("stab", "s"), mdst))
-        elif tag == "M3":
-            out.append((msrc, "M2", ("destab",), mdst))
-        elif tag in _MIRROR_EXCHANGE:
-            # the mirrored pair may sit at the wrong end for the other exchange
-            other, end = _MIRROR_EXCHANGE[tag]
-            if _apply_int(msrc, other, ()) == mdst:
-                out.append((msrc, other, (), mdst))
+        elif tag == "M4":
+            # M5 needs the mirrored pair to lead the word: else turn the
+            # last letter to the front and back by conjugation
+            if _apply_int(msrc, "M5", ()) == mdst:
+                out.append((msrc, "M5", (), mdst))
             else:
-                turn = ("conj", msrc[1][end])
+                turn = ("conj", msrc[1][-1])
                 step1 = _apply_int(msrc, "M1", turn)
-                step2 = _apply_int(step1, other, ())
+                step2 = _apply_int(step1, "M5", ())
                 out += [
                     (msrc, "M1", turn, step1),
-                    (step1, other, (), step2),
-                    (step2, "M1", ("conj", step2[1][-1 - end]), mdst),
+                    (step1, "M5", (), step2),
+                    (step2, "M1", ("conj", step2[1][0]), mdst),
                 ]
         else:
-            raise PatternMismatch(f"cannot mirror move {tag}")
+            raise RuntimeError(f"internal: cannot mirror move {tag} {params}")
     return out
 
 

@@ -43,8 +43,10 @@ An M0 move rewrites one window of a word and an M1 move puts letters at
 its ends, so on a reduced word letters can cancel only where the new
 letters meet the untouched prefix and suffix.  Each neighbor is therefore
 the prefix, the new letters and the suffix joined by _join, which cancels
-at the two seams and nowhere else, and only concatenates where neither
-seam cancels; the prefix and suffix are sliced only for an edge that is
+at the seam after the new letters only: the fan never builds new letters
+that start with the letter before the window (below), so the seam before
+them cannot cancel.  _join only concatenates where its seam does not
+cancel, and the prefix and suffix are sliced only for an edge that is
 built.  An unreduced word (only neighbors passes one) is joined by
 reducing the whole result instead (_rejoin); that gives the same neighbors
 as reducing its prefix and suffix first, because free reduction is
@@ -278,45 +280,35 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
 def _join(
     head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """_reduce(head + mid + tail) for free-reduced head and tail and a
-    non-empty, free-reduced mid.
+    """_reduce(head + mid + tail) for free-reduced head and tail, a
+    non-empty, free-reduced mid, and head[-1] != mid[0].
 
-    Letters can only cancel at the two seams; if neither cancels, the parts
-    are concatenated.  Else mid is cancelled against the end of head on a
-    small stack, then the start of tail against that, stopping at the first
-    letter of tail that does not cancel.
+    head + mid is then reduced, so letters can only cancel at the seam
+    after the new letters; if it does not cancel, the parts are
+    concatenated.  Else the start of tail cancels against the end of mid
+    and, once mid is used up, against the end of head, stopping at the
+    first letter of tail that does not cancel.
     """
-    if (not head or head[-1] != mid[0]) and (not tail or tail[0] != mid[-1]):
+    if not tail or tail[0] != mid[-1]:
         return head + mid + tail
-    i = len(head)
-    out: list[int] = []
-    for a in mid:
-        if out:
-            if out[-1] == a:
-                out.pop()
-                continue
-        elif i and head[i - 1] == a:
-            i -= 1
-            continue
-        out.append(a)
-    j = 0
+    i, m, j = len(head), len(mid), 0
     for a in tail:
-        if out:
-            if out[-1] != a:
+        if m:
+            if mid[m - 1] != a:
                 break
-            out.pop()
+            m -= 1
         elif i and head[i - 1] == a:
             i -= 1
         else:
             break
         j += 1
-    return head[:i] + tuple(out) + tail[j:]
+    return head[:i] + mid[:m] + tail[j:]
 
 
 def _rejoin(
     head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """_reduce(head + mid + tail), _join for any head and tail."""
+    """_reduce(head + mid + tail), _join for any head, mid and tail."""
     return _reduce(head + mid + tail)
 
 
@@ -332,8 +324,8 @@ def _moves_int(
 ) -> Iterator[tuple[str, tuple, State]]:
     """All single moves from state, deterministic order, caps applied.
 
-    Results are free-reduced: on a reduced word by _join at the two seams,
-    on an unreduced one by reducing the whole result (module docstring).
+    Results are free-reduced: on a reduced word by _join at one seam, on
+    an unreduced one by reducing the whole result (module docstring).
     Self-loops and the duplicate results the M0 skips leave are filtered
     by the caller.
     """
@@ -656,8 +648,7 @@ def equivalent_closures(
         return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
 
     if su == sv:
-        edges = _square_edges(nu, tu, su[1]) + _square_edges(nv, sv[1], tv)
-        return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
+        return build_verdict(su)  # both paths are empty
 
     while frontier[0] and frontier[1]:
         if len(frontier[0]) != len(frontier[1]):

@@ -8,9 +8,21 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN
 from doodlekit.cli import run
-from doodlekit.errors import CertificateError
+from doodlekit.errors import CertificateError, MatchingViolation, SlotMisuse, UnknownToken
 from doodlekit.markov import verify_certificate
 from doodlekit.words import parse_word
+
+
+# Gauss files that break one rule each, with the error parse_gauss raises
+GAUSS_REJECTS = {
+    "crossings 1\nfreeloops 0\narc 1.3 1.4\narc 1.4 1.2\n": SlotMisuse,  # targets an exit
+    "crossings 1\nfreeloops 0\narc 1.4 1.1\narc 1.4 1.2\n": MatchingViolation,  # exit twice
+    "crossings 1\nfreeloops 0\narc 1.3 1.2\narc 1.4 1.2\n": MatchingViolation,  # entry twice
+    "crossings 1\nfreeloops 0\narc 1.3 1.1\narc 1.3 1.1\n": MatchingViolation,  # same arc twice
+    "crossings 0\nloops 1\n": UnknownToken,
+    "crossings 1\nfreeloops 0\narc 1.3\narc 1.4 1.2\n": UnknownToken,
+    "freeloops 0\n": UnknownToken,  # no crossings line
+}
 
 
 def invoke(*argv):
@@ -77,6 +89,7 @@ class TestGaussCommands:
             kink.format("1.3", "1.1") + "freeloops 0\n",
             # the arc count is checked before any per-crossing work
             "crossings 1000000000\nfreeloops 0\n",
+            *GAUSS_REJECTS,
         ]:
             bad.write_text(text, encoding="utf-8")
             start = time.perf_counter()
@@ -240,6 +253,11 @@ class TestUsage:
         code, _, _ = invoke("pi", "s1")
         assert code == 64
 
+    def test_version_goes_to_out(self):
+        # argparse prints --version itself; run must route it to out
+        code, out, err = invoke("--version")
+        assert (code, out.strip(), err) == (0, "doodlekit 0.1.0", "")
+
     def test_parse_error_exit(self):
         code, _, err = invoke("pi", "--n", "3", "s9")
         assert code == 65 and "doodlekit:" in err
@@ -270,6 +288,9 @@ class TestUsage:
     ("rebraid_roundtrip.py", ["--samples", "30"], "30/30 round trips closed"),
     ("kishino_probe.py", ["--max-states", "2000"], "verdict: Unknown(states_explored=2000"),
     ("layer_timings.py", ["--repeat", "1", "--number", "1"], '"layers": {"mu": {"us": '),
+    ("branch_census.py",
+     [str(FIXTURES.parent / "tests" / "test_alexander.py"), "-q", "-p", "no:cacheprovider"],
+     '{"pytest_exit": 0, "modules": {"__init__": {"unexecuted": [], '),
 ])
 def test_scripts_run(script, args, line):
     # the scripts call format_word and random_word; run them as a user would

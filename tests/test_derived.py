@@ -262,6 +262,23 @@ class TestValidation:
         with pytest.raises(PatternMismatch):
             apply_derived("right-tail-mixed", n=2, i=1, beta=w("", 2), kinds=["s"])
 
+    def test_n_below_two(self):
+        with pytest.raises(PatternMismatch):
+            apply_derived("right-tail-real", n=1, i=1)
+
+    def test_defaults(self):
+        # beta=None is the empty word, kinds=None is all real
+        assert len(apply_derived("right-tail-real", n=3, i=1).trace.steps) == 16
+        args = dict(n=3, i=2, beta1=w("s1", 2), beta2=w("r2", 3))
+        plain = apply_derived("right-exchange-mixed", **args)
+        assert plain.trace == apply_derived("right-exchange-mixed", **args, kinds=["s", "s"]).trace
+
+    def test_unmirrored_move_is_internal(self):
+        # right-handed chains take no M3 step, so the mirror has no rule for one
+        src, dst = (3, (1,)), (2, ())
+        with pytest.raises(RuntimeError, match="internal"):
+            derived._mirror_edges([(src, "M3", ("destab",), dst)])
+
 
 def test_traces_export_as_certificates():
     dm = apply_derived("right-tail-real", n=3, i=1, beta=w("r1", 3))

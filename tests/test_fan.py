@@ -216,7 +216,9 @@ class TestFanReference:
 
 class TestLengthCap:
     """On a reduced word every grow has two letters more than the word, so
-    the fan builds none that the length cap would drop."""
+    the fan builds none that the length cap would drop.  Every _join call
+    also keeps its precondition: the new letters do not start with the
+    letter before them."""
 
     @staticmethod
     def longest_join(states, max_len, max_n):
@@ -224,6 +226,8 @@ class TestLengthCap:
         lengths = [0]
 
         def join(*parts):
+            head, mid, _ = parts
+            assert not head or head[-1] != mid[0], parts
             res = _join(*parts)
             lengths.append(len(res))
             return res

@@ -116,6 +116,18 @@ class TestMu:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "image x1 x2 x2^-1 x1 is not reduced"
 
+    def test_one_image_per_generator_of_its_rank(self):
+        with pytest.raises(ValueError):
+            FreeEndomorphism(2, (FreeWord(2, (1,)),))
+        with pytest.raises(ValueError):
+            FreeEndomorphism(2, (FreeWord(2, (1,)), FreeWord(3, (2,))))
+
+    def test_rank_mismatches(self):
+        with pytest.raises(RankMismatch):
+            FreeEndomorphism.identity(2).apply(FreeWord(3, (1,)))
+        with pytest.raises(RankMismatch):
+            relation_instances(1)
+
     def test_letter_squares(self):
         for n in (2, 3, 4):
             for kind in "sr":

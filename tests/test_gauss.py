@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
-from test_cli import invoke
+from test_cli import GAUSS_REJECTS, invoke
 from doodlekit.alexander import braid
 from doodlekit.errors import MatchingViolation, NegativeCount, SlotMisuse
 from doodlekit.gauss import (
@@ -298,3 +298,8 @@ class TestFileFormat:
     def test_rejects_bad_matching(self):
         with pytest.raises(MatchingViolation):
             parse_gauss("crossings 1\nfreeloops 0\narc 1.3 1.1\n")
+
+    @pytest.mark.parametrize("text, error", GAUSS_REJECTS.items())
+    def test_rejects_with_its_error(self, text, error):
+        with pytest.raises(error):
+            parse_gauss(text)

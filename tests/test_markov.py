@@ -453,6 +453,11 @@ class TestCertificates:
             "step M1 conj s1 -> s1 @ n=+2",     # sign in a strand count
             "step M1 conj s1 -> s1 @ n=0_2",    # underscore in a strand count
             "step M1 conj s1 -> s1 @ n=\u0662",  # Arabic-Indic digit two
+            "step M0 frob 0 -> s1 @ n=2",       # unknown M0 rule
+            "step M0 comm -> s1 @ n=2",         # missing position
+            "step M3 stab s -> s1 @ n=2",       # M3 stabilizes with s only
+            "step M9 -> s1 @ n=2",              # unknown move
+            "stop M1 conj s1 -> s1 @ n=2",      # not a step line
         ],
     )
     def test_malformed_step_lines_rejected(self, line):
@@ -470,6 +475,9 @@ class TestCertificates:
             "left n=+2 : s1\nright n=2 : s1\n",
             "left n=0_2 : s1\nright n=2 : s1\n",
             "left n=2 : s1\nright n=\u0662 : s1\n",
+            "right n=2 : s1\nleft n=2 : s1\n",  # right header first
+            "left 2 : s1\nright n=2 : s1\n",    # strand count without n=
+            "left n=2 : s1\n",                   # one header line only
         ],
     )
     def test_malformed_headers_rejected(self, headers):

@@ -90,7 +90,7 @@ class TestParse:
         word = w("s1 r2", 3)
         assert parse_word_file(format_word_file(word)) == word
 
-    @pytest.mark.parametrize("header", ["n=+3", "n=0_3", "n=\u0663", "n=", "n=three"])
+    @pytest.mark.parametrize("header", ["n=+3", "n=0_3", "n=\u0663", "n=", "n=three", ""])
     def test_word_file_strand_count_is_ascii_digits(self, header):
         with pytest.raises(UnknownToken):
             parse_word_file(f"{header}\ns1 r2\n")
@@ -151,6 +151,14 @@ class TestShift:
 
     def test_both_kinds(self):
         assert shift_left(1, w("r1 s1", 2)) == w("r2 s2", 3)
+
+    def test_negative_shift(self):
+        with pytest.raises(InvalidStrandCount):
+            shift_left(-1, w("s1", 2))
+
+    def test_concat_needs_one_strand_count(self):
+        with pytest.raises(InvalidStrandCount):
+            concat(w("s1", 2), w("s1", 3))
 
 
 @st.composite
@@ -227,6 +235,8 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     assert Permutation.identity(3)(2) == 2
+    with pytest.raises(ValueError):
+        Permutation.identity(2).then(Permutation.identity(3))
 
 
 class TestLetter:
