@@ -16,10 +16,13 @@ the Kishino word (the walk of the benchmark's fan sample), under the caps
 of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
 fits.  The derived row times one apply_derived call, left-tail-mixed at
 n = 4, center 4, beta r1 r2 and kinds srsr (126 steps): a mirrored trace
-whose arm splices an exchange-mixed chain run backwards.  Each figure is
+whose arm splices an exchange-mixed chain run backwards.  The edge_trace
+row times the one check of that trace alone: one _edge_trace call over
+its steps as an edge chain of (strands, code) states, each source the
+state the step before ended at.  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
-the diagram layers, crossings, and for the derived row the trace steps.  The
+the diagram layers, crossings, and for the derived rows the trace steps.  The
 two fans also give the edges the call emits and their distinct results, so
 the share of edges that reach a new word shows next to the time.
 
@@ -50,7 +53,7 @@ from doodlekit import (
     pi,
     validate,
 )
-from doodlekit.markov import Budget, _moves_int
+from doodlekit.markov import Budget, _edge_trace, _moves_int
 from doodlekit.words import TwinWord, free_reduce, random_word
 
 SEED, STRANDS, LETTERS = 1, 8, 120
@@ -76,6 +79,17 @@ def fan(w: TwinWord, caps=None):
     if caps:
         at.update(max_len=max_len, max_n=max_n)
     return (lambda: collections.deque(_moves_int(state, max_len, max_n), 0)), at
+
+
+def chain(trace):
+    """The steps of a trace as an edge chain from its start state to its end state."""
+    cur = (trace.start.strands, trace.start.code)
+    edges = []
+    for step in trace.steps:
+        res = (step.result.strands, step.result.code)
+        edges.append((cur, step.tag, step.params, res))
+        cur = res
+    return (trace.start.strands, trace.start.code), edges, cur
 
 
 def first_of_length(first: TwinWord, letters: int) -> TwinWord:
@@ -110,7 +124,9 @@ def main() -> int:
     wide_h = closure_gauss(braid(wide_g))
     wide_size = {"n": wide.strands, "letters": len(wide), "crossings": wide_g.crossings}
     item = dict(n=4, i=4, beta=parse_word("r1 r2", 4), kinds="srsr")
-    steps = len(apply_derived("left-tail-mixed", **item).trace.steps)
+    trace = apply_derived("left-tail-mixed", **item).trace
+    steps = len(trace.steps)
+    checked = chain(trace)
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -127,6 +143,7 @@ def main() -> int:
         "braid_wide": (lambda: braid(wide_g), wide_size),
         "isomorphic_wide": (lambda: isomorphic(wide_h, wide_g), wide_size),
         "derived": (lambda: apply_derived("left-tail-mixed", **item), {"n": 4, "i": 4, "steps": steps}),
+        "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
     }
     layers = {}
     for name, (call, at) in calls.items():

@@ -345,10 +345,15 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
     Right-handed chains, run backwards or not, take only M0, M1, M2
     destabilization and M4 steps.  The mirrored states are the mirrors of
     the states the trace holds, so no step is applied again; only the turn
-    around a misplaced exchange pair computes its two intermediate words."""
+    around a misplaced exchange pair computes its two intermediate words.
+    Each state is mirrored once: an edge that starts where the last one
+    ended reuses that mirror, and any other source, a gap included, is
+    mirrored afresh for markov._edge_trace to judge."""
     out: list[Edge] = []
+    prev = mdst = None
     for src, tag, params, dst in edges:
-        msrc, mdst = (src[0], _mirror(*src)), (dst[0], _mirror(*dst))
+        msrc = mdst if src == prev else (src[0], _mirror(*src))
+        prev, mdst = dst, (dst[0], _mirror(*dst))
         N = src[0]
         if tag == "M0":
             if len(params) > 2:

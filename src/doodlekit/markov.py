@@ -78,8 +78,9 @@ half of a stitched trace, and the derived chains that run backwards.
 
 A search state is the plain tuple (w.strands, w.code), which hashes
 faster than a word; _word turns it back into one.  An edge chain becomes
-a public MoveTrace in _edge_trace alone, which replays it once and
-checks where it ends.
+a public MoveTrace in _edge_trace alone.  It replays the raw chain once,
+state against state, and checks where it ends; only then does it build
+one word per distinct state and the steps between them.
 """
 
 from __future__ import annotations
@@ -539,7 +540,8 @@ def _square_edges(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> list[Ed
     down, lred = deletions(lhs)
     up, rred = deletions(rhs)
     if lred != rred:
-        raise PatternMismatch("sides do not share a free reduction")
+        # every caller passes sides that share one by construction
+        raise RuntimeError("internal: sides do not share a free reduction")
     edges = [((n, t), "M0", ("square-del", p), (n, t[:p] + t[p + 2 :])) for t, p in down]
     for t, p in reversed(up):
         edges.append(((n, t[:p] + t[p + 2 :]), "M0", ("square-ins", p, t[p]), (n, t)))
@@ -593,17 +595,29 @@ def _invert_edges(edges: list[Edge]) -> list[Edge]:
 
 
 def _edge_trace(start: State, edges: list[Edge], end: State) -> MoveTrace:
-    """The trace of a chain of edges from start, one TwinWord per distinct
-    state, replayed once.  Every trace the search and the derived moves
-    build is checked here and nowhere else: RuntimeError unless the chain
-    replays from start and ends at end."""
-    states = dict.fromkeys([start, end, *(s for a, _, _, b in edges for s in (a, b))])
-    words = {s: _word(*s) for s in states}
-    steps = tuple(MoveInstance(tag, params, words[a], words[b]) for a, tag, params, b in edges)
-    trace = MoveTrace(words[start], steps)
-    if not trace.replay() or trace.end != words[end]:
-        raise RuntimeError(f"internal: edge chain from {start} does not replay to {end}")
-    return trace
+    """The trace of a chain of edges from start, replayed once on the raw
+    states, then built with one TwinWord per distinct state.  Every trace
+    the search and the derived moves build is checked here and nowhere
+    else: RuntimeError unless each edge starts where the last one ended,
+    its move gives its result, and the chain runs from start to end."""
+    cur = start
+    for a, tag, params, b in edges:
+        if a != cur or _apply_int(a, tag, params) != b:
+            break
+        cur = b
+    else:
+        if cur == end:
+            src = _word(*start)
+            words = {start: src}
+            steps = []
+            for _, tag, params, b in edges:
+                res = words.get(b)
+                if res is None:
+                    res = words[b] = _word(*b)
+                steps.append(MoveInstance(tag, params, src, res))
+                src = res
+            return MoveTrace(words[start], tuple(steps))
+    raise RuntimeError(f"internal: edge chain from {start} does not replay to {end}")
 
 
 # ---------------------------------------------------------------------------

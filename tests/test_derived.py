@@ -385,6 +385,49 @@ def test_each_step_is_computed_once(monkeypatch):
     assert 0 < calls <= steps, (calls, steps)
 
 
+def test_mirrored_gap_is_caught():
+    # the mirror reuses a mapped state only where the chain is unbroken,
+    # so a gap in a right-handed chain stays a gap in its mirror
+    a, b, c = (3, (1, 2)), (3, (2, 1)), (3, (1, -2))
+    right = [(a, "M1", ("conj", 2), b), (c, "M1", ("conj", -2), (3, (-2, 1)))]
+    left = derived._mirror_edges(right)
+    assert left[1][0] == (3, derived._mirror(*c))
+    with pytest.raises(RuntimeError, match="internal"):
+        derived._edge_trace(left[0][0], left, left[-1][3])
+
+
+def test_each_state_is_mirrored_once(monkeypatch):
+    # a mirrored edge maps its result and at most its one letter parameter;
+    # its source is the last edge's result, already mapped.  Each instance
+    # maps at most five more tuples: its chain's first state and up to four
+    # of its inputs (beta or beta1, beta2, its start and its right side).
+    # Mapping both ends of every edge, about one call more per edge, fails
+    mirror, calls = derived._mirror, 0
+    mirror_edges, edges, letters = derived._mirror_edges, 0, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mirror(*args)
+
+    def counted_edges(chain):
+        nonlocal edges, letters
+        edges += len(chain)
+        letters += sum(tag == "M1" or len(params) > 2 for _, tag, params, _ in chain)
+        return mirror_edges(chain)
+
+    monkeypatch.setattr(derived, "_mirror", counted)
+    monkeypatch.setattr(derived, "_mirror_edges", counted_edges)
+    cases = [
+        (item, args) for item, args in battery_instances()
+        if args["n"] <= 3 and item.startswith("left-")
+    ]
+    for item, args in cases:
+        battery_move(item, args)
+    assert edges > 0
+    assert calls <= edges + letters + 5 * len(cases), (calls, edges, letters, len(cases))
+
+
 if __name__ == "__main__":
     lines = [golden_line(item, args) for item, args in battery_instances()]
     DERIVED_GOLDEN.write_text("\n".join(lines) + "\n")

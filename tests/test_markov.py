@@ -13,6 +13,7 @@ from doodlekit.markov import (
     Distinct,
     Equivalent,
     MoveInstance,
+    MoveTrace,
     Unknown,
     _apply_int,
     _edge_trace,
@@ -20,6 +21,7 @@ from doodlekit.markov import (
     _moves_int,
     _parse_params,
     _reduce,
+    _square_edges,
     apply_move,
     equivalent_closures,
     format_certificate,
@@ -205,13 +207,13 @@ class TestM0Rules:
         assert _apply_int((7, (-3, -4, -3)), "M0", ("braid", 0)) == (7, (-4, -3, -4))
 
 
-def int_states():
-    """Reduced int-encoded states (n, letters): n = 1..5, 0..12 letters."""
+def int_states(max_letters=12):
+    """Reduced int-encoded states (n, letters): n = 1..5, 0..max_letters letters."""
     def letters(n):
         if n == 1:
             return st.just(())
         gen = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-        return st.lists(gen, max_size=12).map(lambda ls: _reduce(tuple(ls)))
+        return st.lists(gen, max_size=max_letters).map(lambda ls: _reduce(tuple(ls)))
 
     return st.integers(1, 5).flatmap(lambda n: letters(n).map(lambda t: (n, t)))
 
@@ -278,6 +280,64 @@ class TestEdgeTrace:
             end = mid
         with pytest.raises(RuntimeError, match="internal"):
             _edge_trace(src, edges, end)
+
+    def test_equal_states_share_one_word(self):
+        # stab then destab comes back to an equal, but distinct, tuple
+        src, mid = (2, (1,)), (3, (1, 2))
+        edges = [(src, "M2", ("stab", "s"), mid), (mid, "M2", ("destab",), (2, (1,)))]
+        trace = _edge_trace(src, edges, src)
+        assert trace.steps[0].result is trace.steps[1].source
+        assert trace.steps[1].result is trace.start
+
+    @settings(max_examples=400, deadline=None)
+    @given(int_states(10), st.data())
+    def test_int_replay_accepts_what_object_replay_accepts(self, start, data):
+        # a random fan walk, perhaps tampered with; the oracle is a trace
+        # built word by word here and judged by MoveTrace.replay
+        edges, cur = [], start
+        for _ in range(data.draw(st.integers(0, 6))):
+            fan = list(_moves_int(cur, len(cur[1]) + 4, 6))
+            if not fan:
+                break
+            tag, params, res = data.draw(st.sampled_from(fan))
+            edges.append((cur, tag, params, res))
+            cur = res
+        end = cur
+        fault = data.draw(st.sampled_from([None, "result", "gap", "params", "end"]))
+        if fault == "result" and any(b[1] for *_, b in edges):
+            k = data.draw(st.sampled_from([k for k, e in enumerate(edges) if e[3][1]]))
+            a, tag, params, (n, t) = edges[k]
+            p = data.draw(st.integers(0, len(t) - 1))
+            edges[k] = (a, tag, params, (n, t[:p] + (-t[p],) + t[p + 1 :]))
+        elif fault == "gap" and edges:
+            del edges[data.draw(st.integers(0, len(edges) - 1))]
+        elif fault == "params" and edges:
+            k = data.draw(st.integers(0, len(edges) - 1))
+            a, _, _, b = edges[k]
+            tag, params, _ = data.draw(st.sampled_from(list(_moves_int(a, len(a[1]) + 4, 6))))
+            edges[k] = (a, tag, params, b)
+        elif fault == "end":
+            end = data.draw(st.sampled_from([start] + [b for *_, b in edges]))
+        oracle = MoveTrace(TwinWord(*start), tuple(
+            MoveInstance(tag, params, TwinWord(*a), TwinWord(*b)) for a, tag, params, b in edges
+        ))
+        if not oracle.replay() or oracle.end != TwinWord(*end):
+            with pytest.raises(RuntimeError, match="internal"):
+                _edge_trace(start, edges, end)
+            return
+        trace = _edge_trace(start, edges, end)
+        assert trace == oracle
+        # one word per distinct state, handed on from step to step
+        for s, t in zip(trace.steps, trace.steps[1:]):
+            assert s.result is t.source
+        by_state = {}
+        for word in [trace.start, *(s.result for s in trace.steps)]:
+            assert by_state.setdefault((word.strands, word.code), word) is word
+
+    def test_square_edges_fault_is_internal_error(self):
+        # s1 and r1 share no free reduction; every caller rules that out
+        with pytest.raises(RuntimeError, match="internal"):
+            _square_edges(2, (1,), (-1,))
 
 
 class TestEquivalentClosures:
