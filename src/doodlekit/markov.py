@@ -39,30 +39,23 @@ a replayable stitched trace on success.  Unknown is a first-class verdict:
 the move system is complete but gives no length bound, so budgets are
 honest caps, not heuristics.
 
-An M0 move rewrites one window of a word and an M1 move puts letters at
-its ends, so on a reduced word letters can cancel only where the new
-letters meet the untouched prefix and suffix.  Each neighbor is therefore
-the prefix, the new letters and the suffix joined by _join, which cancels
-at the seam after the new letters only: the fan never builds new letters
-that start with the letter before the window (below), so the seam before
-them cannot cancel.  _join only concatenates where its seam does not
-cancel, and the prefix and suffix are sliced only for an edge that is
-built.  An unreduced word (only neighbors passes one) is joined by
-reducing the whole result instead (_rejoin); that gives the same neighbors
-as reducing its prefix and suffix first, because free reduction is
-confluent.
-
-The fan leaves out the M0 edges that provably repeat an earlier edge of
-the same fan, judged on raw letters so that reduced and unreduced words
-take one path: shrinks (4-letter windows, comm-shrink); a splice, comm or
-comm-grow whose new letters start with the letter before the window; a
-2-letter window or comm-grow whose new letters end with the letter after
-it.  Why: x x cancels wherever it sits, so the width-3 splice or comm at
-that position, or an edge one position left, reaches the word first.  On
-a reduced word _join then cancels only behind comm and width-3 splices,
-so every grow left (2-letter windows, comm-grow) has exactly two letters
-more than the word; where that passes the length cap none is built.
-_splice, _apply_int and _inverse_edges keep every rule.  The fan builds
+The fan takes free-reduced states only; the search reduces both roots and
+every move keeps a reduced word reduced.  An M0 move rewrites one window
+and an M1 move puts letters at the ends, so letters can cancel only where
+the new letters meet the untouched prefix and suffix.  The fan leaves out
+the M0 edges that provably repeat an earlier edge of the same fan:
+shrinks (4-letter windows, comm-shrink); a splice, comm or comm-grow whose
+new letters start with the letter before the window; a 2-letter window or
+comm-grow whose new letters end with the letter after it.  Why: x x
+cancels wherever it sits, so the width-3 splice or comm at that position,
+or an edge one position left, reaches the word first.  So no seam of a
+grow (2-letter window, comm-grow) cancels: it is the prefix, the new
+letters and the suffix concatenated, two letters longer than the word,
+and none is built where that passes the length cap.  comm and width-3
+splices are joined by _join, which cancels only at the seam after the new
+letters.  The prefix and suffix are sliced only for an edge that is built.
+_splice, _apply_int and _inverse_edges keep every rule and take unreduced
+words too, which certificates and derived chains hold.  The fan builds
 every move inline and calls no _apply_int: an exchange only where its
 index list holds the extreme index exactly twice, both times of one kind.
 
@@ -92,6 +85,7 @@ from typing import Iterator, Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
 from .words import (
+    Letter,
     TwinWord,
     _count,
     _letter,
@@ -231,7 +225,11 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
                 return None
         elif len(params) != 3 or params[0] not in _LETTER_RULES:
             return None
-        elif type(params[2]) is not int or not 1 <= abs(params[2]) < n:
+        elif type(params[2]) is not int:
+            if type(params[2]) is Letter:  # the same move with its plain int
+                return _apply_int(state, tag, (*params[:2], int(params[2])))
+            return None
+        elif not 1 <= abs(params[2]) < n:
             return None
         if type(params[0]) is not str or type(params[1]) is not int:
             return None
@@ -242,10 +240,13 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
         # traces, where the unreduced intermediate word is the point
         return (n, image if params[0].startswith("square-") else _reduce(image))
     if tag == "M1":
-        if len(params) == 2 and params[0] == "conj" and type(params[1]) is int:
+        if len(params) == 2 and params[0] == "conj":
             g = params[1]
-            if 1 <= abs(g) < n:
-                return (n, _reduce((g,) + t + (g,)))
+            if type(g) is int:
+                if 1 <= abs(g) < n:
+                    return (n, _reduce((g,) + t + (g,)))
+            elif type(g) is Letter:  # the same move with its plain int
+                return _apply_int(state, tag, ("conj", int(g)))
         return None
     if tag == "M2":
         if params in (("stab", "s"), ("stab", "r")):
@@ -306,13 +307,6 @@ def _join(
     return head[:i] + mid[:m] + tail[j:]
 
 
-def _rejoin(
-    head: tuple[int, ...], mid: tuple[int, ...], tail: tuple[int, ...]
-) -> tuple[int, ...]:
-    """_reduce(head + mid + tail), _join for any head, mid and tail."""
-    return _reduce(head + mid + tail)
-
-
 @cache
 def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry i: the letters h on n strands whose index is at least 2 away
@@ -323,23 +317,14 @@ def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
 def _moves_int(
     state: State, max_len: int, max_n: int
 ) -> Iterator[tuple[str, tuple, State]]:
-    """All single moves from state, deterministic order, caps applied.
-
-    Results are free-reduced: on a reduced word by _join at one seam, on
-    an unreduced one by reducing the whole result (module docstring).
-    Self-loops and the duplicate results the M0 skips leave are filtered
-    by the caller.
+    """All single moves from a free-reduced state, deterministic order,
+    caps applied; results are free-reduced (module docstring).  Self-loops
+    and the duplicate results the M0 skips leave are filtered by the caller.
     """
     n, t = state
     L = len(t)
     ix = list(map(abs, t))  # the index of each letter
-    join = _join
-    word = t
-    grows = L + 2 <= max_len  # a grow from a reduced word has L + 2 letters
-    if any(map(int.__eq__, t, t[1:])):
-        join = _rejoin
-        word = _reduce(t)
-        grows = True  # its seams can cancel
+    grows = L + 2 <= max_len  # every grow has L + 2 letters
 
     # M0 and M1 keep the strand count, so its cap is checked once
     if 1 <= n <= max_n:
@@ -358,7 +343,7 @@ def _moves_int(
                 gap = abs(i - k)
                 if gap >= 2:
                     if b != left:
-                        res = join(t[:pos], (b, g), t[pos + 2 :])
+                        res = _join(t[:pos], (b, g), t[pos + 2 :])
                         if len(res) <= max_len:
                             yield "M0", ("comm", pos), (n, res)
                 elif gap == 1:
@@ -366,25 +351,28 @@ def _moves_int(
                     table = _splices_at((i if i < k else k) - 1)
                     # width 3 needs c as its third letter; a grow ending in c is skipped
                     c = t[pos + 2] if pos + 2 < L else 0
-                    for width, rest, rule, rhs in table.get((g, b), ()):
-                        if rhs[0] != left and (rest[0] == c if rest else grows and rhs[-1] != c):
-                            res = join(t[:pos], rhs, t[pos + width :])
-                            if len(res) <= max_len:
-                                yield "M0", (rule, pos), (n, res)
+                    for _, rest, rule, rhs in table.get((g, b), ()):
+                        if rhs[0] == left:
+                            continue
+                        if rest:
+                            if rest[0] == c:
+                                res = _join(t[:pos], rhs, t[pos + 3 :])
+                                if len(res) <= max_len:
+                                    yield "M0", (rule, pos), (n, res)
+                        elif grows and rhs[-1] != c:
+                            yield "M0", (rule, pos), (n, t[:pos] + rhs + t[pos + 2 :])
             if grows and far[i]:
                 # up to 2(n - 3) grows share one prefix and suffix
                 head, tail = t[:pos], t[pos + 1 :]
                 for h in far[i]:
                     if h != left and h != b:
-                        res = join(head, (h, g, h), tail)
-                        if len(res) <= max_len:
-                            yield "M0", ("comm-grow", pos, h), (n, res)
+                        yield "M0", ("comm-grow", pos, h), (n, head + (h, g, h) + tail)
             left = g
 
         # M1 conjugations (g w g: cancel at the front, then at the back)
         for j in range(1, n):
             for g in (j, -j):
-                res = word[1:] if word and word[0] == g else (g,) + word
+                res = t[1:] if t and t[0] == g else (g,) + t
                 res = res[:-1] if res and res[-1] == g else res + (g,)
                 if len(res) <= max_len:
                     yield "M1", ("conj", g), (n, res)
@@ -503,7 +491,11 @@ def apply_move(w: TwinWord, tag: str, params: tuple) -> TwinWord:
 def neighbors(
     w: TwinWord, caps: Optional[Budget] = None
 ) -> list[tuple[MoveInstance, TwinWord]]:
-    """All words one move away, deduplicated by resulting word."""
+    """All words one move away from a free-reduced word, deduplicated by
+    resulting word; every result is free-reduced too.  Raises
+    PatternMismatch for a word that is not free-reduced."""
+    if _reduce(w.code) != w.code:
+        raise PatternMismatch(f"neighbors needs a free-reduced word, not '{w}'")
     caps = caps or Budget()
     _, ml, mn = caps.resolve(w, w)
     state = (w.strands, w.code)

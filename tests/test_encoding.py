@@ -19,7 +19,7 @@ from doodlekit.markov import (
     equivalent_closures,
     neighbors,
 )
-from doodlekit.words import Letter, TwinWord, format_word, parse_word
+from doodlekit.words import Letter, TwinWord, format_word, free_reduce, parse_word
 
 
 def check_word(w: TwinWord) -> None:
@@ -55,14 +55,16 @@ def test_words_from_parse_braid_and_moves(w, data):
     check_word(w)
     if w.code:
         check_word(braid(closure_gauss(w)))
-    caps = Budget(max_len=len(w) + 2, max_n=w.strands + 1)
-    fan = neighbors(w, caps)
+    # the fan takes free-reduced words only
+    reduced = free_reduce(w)
+    caps = Budget(max_len=len(reduced) + 2, max_n=w.strands + 1)
+    fan = neighbors(reduced, caps)
     for move, nb in fan:
         check_word(nb)
-        assert move.source == w and move.result == nb
+        assert move.source == reduced and move.result == nb
     if fan:
         move, nb = data.draw(st.sampled_from(fan))
-        assert apply_move(w, move.tag, move.params) == nb
+        assert apply_move(reduced, move.tag, move.params) == nb
         verdict = equivalent_closures(w, nb, Budget(2_000))
         assert isinstance(verdict, Equivalent)
         for step in verdict.trace.steps:

@@ -2,11 +2,13 @@
 
 ``tests/golden/fans.txt.gz`` holds a ``_moves_int`` sequence, with the
 default caps, of the first 200 states of a breadth-first walk from the
-braided Kishino doodle and of the unreduced words below.  It was written
-when the fan still emitted every rule application; the fan may leave out
-an edge whose result an earlier edge of the same fan reached, and must
-keep the rest in order.  Regenerate it, on code whose fan is known good,
-with
+braided Kishino doodle.  It was written when the fan still emitted every
+rule application; the fan may leave out an edge whose result an earlier
+edge of the same fan reached, and must keep the rest in order.  It also
+held the fans of 20 unreduced words; when the fan came to take
+free-reduced states only, the file was cut to its first 200 ``state``
+blocks, a byte-identical prefix, and not regenerated.  Regenerate it, on
+code whose fan is known good, with
 
     PYTHONPATH=src python tests/test_fan.py
 """
@@ -39,33 +41,9 @@ from doodlekit.words import parse_word
 FAN_GOLDEN = GOLDEN / "fans.txt.gz"
 WALK_STATES = 200
 
-UNREDUCED = [
-    (2, "s1 r1 s1 s1 s1 s1 s1"),
-    (2, "r1 r1 r1 r1 r1 r1 r1 r1 s1 r1 r1 s1"),
-    (5, "r4 r3 s4 s2 r1 s4 r1 r3 r3 r4"),
-    (3, "s2 s2 r2 r1 r2 r1"),
-    (4, "r1 r3 r1 s2 r2 r2 s2 s1 s1"),
-    (6, "s1 s1 r5 s3 s3 r5 s2 r2 r2 r2"),
-    (6, "s4 r2 r2 r2 r1 s1 r3 r1"),
-    (5, "s2 r2 s4 r1 r1 s2 r1 r2 s1 s2 s2"),
-    (3, "r2 r1 s2 s2 r2 r2 s2 s1"),
-    (2, "r1 s1 r1 s1 s1 s1 s1 s1 s1"),
-    (2, "s1 r1 r1 r1 r1 r1 r1 r1 s1 s1 r1 s1 s1 s1"),
-    (4, "r3 s2 s2 s2 s3 s3 s3 s2 s3 s3"),
-    (2, "s1 s1 r1"),
-    (5, "s4 s2 s2 s2 r4 s2 s2 r4"),
-    (4, "s3 s3 r3 r3"),
-    (2, "s1 s1 r1 r1 r1 r1 s1 s1 s1 s1 r1 s1"),
-    (2, "r1 r1"),
-    (6, "s2 s2 r3 s5 s5 s5 s3 s2 r4 s5"),
-    (2, "r1 r1 s1 s1 s1 r1 r1 r1 s1 r1"),
-    (5, "s3 s3 r4 r4 r2 r3 r4 r2 r2 r3 s4"),
-]
-
-
 def golden_words():
     """The breadth-first walk from the braided Kishino doodle, in visiting
-    order (the walk the benchmark's fan sample takes), then UNREDUCED."""
+    order (the walk the benchmark's fan sample takes)."""
     first = braid(parse_gauss(fixture_text("kishino.gauss")))
     seen, queue = {first}, [first]
     for word in queue:
@@ -75,7 +53,7 @@ def golden_words():
             if nb not in seen and len(seen) < WALK_STATES:
                 seen.add(nb)
                 queue.append(nb)
-    return queue + [parse_word(text, n) for n, text in UNREDUCED]
+    return queue
 
 
 def letters(t):
@@ -112,30 +90,28 @@ def test_fans_match_golden():
     # provably repeat an earlier result, and keeps the rest in order
     want = gzip.decompress(FAN_GOLDEN.read_bytes()).decode().split("\nstate ")
     got = "".join(fan_block(word) for word in golden_words()).split("\nstate ")
-    assert len(got) == len(want) == WALK_STATES + len(UNREDUCED)
-    for k, (block, expected) in enumerate(zip(got, want)):
+    assert len(got) == len(want) == WALK_STATES
+    for block, expected in zip(got, want):
         state, edges = fan_lines(block)
         golden_state, golden_edges = fan_lines(expected)
         assert state == golden_state
         rest = iter(golden_edges)  # an order-preserving subsequence
         assert all(edge in rest for edge in edges), state
         assert first_reach(edges) == first_reach(golden_edges), state
-        if k < WALK_STATES:
-            # on a reduced word no M0 edge repeats a result
-            seen = set()
-            for line, res in edges:
-                assert not (line.startswith("M0 ") and res in seen), (state, line)
-                seen.add(res)
+        # on a reduced word no M0 edge repeats a result
+        seen = set()
+        for line, res in edges:
+            assert not (line.startswith("M0 ") and res in seen), (state, line)
+            seen.add(res)
 
 
 def int_states():
-    """(n, letters): n = 1..6, 0..14 letters, reduced or left as drawn."""
+    """(n, letters): n = 1..6, 0..14 letters drawn, then free-reduced."""
     def word(n):
         if n == 1:
             return st.just(())
         gen = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-        drawn = st.lists(gen, max_size=14).map(tuple)
-        return st.one_of(drawn, drawn.map(_reduce))
+        return st.lists(gen, max_size=14).map(lambda ls: _reduce(tuple(ls)))
 
     return st.integers(1, 6).flatmap(lambda n: word(n).map(lambda t: (n, t)))
 
@@ -187,6 +163,8 @@ class TestFanReference:
         for tag, params, res in fan:
             assert _apply_int(state, tag, params) == res, (state, tag, params)
             assert len(res[1]) <= max_len and 1 <= res[0] <= max_n
+            # reduced in, reduced out: the search keys states by reduced word
+            assert _reduce(res[1]) == res[1], (state, tag, params)
         # both one-letter rotations are reached, by conjugation with the
         # letter they move
         if t and n <= max_n:
@@ -302,11 +280,16 @@ def random_reduced(rng, n, length):
 
 def planted_words(n, rng):
     """(t, pos, split): every oracle split at n strands, planted at a random
-    position of a random reduced word."""
+    position of a random reduced word; a draw whose seams cancel is drawn
+    again, so that t is reduced."""
     for split in sorted(oracle_splices(n)):
-        word = random_reduced(rng, n, rng.randint(0, 8))
-        pos = rng.randint(0, len(word))
-        yield word[:pos] + split[2] + word[pos:], pos, split
+        while True:
+            word = random_reduced(rng, n, rng.randint(0, 8))
+            pos = rng.randint(0, len(word))
+            t = word[:pos] + split[2] + word[pos:]
+            if _reduce(t) == t:
+                yield t, pos, split
+                break
 
 
 RELATOR_RULES = {rule for rule in _M0_RULES if not rule.startswith(("comm", "square"))}
@@ -329,7 +312,9 @@ class TestRelatorOracle:
         rng = random.Random(11)
         for n in range(3, 9):
             splices = oracle_splices(n)
+            planted = set()
             for t, pos, (family, d, win, rhs) in planted_words(n, rng):
+                planted.add((family, d, win, rhs))
                 fan = list(_moves_int((n, t), len(t) + 4, n))
                 # completeness: the planted split's result is reached by M0
                 want = (n, _reduce(t[:pos] + rhs + t[pos + len(win):]))
@@ -345,6 +330,7 @@ class TestRelatorOracle:
                         and _reduce(t[:at] + r + t[at + len(w):]) == res[1]
                         for f, _, w, r in splices
                     ), (n, t, params)
+            assert planted == splices, n
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +380,20 @@ def planted_exchanges(n, rng):
 
 class TestExchangeOracle:
     """M4 and M5 need the extreme index exactly twice, which random draws
-    seldom give at n >= 4; here the pattern is planted."""
+    seldom give at n >= 4; here the pattern is planted, and the word then
+    free-reduced."""
 
     def test_fan_exchanges_equal_apply_int(self):
         rng = random.Random(15)
         for n in range(2, 8):
             applied = collections.Counter()
             for t, place, same in planted_exchanges(n, rng):
-                for state in ((n, t), (n, _reduce(t))):
-                    want = exchange_oracle(state)
-                    assert exchange_edges(state, len(state[1]) + 4, n) == want, (state, place, same)
-                    applied.update(tag for tag, _ in want)
-            assert applied["M4"] and applied["M5"], n
+                state = (n, _reduce(t))
+                want = exchange_oracle(state)
+                assert exchange_edges(state, len(state[1]) + 4, n) == want, (state, place, same)
+                applied.update(tag for tag, _ in want)
+            # at n = 2 no reduced word holds index 1 exactly twice with one kind
+            assert n == 2 or (applied["M4"] and applied["M5"]), n
 
     def test_no_failed_attempt_on_kishino_walk(self):
         # the fan tests the index list and builds each exchange itself, so

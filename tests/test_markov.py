@@ -77,6 +77,11 @@ class TestNeighbors:
         moves = neighbors(w("s1 r1", 2))
         assert not any(m.tag in ("M2", "M3") and m.params[0] == "destab" for m, _ in moves)
 
+    def test_unreduced_word_raises(self):
+        # the fan takes free-reduced words only
+        with pytest.raises(PatternMismatch):
+            neighbors(w("s1 s1 r1", 2))
+
     def test_deduplicated(self):
         seen = [format_word(r) + f"@{r.strands}" for _, r in neighbors(w("s1", 2))]
         assert len(seen) == len(set(seen))
@@ -133,6 +138,24 @@ class TestApplyMove:
         with pytest.raises(PatternMismatch):
             apply_move(w("s1 s2 s2", 3), "M0", ("square-del", pos))
 
+    def test_conjugation_by_a_letter(self):
+        # a Letter is a letter: the move renders, replays and certifies as
+        # conjugation by its plain int, and the result holds plain ints
+        word = w("s1 r2", 3)
+        params = ("conj", word.letters[0])
+        got = apply_move(word, "M1", params)
+        assert got == apply_move(word, "M1", ("conj", 1)) == w("r2 s1", 3)
+        assert all(type(a) is int for a in got.code)
+        assert MoveInstance("M1", params, word, got).replay()
+
+    def test_comm_grow_by_a_letter(self):
+        word = w("s1", 4)
+        params = ("comm-grow", 0, w("r3", 4).letters[0])
+        got = apply_move(word, "M0", params)
+        assert got == apply_move(word, "M0", ("comm-grow", 0, -3)) == w("r3 s1 r3", 4)
+        assert all(type(a) is int for a in got.code)
+        assert MoveInstance("M0", params, word, got).replay()
+
 
 class TestMalformedParams:
     # parameters outside the certificate grammar never apply
@@ -153,6 +176,9 @@ class TestMalformedParams:
         # a one-letter shift is spelled as conjugation by the letter it moves
         ("M1", ("shift", "left")),
         ("M1", ("shift", "right")),
+        # a bool is an int but no letter
+        ("M1", ("conj", True)),
+        ("M0", ("comm-grow", 0, True)),
     ]
 
     @pytest.mark.parametrize("tag,params", CASES)
@@ -648,6 +674,11 @@ class TestCertificateFuzz:
         for step in trace.steps:
             src, res = step.source, step.result
             assert closure_components(res) == closure_components(src), cert
+            if step.tag == "M0":
+                # a relation, square steps too: mu(s_i) is an involution
+                assert pi(res) == pi(src) and mu(res) == mu(src), cert
+            if free_reduce(src) != src:
+                continue  # the fan takes free-reduced words only
             caps = Budget(max_len=len(src) + 4, max_n=src.strands + 1)
             assert res == src or is_square_move(src, res) or res in {
                 r for _, r in neighbors(src, caps)
