@@ -4,6 +4,12 @@
 Draws one random word (seed 1, n = 8, 120 letters), then times mu and pi
 on it, closure_gauss and braid of it, the aligned isomorphic test of its
 closure against the closure of its braid, and validate of its closure.
+The separates row times separates of that word against the word with the
+first far-commuting pair at or after its middle swapped, a neighbour that
+mu does not separate; the separates_distinct row times it against the word
+with the kind of its middle letter flipped, which mu separates, so that
+both the middles and the whole words are folded.  Both rows give the
+letters of the middle where the two words differ.
 The closure_gauss, braid and isomorphic calls are timed again on a wide
 word (seed 1, n = 40, 1,200 letters), as the *_wide rows, so that the
 cost of many strands shows.
@@ -51,6 +57,7 @@ from doodlekit import (
     parse_gauss,
     parse_word,
     pi,
+    separates,
     validate,
 )
 from doodlekit.markov import Budget, _edge_trace, _moves_int
@@ -79,6 +86,19 @@ def fan(w: TwinWord, caps=None):
     if caps:
         at.update(max_len=max_len, max_n=max_n)
     return (lambda: collections.deque(_moves_int(state, max_len, max_n), 0)), at
+
+
+def far_swap(w: TwinWord) -> TwinWord:
+    """w with its first far-commuting pair at or after the middle swapped."""
+    t = w.code
+    p = next(p for p in range(len(t) // 2, len(t) - 1) if abs(abs(t[p]) - abs(t[p + 1])) >= 2)
+    return TwinWord(w.strands, t[:p] + (t[p + 1], t[p]) + t[p + 2 :])
+
+
+def kind_flip(w: TwinWord) -> TwinWord:
+    """w with the kind of its middle letter flipped."""
+    p = len(w) // 2
+    return TwinWord(w.strands, w.code[:p] + (-w.code[p],) + w.code[p + 1 :])
 
 
 def chain(trace):
@@ -119,6 +139,7 @@ def main() -> int:
     drawn = free_reduce(random_word(random.Random(SEED), FAN_STRANDS, 4 * FAN_LETTERS))
     other = TwinWord(FAN_STRANDS, drawn.code[:FAN_LETTERS])
     size = {"n": w.strands, "letters": len(w), "crossings": g.crossings}
+    swapped, flipped = far_swap(w), kind_flip(w)
     wide = random_word(random.Random(SEED), WIDE_STRANDS, WIDE_LETTERS)
     wide_g = closure_gauss(wide)
     wide_h = closure_gauss(braid(wide_g))
@@ -130,6 +151,8 @@ def main() -> int:
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
+        "separates": (lambda: separates(w, swapped), {"n": w.strands, "letters": len(w), "middle": 2}),
+        "separates_distinct": (lambda: separates(w, flipped), {"n": w.strands, "letters": len(w), "middle": 1}),
         "closure_gauss": (lambda: closure_gauss(w), size),
         "braid": (lambda: braid(g), size),
         "isomorphic": (lambda: isomorphic(h, g), size),

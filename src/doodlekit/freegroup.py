@@ -22,8 +22,23 @@ i is h[:len(h)-k] + t[k:] with inverse ti[:len(ti)-k] + hi[k:], and image
 i+1 is ti with inverse t.  Only the k cancelled letters cost a Python step;
 the slicing runs in C.
 
-Equality proved by mu is sound: if the images differ the words differ in
-VT_n.  No faithfulness is claimed, so a separation failure proves nothing.
+Separation by mu is sound: if the images differ the words differ in
+VT_n.  Each mu(letter) is an involutive automorphism, so for u = P X S and
+v = P Y S, mu(u) = mu(P) o mu(X) o mu(S) equals mu(v) exactly when mu(X)
+equals mu(Y).  separating_generator folds only the middles X and Y of two
+words that share a prefix or suffix, such as a word and a local rewrite of
+it, and folds the whole words only when the middles separate, because the
+least index where the middles differ need not be the whole words' (s1 r2
+s1 r1 against r1 s2 r2 r1 on 3 strands: x1 for the middles, x2 for the
+words).
+
+mu is not faithful, so a separation failure proves nothing.  On 3 strands
+s2 r2 s1 r2 r1 s1 s2 s1 and r1 s1 s2 s1 s2 r2 s1 r2 have equal images and
+pi is the identity on both, yet they differ in VT_3: both are pure, and
+their words in the generators lambda(a, b) (s_i with strand a at position
+i and strand b at i+1) reduce to different words of the pure virtual twin
+group, which is free of rank 3 for n = 3 (Naik, Nanda and Singh, cited
+from memory).
 
 Free words are stored flat as tuples of signed generator indices
 (+i for x_i, -i for x_i^{-1}); the display format is ``x1 x2^-1 ...``.
@@ -133,12 +148,11 @@ def compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(f.rank, tuple(f.apply(img) for img in g.images))
 
 
-def mu(w: TwinWord) -> FreeEndomorphism:
-    """mu(w) at rank = strand count; rightmost letter acts first."""
-    rank = w.strands
+def _images(rank: int, code: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The reduced images of x_1..x_rank under mu(code), as int tuples."""
     images = [(k,) for k in range(1, rank + 1)]
     inverses = [(-k,) for k in range(1, rank + 1)]
-    for a in w.code:
+    for a in code:
         i = abs(a)
         if a > 0:
             h, t = images[i - 1], images[i]
@@ -152,10 +166,16 @@ def mu(w: TwinWord) -> FreeEndomorphism:
         else:
             images[i - 1], images[i] = images[i], images[i - 1]
             inverses[i - 1], inverses[i] = inverses[i], inverses[i - 1]
+    return images
+
+
+def mu(w: TwinWord) -> FreeEndomorphism:
+    """mu(w) at rank = strand count; rightmost letter acts first."""
+    rank = w.strands
     # the images are reduced words on 1..rank by construction: skip the checks
     f = object.__new__(FreeEndomorphism)
     object.__setattr__(f, "rank", rank)
-    object.__setattr__(f, "images", tuple(_free(rank, x) for x in images))
+    object.__setattr__(f, "images", tuple(_free(rank, x) for x in _images(rank, w.code)))
     return f
 
 
@@ -247,9 +267,20 @@ def separating_generator(u: TwinWord, v: TwinWord) -> int | None:
     """
     if u.strands != v.strands:
         raise RankMismatch(f"strand counts differ: {u.strands} vs {v.strands}")
-    fu, fv = mu(u), mu(v)
-    for i in range(1, u.strands + 1):
-        if fu.image(i) != fv.image(i):
+    rank, a, b = u.strands, u.code, v.code
+    # u = P X S and v = P Y S with the longest P, then the longest S
+    m = min(len(a), len(b))
+    p = 0
+    while p < m and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < m - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    if (p or s) and _images(rank, a[p : len(a) - s]) == _images(rank, b[p : len(b) - s]):
+        return None
+    # the least index where the middles differ need not be the words'
+    for i, (x, y) in enumerate(zip(_images(rank, a), _images(rank, b)), 1):
+        if x != y:
             return i
     return None
 

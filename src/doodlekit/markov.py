@@ -173,13 +173,13 @@ def _rules_at(d: int) -> dict[tuple[tuple, str], tuple[int, ...]]:
 @cache
 def _splices_at(d: int) -> dict[tuple[int, int], tuple]:
     """The 3- and 2-letter windows of _rules_at(d), keyed by their raw first
-    two letters (6 keys): entries (width, rest of the window, rule,
-    replacement), in fan order within a key (width 3, then 2)."""
+    two letters (6 keys): entries (rest of the window, rule, replacement),
+    in fan order within a key (width 3, then 2)."""
     table: dict[tuple[int, int], tuple] = {}
     for width in (3, 2):
         for (win, rule), rhs in _rules_at(d).items():
             if len(win) == width:
-                table[win[:2]] = table.get(win[:2], ()) + ((width, win[2:], rule, rhs),)
+                table[win[:2]] = table.get(win[:2], ()) + ((win[2:], rule, rhs),)
     return table
 
 
@@ -351,7 +351,7 @@ def _moves_int(
                     table = _splices_at((i if i < k else k) - 1)
                     # width 3 needs c as its third letter; a grow ending in c is skipped
                     c = t[pos + 2] if pos + 2 < L else 0
-                    for _, rest, rule, rhs in table.get((g, b), ()):
+                    for rest, rule, rhs in table.get((g, b), ()):
                         if rhs[0] == left:
                             continue
                         if rest:

@@ -64,6 +64,9 @@ class TestWordCommands:
         assert "x1 x3" in out and "x1 x2 x3" in out
         code, out, _ = invoke("separates", "--n", "3", "r1 r2 r1", "r2 r1 r2")
         assert code == 2
+        # the middles s1 r2 s1 and r1 s2 r2 separate at x1; the words at x2
+        code, out, _ = invoke("separates", "--n", "3", "s1 r2 s1 r1", "r1 s2 r2 r1")
+        assert (code, out) == (1, "separated at x2: x1 x2 x3 vs x2\n")
 
 
 class TestGaussCommands:

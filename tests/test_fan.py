@@ -193,28 +193,26 @@ class TestFanReference:
 
 
 class TestLengthCap:
-    """On a reduced word every grow has two letters more than the word, so
-    the fan builds none that the length cap would drop.  Every _join call
-    also keeps its precondition: the new letters do not start with the
-    letter before them."""
+    """No edge the fan yields is longer than the length cap; on a reduced
+    word every grow has two letters more than the word, so the fan builds
+    none that the cap would drop.  Every _join call also keeps its
+    precondition: the new letters do not start with the letter before them."""
 
     @staticmethod
-    def longest_join(states, max_len, max_n):
-        """The longest word _join builds over the fans of states."""
-        lengths = [0]
+    def longest_edge(states, max_len, max_n):
+        """The longest result of any edge over the fans of states."""
 
         def join(*parts):
             head, mid, _ = parts
             assert not head or head[-1] != mid[0], parts
-            res = _join(*parts)
-            lengths.append(len(res))
-            return res
+            return _join(*parts)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(markov, "_join", join)
-            for state in states:
-                collections.deque(_moves_int(state, max_len, max_n), 0)
-        return max(lengths)
+            return max(
+                (len(t) for state in states for _, _, (_, t) in _moves_int(state, max_len, max_n)),
+                default=0,
+            )
 
     def test_kishino_walk_under_search_caps(self):
         walk = golden_words()[:WALK_STATES]
@@ -222,14 +220,14 @@ class TestLengthCap:
         max_len, max_n = Budget(800).resolve(walk[0], parse_word("", 1))[1:]
         states = [(w.strands, w.code) for w in walk if len(w) <= max_len]
         assert any(len(t) + 2 > max_len for _, t in states)
-        assert self.longest_join(states, max_len, max_n) <= max_len
+        assert self.longest_edge(states, max_len, max_n) <= max_len
 
     @settings(max_examples=300, deadline=None)
     @given(int_states(), st.integers(0, 4), st.integers(-1, 1))
     def test_reduced_words(self, state, len_slack, n_slack):
         n, t = state[0], _reduce(state[1])
         max_len = len(t) + len_slack
-        assert self.longest_join([(n, t)], max_len, n + n_slack) <= max_len, (n, t, max_len)
+        assert self.longest_edge([(n, t)], max_len, n + n_slack) <= max_len, (n, t, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +299,12 @@ class TestRelatorOracle:
             table = _splices_at(d)
             entries = [entry for group in table.values() for entry in group]
             assert len(table) <= 6 and len(entries) <= 16
-            # the fan leaves shrinks out: width 3 at pos reaches their results
-            assert {e[0] for e in entries} <= {3, 2}
-            order = {3: 0, 2: 1}
+            # the fan leaves shrinks out: width 3 at pos reaches their results;
+            # an entry's width is its two key letters and its rest
+            assert {len(rest) for rest, _, _ in entries} <= {1, 0}
             for key, group in table.items():
-                assert [order[e[0]] for e in group] == sorted(order[e[0]] for e in group)
-                assert all(len(e[1]) == e[0] - 2 for e in group), key
+                widths = [2 + len(rest) for rest, _, _ in group]
+                assert widths == sorted(widths, reverse=True), key
 
     def test_fan_relator_edges_are_sound_and_complete(self):
         rng = random.Random(11)

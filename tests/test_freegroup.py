@@ -14,7 +14,7 @@ from doodlekit.freegroup import (
     separating_generator,
     verify_relations,
 )
-from doodlekit.words import Letter, TwinWord, parse_word, random_word, concat
+from doodlekit.words import Letter, Permutation, TwinWord, concat, parse_word, pi, random_word
 
 
 def w(text, n):
@@ -54,6 +54,34 @@ def sized_words(draw):
         st.builds(lambda i, k: (i, -i) * k, index, st.integers(1, 12)),
     )
     return TwinWord(n, sum(draw(st.lists(block, max_size=120)), ())[:120])
+
+
+@st.composite
+def affix_pairs(draw):
+    """(u, v) = (P X S, P Y S) on n <= 8 strands: the middles are empty,
+    equal, equal with a square inserted into Y (so mu agrees on differing
+    middles), or drawn apart."""
+    n = draw(st.integers(2, 8))
+    part = st.lists(st.sampled_from(signed_letters(n)), max_size=30).map(tuple)
+    p, x, s = draw(part), draw(part), draw(part)
+    kind = draw(st.sampled_from(["empty", "equal", "square", "apart"]))
+    if kind == "empty":
+        x = y = ()
+    elif kind == "equal":
+        y = x
+    elif kind == "square":
+        g = draw(st.sampled_from(signed_letters(n)))
+        k = draw(st.integers(0, len(x)))
+        y = x[:k] + (g, g) + x[k:]
+    else:
+        y = draw(part)
+    return TwinWord(n, p + x + s), TwinWord(n, p + y + s)
+
+
+def least_differing_image(u, v):
+    """The brute-force witness: the least i where the whole images differ."""
+    fu, fv = mu(u).images, mu(v).images
+    return next((i for i in range(1, u.strands + 1) if fu[i - 1] != fv[i - 1]), None)
 
 
 class TestFreeWords:
@@ -211,3 +239,24 @@ class TestSeparation:
     def test_never_separates_relation_sides(self, n):
         for _, lhs, rhs in relation_instances(n):
             assert not separates(lhs, rhs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(affix_pairs())
+    def test_witness_is_least_differing_image(self, pair):
+        u, v = pair
+        assert separating_generator(u, v) == least_differing_image(u, v)
+        assert separating_generator(v, u) == least_differing_image(v, u)
+
+    def test_witness_of_words_not_of_middles(self):
+        # u = X r1 and v = Y r1: the middles separate at x1, the words at x2
+        u, v = w("s1 r2 s1 r1", 3), w("r1 s2 r2 r1", 3)
+        assert mu(w("s1 r2 s1", 3)).image(1) != mu(w("r1 s2 r2", 3)).image(1)
+        assert separating_generator(u, v) == 2
+        assert mu(u).image(1) == mu(v).image(1)
+
+    def test_mu_is_not_faithful(self):
+        # distinct in VT_3 (freegroup docstring), yet neither mu nor pi tells them apart
+        u, v = w("s2 r2 s1 r2 r1 s1 s2 s1", 3), w("r1 s1 s2 s1 s2 r2 s1 r2", 3)
+        assert not separates(u, v)
+        assert mu(u) == mu(v)
+        assert pi(u) == pi(v) == Permutation.identity(3)
