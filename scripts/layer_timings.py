@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """Time the diagram layers and the search fan call by call; print one JSON object.
 
-Draws one random word (seed 1, n = 8, 120 letters), then times mu and pi
-on it, closure_gauss and braid of it, the aligned isomorphic test of its
-closure against the closure of its braid, and validate of its closure.
+Draws one random word (seed 1, n = 8, 120 letters), then times mu, pi and
+closure_components on it, closure_gauss and braid of it, the aligned
+isomorphic test of its closure against the closure of its braid, and
+validate of its closure.  The braid round trip gives back equal Gauss
+data, so the isomorphic row (and isomorphic_wide below) times the
+equal-link return; the isomorphic_relabeled row times the same closure
+against a relabelling of it (a seed-1 shuffle of its crossings), so that
+the matcher that forces a witness piece by piece is timed too.
 The separates row times separates of that word against the word with the
 first far-commuting pair at or after its middle swapped, a neighbour that
 mu does not separate; the separates_distinct row times it against the word
@@ -50,6 +55,7 @@ import timeit
 from doodlekit import (
     apply_derived,
     braid,
+    closure_components,
     closure_gauss,
     isomorphic,
     mu,
@@ -57,6 +63,7 @@ from doodlekit import (
     parse_gauss,
     parse_word,
     pi,
+    relabel,
     separates,
     validate,
 )
@@ -134,6 +141,9 @@ def main() -> int:
     w = random_word(random.Random(SEED), STRANDS, LETTERS)
     g = closure_gauss(w)
     h = closure_gauss(braid(g))
+    sigma = list(range(1, g.crossings + 1))
+    random.Random(SEED).shuffle(sigma)
+    relabeled = relabel(g, tuple(sigma))
     kishino = braid(parse_gauss(FIXTURE.read_text()))
     # a prefix of a free-reduced word is free-reduced
     drawn = free_reduce(random_word(random.Random(SEED), FAN_STRANDS, 4 * FAN_LETTERS))
@@ -151,11 +161,13 @@ def main() -> int:
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
+        "closure_components": (lambda: closure_components(w), size),
         "separates": (lambda: separates(w, swapped), {"n": w.strands, "letters": len(w), "middle": 2}),
         "separates_distinct": (lambda: separates(w, flipped), {"n": w.strands, "letters": len(w), "middle": 1}),
         "closure_gauss": (lambda: closure_gauss(w), size),
         "braid": (lambda: braid(g), size),
         "isomorphic": (lambda: isomorphic(h, g), size),
+        "isomorphic_relabeled": (lambda: isomorphic(g, relabeled), size),
         "validate": (lambda: validate(g), size),
         "fan": fan(kishino),
         "fan_random": fan(other),

@@ -170,11 +170,14 @@ def isomorphic(g1: GaussData, g2: GaussData) -> Optional[tuple[int, ...]]:
     least unmapped crossing roots the next piece, and its unused images
     are tried in ascending order; the first whose piece closes is kept.
     That is exact, because pieces that map onto one another are
-    interchangeable.  Free-loop counts must agree.
+    interchangeable.  Free-loop counts must agree.  Equal links return the
+    identity at once: the least of all bijections is then a witness.
     """
     if g1.crossings != g2.crossings or g1.free_loops != g2.free_loops:
         return None
     n = g1.crossings
+    if g1.link == g2.link:  # the identity is a witness, and no bijection is less
+        return tuple(range(1, n + 1))
     sigma = [-1] * n  # 0-based images
     used = [False] * n  # whole pieces of g2: a walk from an unused d never enters them
     for root in range(n):
@@ -208,14 +211,15 @@ def closure_gauss(w: TwinWord) -> GaussData:
     at = list(range(n))  # at[p] = the 0-based strand at 0-based position p
     entries: list[list[int]] = [[] for _ in range(n)]  # entry ends along each strand
     e = 0  # slot-1 end of the next crossing
-    for a in w.code:
-        i = abs(a) - 1  # 0-based position of the left strand
-        left, right = at[i], at[i + 1]
+    for a in w.code:  # a letter at index i swaps 0-based positions i - 1 and i
         if a > 0:  # real
+            left, right = at[a - 1], at[a]
             entries[left].append(e)
             entries[right].append(e + 1)
             e += 4
-        at[i], at[i + 1] = right, left
+            at[a - 1], at[a] = right, left
+        else:
+            at[-a - 1], at[-a] = at[-a], at[-a - 1]
 
     # the closure joins bottom position p to top position p, so the strand
     # that ends at p runs on as strand p; each entry x leaves at exit x ^ 3
@@ -229,8 +233,10 @@ def closure_gauss(w: TwinWord) -> GaussData:
             run += entries[s]
             nxt[s], s = -1, nxt[s]
         free_loops += not run
-        for x, y in zip(run, run[1:] + run[:1]):
-            link[x ^ 3], link[y] = y, x ^ 3
+        prev = run[-1] ^ 3 if run else 0  # the exit that leads into run[0]
+        for x in run:
+            link[prev], link[x] = x, prev
+            prev = x ^ 3
     return _gauss(e // 4, tuple(link), free_loops)
 
 

@@ -279,25 +279,34 @@ class Permutation:
         return "".join("(" + " ".join(str(k) for k in c) + ")" for c in parts)
 
 
+def _at(n: int, code: tuple[int, ...]) -> list[int]:
+    """at[p] = the 0-based top position of the strand at 0-based bottom position p."""
+    at = list(range(n))
+    for i in map(abs, code):
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return at
+
+
 def pi(w: TwinWord) -> Permutation:
     """Image of w under the natural surjection VT_n -> S_n.
 
     Both letter kinds at index i act as the adjacent transposition
     (i, i+1); letters act leftmost first.
     """
-    images = list(range(1, w.strands + 1))
-    where = [0, *range(w.strands)]  # where[v] = the k with images[k] == v
-    for a in w.code:
-        i = abs(a)
-        k, m = where[i], where[i + 1]
-        images[k], images[m] = i + 1, i
-        where[i], where[i + 1] = m, k
+    images = [0] * w.strands
+    for p, k in enumerate(_at(w.strands, w.code), 1):
+        images[k] = p
     return Permutation(tuple(images))
 
 
 def closure_components(w: TwinWord) -> int:
     """Number of components of the closure doodle: cycles of pi(w)."""
-    return len(pi(w).cycles())
+    at, count = _at(w.strands, w.code), 0
+    for k in range(w.strands):
+        count += at[k] >= 0
+        while at[k] >= 0:  # walked positions get -1
+            at[k], k = -1, at[k]
+    return count
 
 
 def random_word(rng, strands: int, length: int) -> TwinWord:

@@ -1,14 +1,43 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 from doodlekit.alexander import braid
 from doodlekit.errors import InvalidGaussData
-from doodlekit.gauss import GaussData, closure_gauss, isomorphic, parse_gauss
-from doodlekit.words import REAL, parse_word, random_word
+from doodlekit.gauss import GaussData, closure_gauss, isomorphic, parse_gauss, relabel
+from doodlekit.words import REAL, TwinWord, parse_word, random_word
 
 
 def real_count(word):
     return sum(1 for l in word.letters if l.kind == REAL)
+
+
+@st.composite
+def closures(draw):
+    """The closure of a word with n <= 7 and at most 30 letters, and a relabelled copy."""
+    n = draw(st.integers(1, 7))
+    # 1..n-1 are s_1..s_{n-1}; n..2n-2 become r_1..r_{n-1}
+    letters = draw(st.lists(st.integers(1, 2 * n - 2), max_size=30)) if n > 1 else []
+    g = closure_gauss(TwinWord(n, tuple(a if a < n else n - 1 - a for a in letters)))
+    return g, relabel(g, tuple(draw(st.permutations(range(1, g.crossings + 1)))))
+
+
+def assert_roundtrip_exact(g):
+    back = closure_gauss(braid(g))
+    assert back == g  # the same crossing count, link and free loops
+    assert isomorphic(back, g) == tuple(range(1, g.crossings + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closures())
+def test_roundtrip_is_exact(pair):
+    """The closure of the braid is the diagram itself: equal, not only isomorphic."""
+    for g in pair:
+        assert_roundtrip_exact(g)
+
+
+def test_roundtrip_is_exact_on_kishino():
+    assert_roundtrip_exact(parse_gauss(fixture_text("kishino.gauss")))
 
 
 class TestBraid:

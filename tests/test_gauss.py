@@ -65,6 +65,14 @@ class TestValidate:
             with pytest.raises(error):
                 validate(_gauss(1, link, 0))
 
+    @pytest.mark.parametrize("crossings, free_loops", [(-1, 0), (0, -1)])
+    def test_negative_count_rechecked(self, crossings, free_loops):
+        with pytest.raises(NegativeCount):
+            validate(_gauss(crossings, (), free_loops))
+
+    def test_str_is_the_file_format(self):
+        assert str(KINK) == format_gauss(KINK)
+
 
 class TestRelabel:
     @pytest.mark.parametrize("sigma", [(1,), (1, 1), (1, 3), (0, 1), (2, 1, 3)])

@@ -261,6 +261,10 @@ class TestLetter:
         with pytest.raises(IndexOutOfRange):
             Letter("s", index)
 
+    def test_word_iterates_its_letters(self):
+        word = w("s1 r2 s2", 3)
+        assert list(word) == list(word.letters) == [Letter("s", 1), Letter("r", 2), Letter("s", 2)]
+
     def test_word_stores_exact_ints(self):
         word = TwinWord(3, (Letter("s", 1), Letter("r", 2)))
         assert word.code == (1, -2) and all(type(a) is int for a in word.code)
