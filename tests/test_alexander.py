@@ -22,22 +22,14 @@ def closures(draw):
     return g, relabel(g, tuple(draw(st.permutations(range(1, g.crossings + 1)))))
 
 
-def assert_roundtrip_exact(g):
-    back = closure_gauss(braid(g))
-    assert back == g  # the same crossing count, link and free loops
-    assert isomorphic(back, g) == tuple(range(1, g.crossings + 1))
-
-
 @settings(max_examples=200, deadline=None)
 @given(closures())
 def test_roundtrip_is_exact(pair):
     """The closure of the braid is the diagram itself: equal, not only isomorphic."""
     for g in pair:
-        assert_roundtrip_exact(g)
-
-
-def test_roundtrip_is_exact_on_kishino():
-    assert_roundtrip_exact(parse_gauss(fixture_text("kishino.gauss")))
+        back = closure_gauss(braid(g))
+        assert back == g  # the same crossing count, link and free loops
+        assert isomorphic(back, g) == tuple(range(1, g.crossings + 1))
 
 
 class TestBraid:
@@ -84,12 +76,14 @@ class TestBraid:
             g = closure_gauss(word)
             out = braid(g)
             assert real_count(out) == g.crossings
+            assert closure_gauss(out) == g
             assert isomorphic(closure_gauss(out), g) is not None
 
     def test_roundtrip_kishino(self):
         g = parse_gauss(fixture_text("kishino.gauss"))
         out = braid(g)
         assert real_count(out) == 4
+        assert closure_gauss(out) == g
         assert isomorphic(closure_gauss(out), g) is not None
 
     def test_index_bounds_and_length(self, rng):

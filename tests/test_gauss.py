@@ -245,24 +245,30 @@ class TestIsomorphic:
         assert outcomes == {True, False}
 
     @staticmethod
-    def large_diagram():
-        """About 1,300 crossings: past the depth a recursive matcher reaches."""
+    def large_pair():
+        """About 1,300 crossings: past the depth a recursive matcher reaches.
+
+        The copy swaps crossings 2 and 3, so the links differ and the equal-link
+        return does not apply: rooting crossing 1 at 1 forces the whole piece.
+        """
         rng = random.Random(2600)
-        return closure_gauss(random_word(rng, 8, 2_600))
+        g = closure_gauss(random_word(rng, 8, 2_600))
+        sigma = (1, 3, 2) + tuple(range(4, g.crossings + 1))
+        return g, relabel(g, sigma), sigma
 
     def test_large_aligned_pair(self):
-        g = self.large_diagram()
-        assert g.crossings > 1_200
-        assert isomorphic(g, g) == tuple(range(1, g.crossings + 1))
+        g, h, sigma = self.large_pair()
+        assert g.crossings > 1_200 and g.link != h.link
+        assert isomorphic(g, h) == sigma
 
     def test_large_aligned_pair_cli(self, tmp_path):
-        g = self.large_diagram()
+        g, h, sigma = self.large_pair()
         paths = [tmp_path / "a.gauss", tmp_path / "b.gauss"]
-        for path in paths:
-            path.write_text(format_gauss(g), encoding="utf-8")
+        for path, data in zip(paths, (g, h)):
+            path.write_text(format_gauss(data), encoding="utf-8")
         code, out, _ = invoke("gauss-iso", *map(str, paths))
         assert code == 0
-        assert out.split() == [f"{k}->{k}" for k in range(1, g.crossings + 1)]
+        assert out.split() == [f"{k}->{v}" for k, v in enumerate(sigma, start=1)]
 
     def test_symmetric_relabeled_copy_is_fast(self):
         # five disjoint 13-crossing chains whose crossings all look alike
