@@ -31,7 +31,7 @@ FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "kishino
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-states", type=int, default=100_000)
+    ap.add_argument("--max-states", type=int, default=Budget.max_states)
     args = ap.parse_args()
 
     g = parse_gauss(FIXTURE.read_text())

@@ -17,7 +17,9 @@ both the middles and the whole words are folded.  Both rows give the
 letters of the middle where the two words differ.
 The closure_gauss, braid and isomorphic calls are timed again on a wide
 word (seed 1, n = 40, 1,200 letters), as the *_wide rows, so that the
-cost of many strands shows.
+cost of many strands shows; the braid_wider row times braid on a wider
+one still (seed 1, n = 200, 4,000 letters), where each list.index scan
+over the arcs in transit is long.
 The search fan is timed as one fully consumed _moves_int call with the
 default caps, on the braided Kishino doodle (fan) and on a free-reduced
 random word (fan_random: seed 1, n = 6, 14 letters), and as one neighbors
@@ -72,6 +74,7 @@ from doodlekit.words import TwinWord, free_reduce, random_word
 
 SEED, STRANDS, LETTERS = 1, 8, 120
 WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
+WIDER_STRANDS, WIDER_LETTERS = 200, 4_000
 FAN_STRANDS, FAN_LETTERS = 6, 14
 CAPPED_LETTERS = 15
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -154,6 +157,9 @@ def main() -> int:
     wide_g = closure_gauss(wide)
     wide_h = closure_gauss(braid(wide_g))
     wide_size = {"n": wide.strands, "letters": len(wide), "crossings": wide_g.crossings}
+    wider = random_word(random.Random(SEED), WIDER_STRANDS, WIDER_LETTERS)
+    wider_g = closure_gauss(wider)
+    wider_size = {"n": wider.strands, "letters": len(wider), "crossings": wider_g.crossings}
     item = dict(n=4, i=4, beta=parse_word("r1 r2", 4), kinds="srsr")
     trace = apply_derived("left-tail-mixed", **item).trace
     steps = len(trace.steps)
@@ -177,6 +183,7 @@ def main() -> int:
         "closure_gauss_wide": (lambda: closure_gauss(wide), wide_size),
         "braid_wide": (lambda: braid(wide_g), wide_size),
         "isomorphic_wide": (lambda: isomorphic(wide_h, wide_g), wide_size),
+        "braid_wider": (lambda: braid(wider_g), wider_size),
         "derived": (lambda: apply_derived("left-tail-mixed", **item), {"n": 4, "i": 4, "steps": steps}),
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
     }

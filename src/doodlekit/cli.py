@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--n2", type=int, required=True)
     c.add_argument("word1")
     c.add_argument("word2")
-    c.add_argument("--max-states", type=int, default=100_000)
+    c.add_argument("--max-states", type=int, default=Budget.max_states)
     c.add_argument("--max-len", type=int, default=None)
     c.add_argument("--max-n", type=int, default=None)
 

@@ -11,7 +11,10 @@ Right-handed items (words in VT_{n+1}, all on n >= 2):
     right-tail-mixed      b . t_n .. t_{c+1} t_c t_{c+1} .. t_n  ~  b (center c)
 
 The left-* items are the strand mirrors of these, and left-virtual-destab
-is the rewrite (1 (x) b) r_1 ~ b, which is not an atomic move.
+is the rewrite (1 (x) b) r_1 ~ b, which is not an atomic move.  The
+builders take the kinds of the t_j as one map from level j to the letter
+t_j itself, +j for s_j and -j for r_j; apply_derived makes it once from
+the 's'/'r' choices it is given.
 
 Construction strategy: every trace is an explicit chain of moves; none
 is searched for.  The right tail and exchange items are built by an
@@ -110,10 +113,6 @@ def _x_pattern(n: int, i: int, b1: tuple[int, ...], sign: int = 1) -> tuple[int,
     """s_n .. s_i b1 s_i .. s_n, or r_n .. r_i b1 r_i .. r_n for sign -1"""
     down = tuple(sign * x for x in range(n, i - 1, -1))
     return down + b1 + tuple(reversed(down))
-
-
-def _kind_letter(kind: str, j: int) -> int:
-    return j if kind == "s" else -j
 
 
 def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,24 +230,24 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
 
 
 def _mid_letters(
-    j: int, i: int, b1: tuple[int, ...], kinds: dict[int, str]
+    j: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
 ) -> tuple[int, ...]:
     """t_{j-1} .. t_i b1 t_i .. t_{j-1}"""
-    out = [_kind_letter(kinds[m], m) for m in range(j - 1, i - 1, -1)]
-    return tuple(out) + b1 + tuple(reversed(out))
+    out = tuple([kinds[m] for m in range(j - 1, i - 1, -1)])
+    return out + b1 + out[::-1]
 
 
 def _build_exchange_mixed(
-    b: _Builder, n: int, i: int, b1: tuple[int, ...], kinds: dict[int, str]
+    b: _Builder, n: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
 ) -> None:
     """word = t_n .. t_i b1 t_i .. t_n + b2  ->  all-virtual version + b2."""
     lead = len(_mid_letters(n + 1, i, b1, kinds))
     b2 = b.word[lead:]
     top = n
     for j in range(n, i - 1, -1):
-        if kinds[j] == "r":
+        if kinds[j] < 0:
             top = j - 1
-        elif j == i or kinds[j - 1] == "r":
+        elif j == i or kinds[j - 1] < 0:
             # top .. j is a maximal run of real levels: unwind the virtual
             # levels above it to real, then turn levels n .. j virtual
             if top < n:
@@ -263,21 +262,19 @@ def _build_exchange_mixed(
 # right-tail-mixed
 
 
-def _pal_tail(n: int, c: int, kinds: dict[int, str]) -> tuple[int, ...]:
+def _pal_tail(n: int, c: int, kinds: dict[int, int]) -> tuple[int, ...]:
     """t_n .. t_{c+1} t_c t_{c+1} .. t_n"""
-    return _mid_letters(n + 1, c + 1, (_kind_letter(kinds[c], c),), kinds)
+    return _mid_letters(n + 1, c + 1, (kinds[c],), kinds)
 
 
-def _build_tail_mixed(
-    b: _Builder, n: int, c: int, kinds: dict[int, str], blen: int
-) -> None:
+def _build_tail_mixed(b: _Builder, n: int, c: int, kinds: dict[int, int]) -> None:
     """word = beta + t_n .. t_{c+1} t_c t_{c+1} .. t_n  ->  beta."""
     if c == n:
         b.apply("M2", ("destab",))
         return
-    for _ in range(blen):
+    for _ in range(len(b.word) - 2 * (n - c) - 1):
         b.conj(b.word[0])
-    tc = _kind_letter(kinds[c], c)
+    tc = kinds[c]
     _build_exchange_mixed(b, n, c + 1, (tc,), kinds)
     # word = r_n .. r_{c+1} t_c r_{c+1} .. r_n + beta; move the palindrome
     # outward stage by stage (r_{k+1} t_k r_{k+1} = r_k t_{k+1} r_k)
@@ -328,8 +325,7 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
             b.comm(m + n - j + step)
     for _ in range(c):
         b.conj(b.word[-1])
-    kinds = dict.fromkeys(range(c + 1, n + 1), "r")
-    _build_tail_mixed(b, n, c + 1, kinds, len(b.word) - len(_pal_tail(n, c + 1, kinds)))
+    _build_tail_mixed(b, n, c + 1, {j: -j for j in range(c + 1, n + 1)})
     for j in range(c, 0, -1):
         b.conj(-j)
     return b.edges
@@ -413,14 +409,12 @@ def _req_word(w: TwinWord | None, strands: int, label: str) -> tuple[int, ...]:
     return t
 
 
-def _req_kinds(kinds, span, label="kinds"):
+def _req_kinds(kinds, span) -> dict[int, int]:
     if kinds is None:
-        kinds = ["s"] * len(span)
+        return {j: j for j in span}
     if len(kinds) != len(span) or any(k not in ("s", "r") for k in kinds):
-        raise PatternMismatch(
-            f"{label} must give 's'/'r' for each of indices {list(span)}"
-        )
-    return dict(zip(span, kinds))
+        raise PatternMismatch(f"kinds must give 's'/'r' for each of indices {list(span)}")
+    return {j: j if k == "s" else -j for j, k in zip(span, kinds)}
 
 
 def apply_derived(
@@ -438,23 +432,32 @@ def apply_derived(
     Parameters select the item, the ambient n, the depth index i
     (for the tail-mixed items the center index), the kind choices for t_j where
     applicable, and the sub-words; sub-words must be free-reduced and
-    carry the strand counts stated by the item.
+    carry the strand counts stated by the item.  An argument the item does
+    not take is a PatternMismatch too.
     """
     if n < 2:
         raise PatternMismatch("derived moves need n >= 2")
-    mirror = item.startswith("left-")
+    side, _, family = item.partition("-")
+    if item == "left-virtual-destab":
+        takes = {"beta"}
+    elif side in ("right", "left") and family in (
+        "tail-real", "exchange-run", "exchange-mixed", "tail-mixed"
+    ):
+        takes = {"i", "kinds"} if family.endswith("mixed") else {"i"}
+        takes |= {"beta"} if family.startswith("tail") else {"beta1", "beta2"}
+    else:
+        raise PatternMismatch(f"unknown derived item {item!r}")
+    given = {"i": i, "beta": beta, "beta1": beta1, "beta2": beta2, "kinds": kinds}
+    for name, value in given.items():
+        if value is not None and name not in takes:
+            raise PatternMismatch(f"item {item} takes no {name}")
+    mirror = side == "left"
     N = n + 1
 
     if item == "left-virtual-destab":
         bt = _req_word(beta, n, "beta")
         edges = _virtual_destab_edges((n, bt))
         return _finish(item, (N, _shift(bt, 1) + (-1,)), (n, bt), edges)
-
-    side, _, family = item.partition("-")
-    if side not in ("right", "left") or family not in (
-        "tail-real", "exchange-run", "exchange-mixed", "tail-mixed"
-    ):
-        raise PatternMismatch(f"unknown derived item {item!r}")
     if i is None or not 1 <= i <= n:
         raise PatternMismatch(f"item {item} needs 1 <= i <= n")
 
@@ -462,8 +465,8 @@ def apply_derived(
     # the mirror of (k (x) w) in VT_{n+1} is the mirror of w in VT_{n+1-k}
     ir = n + 1 - i if mirror else i
     span = range(1, i + 1) if mirror else range(i, n + 1)
-    kd = _req_kinds(kinds, span) if family.endswith("mixed") else dict.fromkeys(span, "s")
-    kd_r = {N - j: kd[j] for j in span} if mirror else kd
+    kd = _req_kinds(kinds, span)
+    kd_r = {N - j: N - j if a > 0 else j - N for j, a in kd.items()} if mirror else kd
     if family.startswith("tail"):
         bt = _req_word(beta, n, "beta")
         bt_r = _mirror(n, bt) if mirror else bt
@@ -472,7 +475,7 @@ def apply_derived(
         if family == "tail-real":
             _build_tail_real(b, n, ir)
         else:
-            _build_tail_mixed(b, n, ir, kd_r, len(bt_r))
+            _build_tail_mixed(b, n, ir, kd_r)
     else:
         b1 = _req_word(beta1, ir, "beta1")
         b2 = _req_word(beta2, n, "beta2")

@@ -103,6 +103,14 @@ Edge = tuple[State, str, tuple, State]  # (source, tag, params, result)
 
 _POSITION = re.compile(r"-?[0-9]+")
 
+# the parameters each move without a position or letter takes
+_FIXED = {
+    "M2": (("stab", "s"), ("stab", "r"), ("destab",)),
+    "M3": (("stab",), ("destab",)),
+    "M4": ((),),
+    "M5": ((),),
+}
+
 
 # ---------------------------------------------------------------------------
 # M0 rules
@@ -116,16 +124,16 @@ _LETTER_RULES = ("comm-grow", "square-ins")
 
 
 def _m0_tables() -> tuple[dict, dict]:
-    """The splice table and the rule table, generated from _RELATORS.
+    """The splice map and the rule table, generated from _RELATORS.
 
     A rotation of a relator, or of its reversal, split into a window of 2,
     3 or 4 letters and the rest gives the rewrite window -> rest reversed.
-    The splice table maps each window at i = 1 to its entries (rule,
-    replacement); _splices_at moves them to other levels.  The rule table
-    maps every M0 rule id to its window width and the rule that undoes it
-    at the same position.
+    The splice map sends (window, rule) at i = 1 to its replacement (24
+    entries; repeated rotations give the same entry again); _rules_at moves
+    it to other levels.  The rule table maps every M0 rule id to its window
+    width and the rule that undoes it at the same position.
     """
-    splices: dict[tuple, list] = {}
+    splices: dict[tuple[tuple, str], tuple] = {}
     rules = {
         "comm": (2, "comm"),
         "comm-shrink": (3, "comm-grow"),
@@ -151,10 +159,8 @@ def _m0_tables() -> tuple[dict, dict]:
                         if width == 4:
                             rule, paired = paired, rule
                     rules[rule] = (width, paired)
-                    entries = splices.setdefault(win, [])
-                    if (rule, rhs) not in entries:
-                        entries.append((rule, rhs))
-    return {win: tuple(entries) for win, entries in splices.items()}, rules
+                    splices.setdefault((win, rule), rhs)
+    return splices, rules
 
 
 _SPLICES, _M0_RULES = _m0_tables()
@@ -166,8 +172,8 @@ def _far(a: int, b: int) -> bool:
 
 @cache
 def _rules_at(d: int) -> dict[tuple[tuple, str], tuple[int, ...]]:
-    """_SPLICES moved up to i = d + 1, as (window, rule) -> replacement."""
-    return {(_shift(w, d), r): _shift(rhs, d) for w, rules in _SPLICES.items() for r, rhs in rules}
+    """_SPLICES moved up to i = d + 1."""
+    return {(_shift(w, d), r): _shift(rhs, d) for (w, r), rhs in _SPLICES.items()}
 
 
 @cache
@@ -684,10 +690,7 @@ def equivalent_closures(
 
 def _render_params(tag: str, params: tuple) -> list[str]:
     if tag == "M0":
-        out = [params[0], str(params[1])]
-        if len(params) > 2:
-            out.append(_tok(params[2]))
-        return out
+        return [params[0], str(params[1]), *map(_tok, params[2:])]
     if tag == "M1":
         return ["conj", _tok(params[1])]
     return [str(p) for p in params]
@@ -706,39 +709,18 @@ def format_certificate(left: TwinWord, right: TwinWord, trace: MoveTrace) -> str
 
 
 def _parse_params(tag: str, fields: list[str]) -> tuple:
-    def bad():
-        return CertificateError(f"bad parameters {fields} for move {tag}")
-
     if tag == "M0":
-        if len(fields) < 2 or fields[0] not in _M0_RULES:
-            raise bad()
-        if not _POSITION.fullmatch(fields[1]):
-            raise bad()
-        rule, pos = fields[0], int(fields[1])
-        if rule in _LETTER_RULES:
-            if len(fields) != 3:
-                raise bad()
-            return (rule, pos, _letter(fields[2]))
-        if len(fields) != 2:
-            raise bad()
-        return (rule, pos)
-    if tag == "M1":
+        if len(fields) >= 2 and fields[0] in _M0_RULES and _POSITION.fullmatch(fields[1]):
+            if len(fields) == 2 + (fields[0] in _LETTER_RULES):
+                return (fields[0], int(fields[1]), *map(_letter, fields[2:]))
+    elif tag == "M1":
         if len(fields) == 2 and fields[0] == "conj":
             return ("conj", _letter(fields[1]))
-        raise bad()
-    if tag == "M2":
-        if fields == ["destab"] or (len(fields) == 2 and fields[0] == "stab" and fields[1] in ("s", "r")):
-            return tuple(fields)
-        raise bad()
-    if tag == "M3":
-        if fields in (["stab"], ["destab"]):
-            return tuple(fields)
-        raise bad()
-    if tag in ("M4", "M5"):
-        if fields:
-            raise bad()
-        return ()
-    raise CertificateError(f"unknown move tag {tag!r}")
+    elif tag not in _FIXED:
+        raise CertificateError(f"unknown move tag {tag!r}")
+    elif tuple(fields) in _FIXED[tag]:
+        return tuple(fields)
+    raise CertificateError(f"bad parameters {fields} for move {tag}")
 
 
 def parse_certificate(text: str):

@@ -266,6 +266,23 @@ class TestValidation:
         with pytest.raises(PatternMismatch):
             apply_derived("right-tail-real", n=1, i=1)
 
+    @pytest.mark.parametrize(
+        "item,kw,stray",
+        [
+            ("right-tail-real", dict(n=2, i=1, beta=w("r1", 2), kinds=["r", "r"]), "kinds"),
+            ("right-tail-real", dict(n=2, i=1, beta1=w("", 1)), "beta1"),
+            ("right-exchange-run", dict(n=2, i=1, beta2=w("r1", 2), kinds=["x"]), "kinds"),
+            ("right-exchange-mixed", dict(n=2, i=1, beta=w("s1", 2)), "beta"),
+            ("left-tail-mixed", dict(n=2, i=1, beta=w("s1", 2), kinds=["r"], beta2=w("", 2)), "beta2"),
+            ("left-virtual-destab", dict(n=2, i=5, beta=w("s1", 2)), "i"),
+            ("left-virtual-destab", dict(n=2, beta1=w("s1", 2)), "beta1"),
+            ("left-virtual-destab", dict(n=2, kinds="zz"), "kinds"),
+        ],
+    )
+    def test_stray_argument(self, item, kw, stray):
+        with pytest.raises(PatternMismatch, match=f"^item {item} takes no {stray}$"):
+            apply_derived(item, **kw)
+
     def test_defaults(self):
         # beta=None is the empty word, kinds=None is all real
         assert len(apply_derived("right-tail-real", n=3, i=1).trace.steps) == 16

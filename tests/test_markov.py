@@ -9,6 +9,8 @@ from doodlekit.freegroup import mu
 from doodlekit.gauss import closure_gauss
 from doodlekit.alexander import braid
 from doodlekit.markov import (
+    _LETTER_RULES,
+    _M0_RULES,
     Budget,
     Distinct,
     Equivalent,
@@ -21,6 +23,7 @@ from doodlekit.markov import (
     _moves_int,
     _parse_params,
     _reduce,
+    _render_params,
     _square_edges,
     apply_move,
     equivalent_closures,
@@ -479,6 +482,18 @@ class TestEquivalentClosures:
         verify_certificate(format_certificate(u, v, verdict.trace))
 
 
+# step lines one field away from a form the certificate grammar accepts
+NEAR_MISSES = [
+    "step M0 comm 0 s1 -> s1 @ n=2",    # a letter on a rule that takes none
+    "step M0 comm-grow 0 s1 s1 -> s1 s1 s1 @ n=2",  # two letters
+    "step M0 braid x -> s1 @ n=2",      # position not a number
+    "step M2 destab s -> s1 @ n=2",     # destab takes no kind
+    "step M2 stab x -> s1 @ n=2",       # kind neither s nor r
+    "step M3 destab destab -> s1 @ n=2",  # field repeated
+    "step M5 x -> s1 @ n=2",            # M5 takes no field
+]
+
+
 class TestCertificates:
     def roundtrip(self, u, v):
         verdict = equivalent_closures(u, v)
@@ -544,7 +559,8 @@ class TestCertificates:
             "step M3 stab s -> s1 @ n=2",       # M3 stabilizes with s only
             "step M9 -> s1 @ n=2",              # unknown move
             "stop M1 conj s1 -> s1 @ n=2",      # not a step line
-        ],
+        ]
+        + NEAR_MISSES,
     )
     def test_malformed_step_lines_rejected(self, line):
         cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
@@ -591,6 +607,21 @@ class TestCertificates:
             verify_certificate(cert)
         assert str(info.value) == message
         assert type(info.value.__cause__) is (cause or type(None))
+
+    @pytest.mark.parametrize(
+        "tag,params",
+        [("M0", (rule, 3, -2) if rule in _LETTER_RULES else (rule, 3)) for rule in _M0_RULES]
+        + [("M1", ("conj", -2)), ("M2", ("stab", "s")), ("M2", ("stab", "r")), ("M2", ("destab",))]
+        + [("M3", ("stab",)), ("M3", ("destab",)), ("M4", ()), ("M5", ())],
+    )
+    def test_params_round_trip(self, tag, params):
+        assert _parse_params(tag, _render_params(tag, params)) == params
+
+    @pytest.mark.parametrize("line", NEAR_MISSES)
+    def test_near_misses_fail_to_parse(self, line):
+        cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
+        with pytest.raises(CertificateError, match="^bad parameters "):
+            parse_certificate(cert)
 
     def test_trace_steps_share_words(self):
         verdict = equivalent_closures(w("s2 r1", 3), w("s1", 2))
