@@ -32,7 +32,11 @@ n = 4, center 4, beta r1 r2 and kinds srsr (126 steps): a mirrored trace
 whose arm splices an exchange-mixed chain run backwards.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
-state the step before ended at.  Each figure is
+state the step before ended at.  The parse_word row times parse_word on
+the text of the seed-1 word (n = 8, 120 letters), and the
+verify_certificate row one verify_certificate call on the certificate
+tests/golden/equiv_mixs_braid.txt (n = 3, 7 steps), which parses every
+header and step line and replays the steps.  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
 the diagram layers, crossings, and for the derived rows the trace steps.  The
@@ -59,6 +63,7 @@ from doodlekit import (
     braid,
     closure_components,
     closure_gauss,
+    format_word,
     isomorphic,
     mu,
     neighbors,
@@ -68,6 +73,7 @@ from doodlekit import (
     relabel,
     separates,
     validate,
+    verify_certificate,
 )
 from doodlekit.markov import Budget, _edge_trace, _moves_int
 from doodlekit.words import TwinWord, free_reduce, random_word
@@ -79,6 +85,7 @@ FAN_STRANDS, FAN_LETTERS = 6, 14
 CAPPED_LETTERS = 15
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "kishino.gauss"
+CERTIFICATE = ROOT / "tests" / "golden" / "equiv_mixs_braid.txt"
 
 # the benchmark's machine-speed loop, so that ref_us means the same in both
 sys.path.insert(0, str(ROOT / "bench"))
@@ -164,6 +171,10 @@ def main() -> int:
     trace = apply_derived("left-tail-mixed", **item).trace
     steps = len(trace.steps)
     checked = chain(trace)
+    text = format_word(w)
+    certificate = CERTIFICATE.read_text()
+    replayed = verify_certificate(certificate)
+    cert_size = {"n": replayed.start.strands, "steps": len(replayed.steps)}
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -186,6 +197,8 @@ def main() -> int:
         "braid_wider": (lambda: braid(wider_g), wider_size),
         "derived": (lambda: apply_derived("left-tail-mixed", **item), {"n": 4, "i": 4, "steps": steps}),
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
+        "parse_word": (lambda: parse_word(text, w.strands), {"n": w.strands, "letters": len(w)}),
+        "verify_certificate": (lambda: verify_certificate(certificate), cert_size),
     }
     layers = {}
     for name, (call, at) in calls.items():

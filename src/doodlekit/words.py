@@ -15,6 +15,9 @@ Conventions used throughout the package:
   :func:`shift_left` or by stabilization moves in :mod:`doodlekit.markov`.
 - ``n = 1`` is admitted and denotes the trivial group (empty words only),
   so destabilization out of VT_2 has a target.
+- A token's int comes from one bounded cache, ``_letter``, which
+  ``parse_word`` and the certificate grammar share; a bad token is never
+  cached, so it raises on every call.
 - Permutations compose left to right: ``pi(uv) = pi(u) then pi(v)``, and
   ``pi(w)[k]`` is the bottom endpoint of the strand entering at top
   position ``k``.
@@ -72,15 +75,16 @@ class Letter(int):
         return f"Letter(kind={self.kind!r}, index={self.index})"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _view(a: int) -> Letter:
-    """The Letter of an int; letters are immutable, so one cache serves all."""
+    """The Letter of an int; letters are immutable, so one bounded cache serves all."""
     return Letter(REAL if a > 0 else VIRTUAL, abs(a))
 
 
 _TOKEN = re.compile(r"([sr])([0-9]+)$")
 
 
+@functools.lru_cache(maxsize=1024)  # every token up to 512 strands
 def _letter(tok: str) -> int:
     """The int of one token ``s<i>`` or ``r<i>``."""
     m = _TOKEN.match(tok)
@@ -279,6 +283,13 @@ class Permutation:
         return "".join("(" + " ".join(str(k) for k in c) + ")" for c in parts)
 
 
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """A permutation that library code built as a bijection; nothing is checked."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def _at(n: int, code: tuple[int, ...]) -> list[int]:
     """at[p] = the 0-based top position of the strand at 0-based bottom position p."""
     at = list(range(n))
@@ -296,7 +307,7 @@ def pi(w: TwinWord) -> Permutation:
     images = [0] * w.strands
     for p, k in enumerate(_at(w.strands, w.code), 1):
         images[k] = p
-    return Permutation(tuple(images))
+    return _perm(tuple(images))
 
 
 def closure_components(w: TwinWord) -> int:

@@ -2,11 +2,13 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doodlekit.errors import IndexOutOfRange, InvalidStrandCount, UnknownToken
+from doodlekit import words
+from doodlekit.errors import DoodleError, IndexOutOfRange, InvalidStrandCount, UnknownToken
 from doodlekit.words import (
     Letter,
     Permutation,
@@ -75,6 +77,9 @@ class TestParse:
         ((1, 3, -2), "s3"),
         ((-1, -3, 3), "r3"),
         ((2, 0, -3), "r0"),
+        ((5, 0), "s5"),
+        ((0, 5), "r0"),
+        ((1, 0, -2), "r0"),
     ])
     def test_out_of_range_names_first_bad_token(self, code, token):
         with pytest.raises(IndexOutOfRange) as exc:
@@ -98,6 +103,78 @@ class TestParse:
     def test_word_file_has_one_token_line(self):
         with pytest.raises(UnknownToken):
             parse_word_file("n=3\ns1\ns2\n")
+
+
+REFERENCE_TOKEN = re.compile(r"([sr])([0-9]+)$")
+
+
+def reference_parse(text, n):
+    """parse_word written as one regex match per token and one check per letter."""
+    code = []
+    for tok in text.split():
+        m = REFERENCE_TOKEN.match(tok)
+        if m is None:
+            raise UnknownToken(f"bad token {tok!r}")
+        i = int(m.group(2))
+        if i < 1:
+            raise IndexOutOfRange(f"letter {tok} has index below 1")
+        code.append(i if m.group(1) == "s" else -i)
+    if n < 1:
+        raise InvalidStrandCount(f"strand count must be >= 1, got {n}")
+    for a in code:
+        if not 0 < abs(a) < n:
+            kind = "s" if a > 0 else "r"
+            raise IndexOutOfRange(f"letter {kind}{abs(a)} invalid on {n} strands")
+    return n, tuple(code)
+
+
+def outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except DoodleError as exc:
+        return type(exc), str(exc)
+
+
+# every one raises on 3 strands
+BAD_TOKENS = ["S1", "s", "s0", "s\u0663", "r-1", "s1x", "t1", "r0000000000", "s5", "s12345678901"]
+
+token_soups = st.lists(
+    st.one_of(
+        st.builds(lambda kind, i: f"{kind}{i}", st.sampled_from("sr"), st.integers(1, 12)),
+        st.sampled_from(BAD_TOKENS + ["s01", "r007"]),
+        st.from_regex(r"[sr][0-9]{10,20}", fullmatch=True),
+    ),
+    max_size=12,
+)
+
+
+class TestTokenTable:
+    @settings(max_examples=400, deadline=None)
+    @given(token_soups, st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=13, max_size=13),
+           st.integers(0, 12))
+    def test_parse_matches_reference_tokenizer(self, tokens, gaps, n):
+        text = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+
+        def parsed(text, n):
+            word = parse_word(text, n)
+            return word.strands, word.code
+
+        want = outcome(reference_parse, text, n)
+        assert outcome(parsed, text, n) == want
+        assert outcome(parsed, text, n) == want  # the second call reads the table
+
+    @pytest.mark.parametrize("token", BAD_TOKENS)
+    def test_bad_token_raises_every_call(self, token):
+        errors = []
+        for _ in range(2):
+            with pytest.raises((UnknownToken, IndexOutOfRange)) as exc:
+                parse_word(f"s1 {token}", 3)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+
+    def test_token_tables_are_bounded(self):
+        assert words._letter.cache_info().maxsize is not None
+        assert words._view.cache_info().maxsize is not None
 
 
 class TestFreeReduce:
