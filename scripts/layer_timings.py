@@ -36,7 +36,12 @@ state the step before ended at.  The parse_word row times parse_word on
 the text of the seed-1 word (n = 8, 120 letters), and the
 verify_certificate row one verify_certificate call on the certificate
 tests/golden/equiv_mixs_braid.txt (n = 3, 7 steps), which parses every
-header and step line and replays the steps.  Each figure is
+header and step line and replays the steps.  The two words of that
+certificate give the rows of the rest of a certificate round trip: the
+format_certificate row writes its replayed trace back to the same text,
+and the equivalent_closures_small row runs the search that found it, with
+the default budget, from the two words to the Equivalent verdict (square
+steps at both ends, since neither word is free-reduced).  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
 the diagram layers, crossings, and for the derived rows the trace steps.  The
@@ -63,6 +68,8 @@ from doodlekit import (
     braid,
     closure_components,
     closure_gauss,
+    equivalent_closures,
+    format_certificate,
     format_word,
     isomorphic,
     mu,
@@ -175,6 +182,7 @@ def main() -> int:
     certificate = CERTIFICATE.read_text()
     replayed = verify_certificate(certificate)
     cert_size = {"n": replayed.start.strands, "steps": len(replayed.steps)}
+    left, right = replayed.start, replayed.end
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -199,6 +207,8 @@ def main() -> int:
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
         "parse_word": (lambda: parse_word(text, w.strands), {"n": w.strands, "letters": len(w)}),
         "verify_certificate": (lambda: verify_certificate(certificate), cert_size),
+        "format_certificate": (lambda: format_certificate(left, right, replayed), cert_size),
+        "equivalent_closures_small": (lambda: equivalent_closures(left, right), cert_size),
     }
     layers = {}
     for name, (call, at) in calls.items():

@@ -35,9 +35,14 @@ splice seams only, see below):
 
 The search is a bidirectional breadth-first search keyed by
 (free-reduced word, strand count), with deterministic expansion order and
-a replayable stitched trace on success.  Unknown is a first-class verdict:
-the move system is complete but gives no length bound, so budgets are
-honest caps, not heuristics.
+a replayable stitched trace on success.  Square steps (M0 square-del and
+square-ins) appear in a search trace only where letters cancel: at an end
+whose input word is not free-reduced, which is joined to its root by
+square deletions (left) or insertions (right), and inside the inverse
+chain of a backward edge whose move cancelled letters.  A free-reduced end
+has no square chain and is not scanned for one.  Unknown is a first-class
+verdict: the move system is complete but gives no length bound, so
+budgets are honest caps, not heuristics.
 
 The fan takes free-reduced states only; the search reduces both roots and
 every move keeps a reduced word reduced.  An M0 move rewrites one window
@@ -80,7 +85,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterator, Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
@@ -654,9 +659,12 @@ def equivalent_closures(
                 prev, tag, params = visited[side][cur]
                 paths[side].append((prev, tag, params, cur))
                 cur = prev
-        # the v-side edges run v -> meet; their inverses run meet -> v
-        edges = _square_edges(nu, tu, su[1]) + paths[0][::-1]
-        edges += _invert_edges(paths[1][::-1]) + _square_edges(nv, sv[1], tv)
+        # the v-side edges run v -> meet; their inverses run meet -> v.  A
+        # square chain joins an unreduced end to its root; a reduced end has none
+        edges = _square_edges(nu, tu, su[1]) if tu != su[1] else []
+        edges += paths[0][::-1] + _invert_edges(paths[1][::-1])
+        if tv != sv[1]:
+            edges += _square_edges(nv, sv[1], tv)
         return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
 
     if su == sv:
@@ -723,6 +731,15 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
     raise CertificateError(f"bad parameters {fields} for move {tag}")
 
 
+@lru_cache(maxsize=1024)
+def _step_head(head: str) -> tuple[str, tuple]:
+    """The tag and parameters of the move fields of a step line.  Certificates
+    repeat a few heads, so each is split and parsed once; an error is never
+    cached, so a bad head raises on every call."""
+    fields = head.split()
+    return fields[0], _parse_params(fields[0], fields[1:])
+
+
 def parse_certificate(text: str):
     """Parse a certificate into (left, right, steps) without replaying."""
     lines = [
@@ -755,9 +772,7 @@ def parse_certificate(text: str):
             body, ncl = rhs.rsplit("@ n=", 1)
             n = _count(ncl.strip())
             result = parse_word(body.strip(), n)
-            fields = head.split()
-            tag = fields[0]
-            params = _parse_params(tag, fields[1:])
+            tag, params = _step_head(head)
         except CertificateError:
             raise
         except (ValueError, IndexError, DoodleError) as exc:

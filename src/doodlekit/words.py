@@ -15,9 +15,11 @@ Conventions used throughout the package:
   :func:`shift_left` or by stabilization moves in :mod:`doodlekit.markov`.
 - ``n = 1`` is admitted and denotes the trivial group (empty words only),
   so destabilization out of VT_2 has a target.
-- A token's int comes from one bounded cache, ``_letter``, which
-  ``parse_word`` and the certificate grammar share; a bad token is never
-  cached, so it raises on every call.
+- Tokens and ints convert through two bounded caches that are each
+  other's inverse: ``_letter`` maps a token to its int, for ``parse_word``
+  and the certificate grammar, and ``_tok`` maps an int to its token, for
+  ``format_word``, certificates and messages.  A bad token is never cached,
+  so it raises on every call.
 - Permutations compose left to right: ``pi(uv) = pi(u) then pi(v)``, and
   ``pi(w)[k]`` is the bottom endpoint of the strand entering at top
   position ``k``.
@@ -39,8 +41,10 @@ REAL = "s"
 VIRTUAL = "r"
 
 
+@functools.lru_cache(maxsize=1024)  # every letter up to 512 strands
 def _tok(a: int) -> str:
-    """The token of a letter; ``:d`` keeps a Letter from printing its kind twice."""
+    """The token of a letter, the inverse of ``_letter``; ``:d`` keeps a
+    Letter from printing its kind twice."""
     return f"s{a:d}" if a > 0 else f"r{-a:d}"
 
 
@@ -90,7 +94,10 @@ def _letter(tok: str) -> int:
     m = _TOKEN.match(tok)
     if m is None:
         raise UnknownToken(f"bad token {tok!r}")
-    i = int(m.group(2))
+    try:
+        i = int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise UnknownToken(f"bad token {tok!r}: index too long") from None
     if i < 1:
         raise IndexOutOfRange(f"letter {tok} has index below 1")
     return i if m.group(1) == REAL else -i
@@ -112,14 +119,10 @@ class TwinWord:
     code: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.strands
-        if n < 1:
-            raise InvalidStrandCount(f"strand count must be >= 1, got {n}")
+        _check(self.strands, ())  # the strand count, before the letters are read
         code = tuple(map(operator.index, self.code))  # Letters become exact ints
+        _check(self.strands, code)
         object.__setattr__(self, "code", code)
-        for a in code:
-            if not 0 < abs(a) < n:
-                raise IndexOutOfRange(f"letter {_tok(a)} invalid on {n} strands")
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -135,6 +138,16 @@ class TwinWord:
         return format_word(self)
 
 
+def _check(n: int, code: tuple[int, ...]) -> None:
+    """Raise unless n is a strand count and every int a letter on n strands;
+    the message names the first bad letter."""
+    if n < 1:
+        raise InvalidStrandCount(f"strand count must be >= 1, got {n}")
+    for a in code:
+        if not 0 < abs(a) < n:
+            raise IndexOutOfRange(f"letter {_tok(a)} invalid on {n} strands")
+
+
 def _word(n: int, code: tuple[int, ...]) -> TwinWord:
     """A word that library code built from checked letters; nothing is checked."""
     w = object.__new__(TwinWord)
@@ -145,7 +158,9 @@ def _word(n: int, code: tuple[int, ...]) -> TwinWord:
 
 def parse_word(text: str, strands: int) -> TwinWord:
     """Parse whitespace-separated tokens ``s<i>`` / ``r<i>`` into a word."""
-    return TwinWord(strands, tuple(map(_letter, text.split())))
+    code = tuple(map(_letter, text.split()))  # exact ints, checked once below
+    _check(strands, code)
+    return _word(strands, code)
 
 
 def format_word(w: TwinWord) -> str:

@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -265,6 +266,18 @@ class TestUsage:
         code, _, err = invoke("pi", "--n", "3", "s9")
         assert code == 65 and "doodlekit:" in err
 
+    def test_overlong_token_is_a_parse_error(self, tmp_path):
+        token = "s" + "1" * 5000  # more digits than int() converts
+        code, out, err = invoke("reduce", "--n", "3", token)
+        assert (code, out) == (65, "") and err.startswith("doodlekit: bad token ")
+        header = f"doodlekit certificate\nleft n=2 : {token}\nright n=2 : s1\n"
+        step = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\nstep M1 conj {token} -> s1 @ n=2\n"
+        for text, message in ((header, "bad header line"), (step, "bad step line")):
+            path = tmp_path / "long.txt"
+            path.write_text(text)
+            code, out, err = invoke("verify-cert", str(path))
+            assert (code, out) == (65, "") and err.startswith(f"doodlekit: bad certificate: {message} ")
+
     def test_missing_file(self):
         code, _, _ = invoke("gauss-validate", "no/such/file.gauss")
         assert code == 65
@@ -305,3 +318,13 @@ def test_scripts_run(script, args, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
+
+
+SOURCES = sorted([*(FIXTURES.parent / "src" / "doodlekit").glob("*.py"),
+                  *(FIXTURES.parent / "scripts").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sources_parse_as_python_3_10(path):
+    # pyproject.toml sets requires-python >= 3.10: no syntax of a later release
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

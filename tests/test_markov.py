@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doodlekit import markov
 from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
 from doodlekit.freegroup import mu
 from doodlekit.gauss import closure_gauss
@@ -410,6 +411,33 @@ class TestEquivalentClosures:
         tags = [s.params[0] for s in verdict.trace.steps if s.tag == "M0"]
         assert "square-del" in tags and "square-ins" in tags
 
+    @pytest.mark.parametrize(
+        "a,b,squares",
+        [
+            ("s1 s2 s1", "s2 s1 s2", (False, False)),
+            ("r1 r2", "r2 r1", (False, False)),
+            ("s1 r2 s1", "s1 s2 s1", (False, False)),
+            ("s2 s2 r1 r2", "r2 r1", (True, False)),
+            ("r1 r2", "r2 s1 s1 r1", (False, True)),
+            ("r1 s2 r2 s1 s2 s2 r2", "s1 r2 s2 r2 r1 s1 s1 r2 r1", (True, True)),
+        ],
+    )
+    def test_square_chains_only_at_unreduced_ends(self, a, b, squares, monkeypatch):
+        scans = []
+
+        def recording(n, lhs, rhs):
+            scans.append((lhs, rhs))
+            return _square_edges(n, lhs, rhs)
+
+        monkeypatch.setattr(markov, "_square_edges", recording)
+        verdict = equivalent_closures(w(a, 3), w(b, 3), Budget(20_000))
+        steps = verdict.trace.steps
+        assert verdict.trace.replay()
+        ends = (steps[0], steps[-1])
+        assert tuple(s.tag == "M0" and s.params[0].startswith("square-") for s in ends) == squares
+        # a square chain is built only where letters cancel
+        assert all(lhs != rhs for lhs, rhs in scans)
+
     def test_exhaustion_reports_unknown(self):
         # with n capped at 1 nothing is reachable from the empty word
         verdict = equivalent_closures(w("", 1), w("r1", 2), Budget(1000, 4, 1))
@@ -620,8 +648,14 @@ class TestCertificates:
     @pytest.mark.parametrize("line", NEAR_MISSES)
     def test_near_misses_fail_to_parse(self, line):
         cert = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{line}\n"
-        with pytest.raises(CertificateError, match="^bad parameters "):
-            parse_certificate(cert)
+        for _ in range(2):  # a bad step head is never cached
+            with pytest.raises(CertificateError, match="^bad parameters "):
+                parse_certificate(cert)
+
+    def test_step_heads_are_a_bounded_table(self):
+        assert markov._step_head.cache_info().maxsize == 1024
+        assert markov._step_head("M0 comm-grow 0 s1") == ("M0", ("comm-grow", 0, 1))
+        assert markov._step_head("M4") == ("M4", ())
 
     def test_trace_steps_share_words(self):
         verdict = equivalent_closures(w("s2 r1", 3), w("s1", 2))

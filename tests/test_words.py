@@ -64,10 +64,28 @@ class TestParse:
     def test_bad_strand_count(self):
         with pytest.raises(InvalidStrandCount):
             w("", 0)
+        with pytest.raises(InvalidStrandCount):  # before the letters are read
+            TwinWord(0, ("x",))
 
     def test_index_zero(self):
         with pytest.raises(IndexOutOfRange):
             w("s0", 3)
+
+    def test_bad_token_before_bad_strand_count(self):
+        with pytest.raises(UnknownToken):
+            w("s1 t1", 0)
+        with pytest.raises(InvalidStrandCount) as exc:
+            w("s1 s9", 0)
+        assert str(exc.value) == "strand count must be >= 1, got 0"
+
+    def test_messages_name_the_first_bad_letter(self):
+        with pytest.raises(IndexOutOfRange) as exc:
+            w("s1 r3 s4", 3)
+        assert type(exc.value) is IndexOutOfRange
+        assert str(exc.value) == "letter r3 invalid on 3 strands"
+        with pytest.raises(IndexOutOfRange) as exc:
+            w("s1 r0", 3)
+        assert str(exc.value) == "letter r0 has index below 1"
 
     def test_one_strand_word_must_be_empty(self):
         with pytest.raises(IndexOutOfRange):
@@ -173,8 +191,25 @@ class TestTokenTable:
         assert errors[0] == errors[1]
 
     def test_token_tables_are_bounded(self):
-        assert words._letter.cache_info().maxsize is not None
+        assert words._letter.cache_info().maxsize == words._tok.cache_info().maxsize == 1024
         assert words._view.cache_info().maxsize is not None
+
+    def test_token_tables_are_inverse(self):
+        for a in range(1, 512):
+            for letter in (a, -a):
+                assert words._letter(words._tok(letter)) == letter
+        assert words._tok(Letter("r", 12)) == words._tok(-12) == "r12"
+        assert words._tok(Letter("s", 3)) == "s3"
+
+    def test_overlong_index_is_an_unknown_token(self):
+        # more digits than int() converts: the same error on every call
+        token = "s" + "1" * 5000
+        errors = []
+        for _ in range(2):
+            with pytest.raises(UnknownToken) as exc:
+                parse_word(f"s1 {token}", 3)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and errors[0].endswith(": index too long")
 
 
 class TestFreeReduce:
@@ -345,6 +380,8 @@ class TestLetter:
     def test_word_stores_exact_ints(self):
         word = TwinWord(3, (Letter("s", 1), Letter("r", 2)))
         assert word.code == (1, -2) and all(type(a) is int for a in word.code)
+        listed = TwinWord(3, [Letter("s", 1)])
+        assert type(listed.code) is tuple and type(listed.code[0]) is int
         assert word == TwinWord(3, (1, -2)) == w("s1 r2", 3)
         assert hash(word) == hash(TwinWord(3, (1, -2)))
         assert word.letters == (Letter("s", 1), Letter("r", 2))
