@@ -4,8 +4,9 @@
 Braids the fixture, then runs the budgeted move search against the empty
 word on one strand.  The Kishino doodle is a nontrivial flat virtual
 knot, so no certificate should ever appear; the component count cannot
-separate it either, and the expected outcome is an honest Unknown.
-Exits 1 if a certificate is found.
+separate it either, and the expected outcome is an honest Unknown after
+exactly --max-states expanded states, the last of them in the level where
+the budget runs out.  Exits 1 on any other outcome.
 """
 
 import argparse
@@ -48,9 +49,11 @@ def main() -> int:
         print(format_certificate(w, unknot, verdict.trace))
         return 1
     print(f"verdict: {verdict} ({dt:.1f}s)")
-    if isinstance(verdict, Unknown):
-        explored = verdict.states_explored
-        print(f"states explored: {explored} ({explored / dt:,.0f} states/s)")
+    if not isinstance(verdict, Unknown) or verdict.states_explored != args.max_states:
+        print(f"expected Unknown after exactly {args.max_states} states")
+        return 1
+    explored = verdict.states_explored
+    print(f"states explored: {explored} ({explored / dt:,.0f} states/s)")
     return 0
 
 

@@ -41,7 +41,11 @@ certificate give the rows of the rest of a certificate round trip: the
 format_certificate row writes its replayed trace back to the same text,
 and the equivalent_closures_small row runs the search that found it, with
 the default budget, from the two words to the Equivalent verdict (square
-steps at both ends, since neither word is free-reduced).  Each figure is
+steps at both ends, since neither word is free-reduced).  The
+equivalent_closures_unknown row times the benchmark's Kishino op: the
+braided Kishino doodle against the unknot at Budget(800), which ends
+Unknown when its budget runs out, so it times 800 expanded states, the
+last level's fan results only looked up, never stored.  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
 the diagram layers, crossings, and for the derived rows the trace steps.  The
@@ -90,6 +94,7 @@ WIDE_STRANDS, WIDE_LETTERS = 40, 1_200
 WIDER_STRANDS, WIDER_LETTERS = 200, 4_000
 FAN_STRANDS, FAN_LETTERS = 6, 14
 CAPPED_LETTERS = 15
+KISHINO_STATES = 800  # the budget of the benchmark's Kishino searches
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "kishino.gauss"
 CERTIFICATE = ROOT / "tests" / "golden" / "equiv_mixs_braid.txt"
@@ -162,6 +167,7 @@ def main() -> int:
     random.Random(SEED).shuffle(sigma)
     relabeled = relabel(g, tuple(sigma))
     kishino = braid(parse_gauss(FIXTURE.read_text()))
+    unknot = parse_word("", 1)
     # a prefix of a free-reduced word is free-reduced
     drawn = free_reduce(random_word(random.Random(SEED), FAN_STRANDS, 4 * FAN_LETTERS))
     other = TwinWord(FAN_STRANDS, drawn.code[:FAN_LETTERS])
@@ -209,6 +215,10 @@ def main() -> int:
         "verify_certificate": (lambda: verify_certificate(certificate), cert_size),
         "format_certificate": (lambda: format_certificate(left, right, replayed), cert_size),
         "equivalent_closures_small": (lambda: equivalent_closures(left, right), cert_size),
+        "equivalent_closures_unknown": (
+            lambda: equivalent_closures(kishino, unknot, Budget(KISHINO_STATES)),
+            {"n": kishino.strands, "letters": len(kishino), "max_states": KISHINO_STATES},
+        ),
     }
     layers = {}
     for name, (call, at) in calls.items():

@@ -27,6 +27,7 @@ from .markov import (
 )
 from .markov import equivalent_closures
 from .words import (
+    _quoted,
     closure_components,
     format_word,
     format_word_file,
@@ -48,6 +49,14 @@ class _UsageError(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    """An int option; argparse's own message would quote all of a long value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="doodlekit", description=__doc__)
     p.add_argument("--version", action="version", version=f"doodlekit {__version__}")
@@ -55,7 +64,7 @@ def _build_parser() -> _Parser:
 
     def word_cmd(name, help_):
         c = sub.add_parser(name, help=help_)
-        c.add_argument("--n", type=int, required=True, help="strand count")
+        c.add_argument("--n", type=_int, required=True, help="strand count")
         c.add_argument("word", help="word tokens, e.g. 's1 r2'")
         return c
 
@@ -65,10 +74,10 @@ def _build_parser() -> _Parser:
     word_cmd("mu", "free-group substitution images of the word")
 
     c = sub.add_parser("verify-relations", help="check the defining relations under mu")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int, required=True)
 
     c = sub.add_parser("separates", help="sound inequality test via mu")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int, required=True)
     c.add_argument("word1")
     c.add_argument("word2")
 
@@ -80,20 +89,20 @@ def _build_parser() -> _Parser:
     c.add_argument("path2")
 
     c = sub.add_parser("closure-gauss", help="Gauss data of the closure of a word")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int, required=True)
     c.add_argument("word")
 
     c = sub.add_parser("braid", help="braiding: Gauss file in, word file out")
     c.add_argument("path")
 
     c = sub.add_parser("equiv", help="budgeted Markov-move equivalence search")
-    c.add_argument("--n1", type=int, required=True)
-    c.add_argument("--n2", type=int, required=True)
+    c.add_argument("--n1", type=_int, required=True)
+    c.add_argument("--n2", type=_int, required=True)
     c.add_argument("word1")
     c.add_argument("word2")
-    c.add_argument("--max-states", type=int, default=Budget.max_states)
-    c.add_argument("--max-len", type=int, default=None)
-    c.add_argument("--max-n", type=int, default=None)
+    c.add_argument("--max-states", type=_int, default=Budget.max_states)
+    c.add_argument("--max-len", type=_int, default=None)
+    c.add_argument("--max-n", type=_int, default=None)
 
     c = sub.add_parser("verify-cert", help="replay an equivalence certificate")
     c.add_argument("path")

@@ -65,7 +65,7 @@ from .markov import (
     _invert_edges,
     _square_edges,
 )
-from .words import TwinWord, _reduce, _shift
+from .words import TwinWord, _digits, _reduce, _shift
 
 
 @dataclass
@@ -402,7 +402,7 @@ def _req_word(w: TwinWord | None, strands: int, label: str) -> tuple[int, ...]:
     if w is None:
         return ()
     if w.strands != strands:
-        raise PatternMismatch(f"{label} must live in VT_{strands}")
+        raise PatternMismatch(f"{label} must live in VT_{_digits(strands)}")
     t = w.code
     if _reduce(t) != t:
         raise PatternMismatch(f"{label} must be free-reduced")

@@ -50,7 +50,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import RankMismatch
-from .words import TwinWord
+from .words import TwinWord, _digits
 
 # ---------------------------------------------------------------------------
 # free words
@@ -64,7 +64,7 @@ class FreeWord:
     def __post_init__(self) -> None:
         for a in self.letters:
             if a == 0 or abs(a) > self.rank:
-                raise ValueError(f"letter {a} out of range for rank {self.rank}")
+                raise ValueError(f"letter {_digits(a)} out of range for rank {_digits(self.rank)}")
 
     def __str__(self) -> str:
         if not self.letters:
@@ -133,7 +133,7 @@ class FreeEndomorphism:
 
     def apply(self, w: FreeWord) -> FreeWord:
         if w.rank != self.rank:
-            raise RankMismatch(f"rank {w.rank} word under rank {self.rank} map")
+            raise RankMismatch(f"rank {_digits(w.rank)} word under rank {_digits(self.rank)} map")
         out: list[int] = []
         for a in w.letters:
             img = self.images[abs(a) - 1]
@@ -144,7 +144,7 @@ class FreeEndomorphism:
 def compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
     """f o g, the map applying g first: x_k -> f(g(x_k)), reduced."""
     if f.rank != g.rank:
-        raise RankMismatch(f"cannot compose ranks {f.rank} and {g.rank}")
+        raise RankMismatch(f"cannot compose ranks {_digits(f.rank)} and {_digits(g.rank)}")
     return FreeEndomorphism(f.rank, tuple(f.apply(img) for img in g.images))
 
 
@@ -199,7 +199,7 @@ def relation_instances(n: int) -> list[tuple[str, TwinWord, TwinWord]]:
     the relation list is written.
     """
     if n < 2:
-        raise RankMismatch(f"relations need n >= 2, got {n}")
+        raise RankMismatch(f"relations need n >= 2, got {_digits(n)}")
 
     def w(*code: int) -> TwinWord:
         return TwinWord(n, code)
@@ -266,7 +266,7 @@ def separating_generator(u: TwinWord, v: TwinWord) -> int | None:
     A witness proves u != v in VT_n; None proves nothing on its own.
     """
     if u.strands != v.strands:
-        raise RankMismatch(f"strand counts differ: {u.strands} vs {v.strands}")
+        raise RankMismatch(f"strand counts differ: {_digits(u.strands)} vs {_digits(v.strands)}")
     rank, a, b = u.strands, u.code, v.code
     # u = P X S and v = P Y S with the longest P, then the longest S
     m = min(len(a), len(b))

@@ -34,7 +34,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import TwinWord, _count
+from .words import TwinWord, _count, _digits
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -93,16 +93,16 @@ def _link(n: int, arcs, free_loops: int) -> tuple[int, ...]:
     if n < 0 or free_loops < 0:
         raise NegativeCount("crossing and free-loop counts must be >= 0")
     if len(arcs) != 2 * n:
-        raise MatchingViolation(f"expected {2 * n} arcs, found {len(arcs)}")
+        raise MatchingViolation(f"expected {_digits(2 * n)} arcs, found {len(arcs)}")
     link = [0] * (4 * n)
     for (fc, fs), (tc, ts) in arcs:  # the first bad end is named
         if fs not in EXIT_SLOTS:
-            raise SlotMisuse(f"arc source {fc}.{fs} is not an exit end")
+            raise SlotMisuse(f"arc source {_digits(fc)}.{_digits(fs)} is not an exit end")
         if ts not in ENTRY_SLOTS:
-            raise SlotMisuse(f"arc target {tc}.{ts} is not an entry end")
+            raise SlotMisuse(f"arc target {_digits(tc)}.{_digits(ts)} is not an entry end")
         for c, s in ((fc, fs), (tc, ts)):
             if not 1 <= c <= n:
-                raise MatchingViolation(f"end {c}.{s} names no crossing")
+                raise MatchingViolation(f"end {_digits(c)}.{_digits(s)} names no crossing")
         link[4 * fc + fs - 5], link[4 * tc + ts - 5] = 4 * tc + ts - 5, 4 * fc + fs - 5
     # with 2n arcs on valid ends, a repeated end leaves a set short of 2n
     if len({frm for frm, _ in arcs}) != 2 * n:

@@ -42,7 +42,10 @@ square deletions (left) or insertions (right), and inside the inverse
 chain of a backward edge whose move cancelled letters.  A free-reduced end
 has no square chain and is not scanned for one.  Unknown is a first-class
 verdict: the move system is complete but gives no length bound, so
-budgets are honest caps, not heuristics.
+budgets are honest caps, not heuristics.  The level where the budget runs
+out is never expanded further, so it stores nothing: its fan edges are
+only tested against the other side's visited map, which finds the same
+first meet (equivalent_closures).
 
 The fan takes free-reduced states only; the search reduces both roots and
 every move keeps a reduced word reduced.  An M0 move rewrites one window
@@ -94,6 +97,7 @@ from .words import (
     TwinWord,
     _count,
     _letter,
+    _quoted,
     _reduce,
     _shift,
     _tok,
@@ -491,11 +495,19 @@ class Unknown:
 Verdict = Union[Equivalent, Distinct, Unknown]
 
 
+def _quoted_params(params: tuple) -> str:
+    """repr(params), each element quoted as words._quoted quotes it."""
+    if type(params) is not tuple:
+        return repr(params)
+    items = ", ".join(map(_quoted, params))
+    return f"({items},)" if len(params) == 1 else f"({items})"
+
+
 def apply_move(w: TwinWord, tag: str, params: tuple) -> TwinWord:
     """Apply one tagged rewrite; raises PatternMismatch if it does not fit."""
     res = _apply_int((w.strands, w.code), tag, params)
     if res is None:
-        raise PatternMismatch(f"move {tag} {params} does not apply to '{w}'")
+        raise PatternMismatch(f"move {tag} {_quoted_params(params)} does not apply to '{w}'")
     return TwinWord(*res)
 
 
@@ -636,6 +648,15 @@ def equivalent_closures(
     verdicts carry a replayable trace; Unknown reports the spent budget.
     Search states are free-reduced; unreduced inputs enter and leave the
     trace through explicit square-deletion / insertion M0 steps.
+
+    Each round expands one sorted level of the side with the smaller
+    frontier.  A level is final when the states left in the budget,
+    max_states - explored, are no more than its size: its first that many
+    states are expanded, and nothing it reaches ever is.  So that level
+    stores nothing and only tests each result against the other side.  This
+    is exact: a result already visited on its own side is never on the
+    other, since a state on both sides would have ended the search, so the
+    first hit is the meet the full level would find, with the same edge.
     """
     budget = budget or Budget()
     cu, cv = closure_components(u), closure_components(v)
@@ -675,12 +696,21 @@ def equivalent_closures(
             side = 0 if len(frontier[0]) < len(frontier[1]) else 1
         else:
             side = 0 if roots[0] <= roots[1] else 1
-        nxt: list[State] = []
         mine, other = visited[side], visited[1 - side]
-        for state in sorted(frontier[side]):
-            if explored >= max_states:
-                return Unknown(explored, budget)
-            explored += 1
+        level = sorted(frontier[side])
+        rest = max(max_states - explored, 0)
+        if rest <= len(level):
+            # the final level: nothing it reaches is expanded, so it only
+            # looks for a meet (docstring)
+            for state in level[:rest]:
+                for tag, params, res in _moves_int(state, max_len, max_n):
+                    if res in other:
+                        mine[res] = (state, tag, params)
+                        return build_verdict(res)
+            return Unknown(explored + rest, budget)
+        explored += len(level)
+        nxt: list[State] = []
+        for state in level:
             for tag, params, res in _moves_int(state, max_len, max_n):
                 entry = (state, tag, params)
                 if mine.setdefault(res, entry) is not entry:
@@ -794,7 +824,7 @@ def verify_certificate(text: str) -> MoveTrace:
             except PatternMismatch as exc:
                 raise CertificateError(str(exc)) from exc
             raise CertificateError(
-                f"step {tag} {params} gives '{word}', certificate claims '{result}'"
+                f"step {tag} {_quoted_params(params)} gives '{word}', certificate claims '{result}'"
             )
         steps.append(MoveInstance(tag, params, cur, result))
         cur = result

@@ -20,6 +20,11 @@ Conventions used throughout the package:
   and the certificate grammar, and ``_tok`` maps an int to its token, for
   ``format_word``, certificates and messages.  A bad token is never cached,
   so it raises on every call.
+- An error message quotes a token, index or count in full up to
+  ``_SHOWN`` characters or digits, and a longer one by its first
+  ``_SHOWN`` and its length (``_cut``, ``_digits``, ``_quoted``), so a
+  message stays one short line and never formats an int too long for
+  ``str``.
 - Permutations compose left to right: ``pi(uv) = pi(u) then pi(v)``, and
   ``pi(w)[k]`` is the bottom endpoint of the strand entering at top
   position ``k``.
@@ -41,6 +46,41 @@ REAL = "s"
 VIRTUAL = "r"
 
 
+_SHOWN = 20  # the most characters or digits a message quotes of a token, index or count
+
+
+def _cut(text: str, unit: str = "characters") -> str:
+    """text as a message quotes it: whole up to _SHOWN characters, else its
+    first _SHOWN and its length in units."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:_SHOWN]}... ({len(text)} {unit})"
+
+
+def _digits(a: int) -> str:
+    """An int as a message prints it: whole up to _SHOWN digits, else its
+    sign, its first _SHOWN digits and its digit count.  These come from
+    arithmetic, as str() refuses ints of more than 4,300 digits.  Any other
+    value prints as str() prints it."""
+    if not isinstance(a, int) or -(10**_SHOWN) < a < 10**_SHOWN:
+        return f"{a}"
+    m = abs(a)
+    d = max(int(m.bit_length() * 0.30102999566398120) - 1, _SHOWN)  # below the count
+    while 10**d <= m:
+        d += 1
+    return f"{'-' if a < 0 else ''}{m // 10 ** (d - _SHOWN)}... ({d} digits)"
+
+
+def _quoted(x: object) -> str:
+    """x as a message quotes a value: an exact int by _digits, a str by the
+    repr of its _cut, anything else by its repr."""
+    if type(x) is int:
+        return _digits(x)
+    if type(x) is str:
+        return repr(_cut(x))
+    return repr(x)
+
+
 @functools.lru_cache(maxsize=1024)  # every letter up to 512 strands
 def _tok(a: int) -> str:
     """The token of a letter, the inverse of ``_letter``; ``:d`` keeps a
@@ -55,10 +95,10 @@ class Letter(int):
 
     def __new__(cls, kind: str, index: int) -> "Letter":
         if kind not in (REAL, VIRTUAL):
-            raise UnknownToken(f"bad letter kind {kind!r}")
+            raise UnknownToken(f"bad letter kind {_quoted(kind)}")
         index = operator.index(index)
         if index < 1:
-            raise IndexOutOfRange(f"letter index must be >= 1, got {index}")
+            raise IndexOutOfRange(f"letter index must be >= 1, got {_digits(index)}")
         return super().__new__(cls, index if kind == REAL else -index)
 
     def __getnewargs__(self) -> tuple[str, int]:
@@ -93,13 +133,13 @@ def _letter(tok: str) -> int:
     """The int of one token ``s<i>`` or ``r<i>``."""
     m = _TOKEN.match(tok)
     if m is None:
-        raise UnknownToken(f"bad token {tok!r}")
+        raise UnknownToken(f"bad token {_quoted(tok)}")
     try:
         i = int(m.group(2))
     except ValueError:  # more digits than int() converts
-        raise UnknownToken(f"bad token {tok!r}: index too long") from None
+        raise UnknownToken(f"bad token {_quoted(tok)}: index too long") from None
     if i < 1:
-        raise IndexOutOfRange(f"letter {tok} has index below 1")
+        raise IndexOutOfRange(f"letter {tok[0]}{_cut(m.group(2), 'digits')} has index below 1")
     return i if m.group(1) == REAL else -i
 
 
@@ -107,7 +147,7 @@ def _count(text: str) -> int:
     """A count written in ASCII digits; int() alone would also take a sign,
     underscores and the digits of other scripts."""
     if not text.isascii() or not text.isdigit():
-        raise ValueError(f"not a count: {text!r}")
+        raise ValueError(f"not a count: {_quoted(text)}")
     return int(text)
 
 
@@ -142,10 +182,11 @@ def _check(n: int, code: tuple[int, ...]) -> None:
     """Raise unless n is a strand count and every int a letter on n strands;
     the message names the first bad letter."""
     if n < 1:
-        raise InvalidStrandCount(f"strand count must be >= 1, got {n}")
+        raise InvalidStrandCount(f"strand count must be >= 1, got {_digits(n)}")
     for a in code:
         if not 0 < abs(a) < n:
-            raise IndexOutOfRange(f"letter {_tok(a)} invalid on {n} strands")
+            tok = (REAL if a > 0 else VIRTUAL) + _digits(abs(a))  # _tok(a), cut
+            raise IndexOutOfRange(f"letter {tok} invalid on {_digits(n)} strands")
 
 
 def _word(n: int, code: tuple[int, ...]) -> TwinWord:
@@ -176,7 +217,7 @@ def parse_word_file(text: str) -> TwinWord:
     try:
         strands = _count(lines[0].strip()[2:])
     except ValueError as exc:
-        raise UnknownToken(f"bad strand header {lines[0]!r}") from exc
+        raise UnknownToken(f"bad strand header {_quoted(lines[0])}") from exc
     if len(lines) > 2:
         raise UnknownToken(f"word file has a second token line {lines[2]!r}")
     body = lines[1] if len(lines) > 1 else ""
@@ -191,7 +232,7 @@ def concat(u: TwinWord, v: TwinWord) -> TwinWord:
     """Concatenation u·v; both operands must share the strand count."""
     if u.strands != v.strands:
         raise InvalidStrandCount(
-            f"cannot concatenate words on {u.strands} and {v.strands} strands"
+            f"cannot concatenate words on {_digits(u.strands)} and {_digits(v.strands)} strands"
         )
     return TwinWord(u.strands, u.code + v.code)
 
@@ -225,7 +266,7 @@ def inverse(w: TwinWord) -> TwinWord:
 def shift_left(m: int, w: TwinWord) -> TwinWord:
     """Put m trivial strands on the left: every index grows by m."""
     if m < 0:
-        raise InvalidStrandCount(f"shift amount must be >= 0, got {m}")
+        raise InvalidStrandCount(f"shift amount must be >= 0, got {_digits(m)}")
     return TwinWord(w.strands + m, _shift(w.code, m))
 
 

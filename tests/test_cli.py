@@ -268,8 +268,9 @@ class TestUsage:
 
     def test_overlong_token_is_a_parse_error(self, tmp_path):
         token = "s" + "1" * 5000  # more digits than int() converts
-        code, out, err = invoke("reduce", "--n", "3", token)
-        assert (code, out) == (65, "") and err.startswith("doodlekit: bad token ")
+        assert invoke("reduce", "--n", "3", token) == (
+            65, "", "doodlekit: bad token 's1111111111111111111... (5001 characters)': index too long\n"
+        )
         header = f"doodlekit certificate\nleft n=2 : {token}\nright n=2 : s1\n"
         step = f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\nstep M1 conj {token} -> s1 @ n=2\n"
         for text, message in ((header, "bad header line"), (step, "bad step line")):
@@ -277,6 +278,26 @@ class TestUsage:
             path.write_text(text)
             code, out, err = invoke("verify-cert", str(path))
             assert (code, out) == (65, "") and err.startswith(f"doodlekit: bad certificate: {message} ")
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (("reduce", "--n", "3", "s" + "1" * 4000), 65,
+             "letter s11111111111111111111... (4000 digits) invalid on 3 strands"),
+            (("reduce", "--n", "-" + "1" * 4000, "s1"), 65,
+             "strand count must be >= 1, got -11111111111111111111... (4000 digits)"),
+            (("verify-relations", "--n", "-" + "1" * 4000), 65,
+             "relations need n >= 2, got -11111111111111111111... (4000 digits)"),
+            (("reduce", "--n", "1" * 5000, "s1"), 64,
+             "argument --n: invalid int value: '11111111111111111111... (5000 characters)'"),
+            (("reduce", "--n", "x", "s1"), 64, "argument --n: invalid int value: 'x'"),
+            (("equiv", "--n1", "2", "--n2", "2", "s1", "s1", "--max-states", "9" * 5000), 64,
+             "argument --max-states: invalid int value: '99999999999999999999... (5000 characters)'"),
+        ],
+        ids=["index", "strands", "relations", "int-option", "short-int-option", "max-states"],
+    )
+    def test_long_values_are_cut_in_messages(self, argv, code, message):
+        assert invoke(*argv) == (code, "", f"doodlekit: {message}\n")
 
     def test_missing_file(self):
         code, _, _ = invoke("gauss-validate", "no/such/file.gauss")
@@ -310,14 +331,25 @@ class TestUsage:
 ])
 def test_scripts_run(script, args, line):
     # the scripts call format_word and random_word; run them as a user would
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout
+
+
+def run_script(script, *args):
     src = str(FIXTURES.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(FIXTURES.parent / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout
+
+
+def test_kishino_probe_fails_unless_the_budget_is_spent():
+    # a negative budget expands no state, so the search ends Unknown after 0
+    proc = run_script("kishino_probe.py", "--max-states", "-1")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.endswith("expected Unknown after exactly -1 states\n")
 
 
 SOURCES = sorted([*(FIXTURES.parent / "src" / "doodlekit").glob("*.py"),

@@ -102,6 +102,7 @@ class TestFreeWords:
         ((1, 0, 2), "letter 0 out of range for rank 3"),
         ((1, 4, -5), "letter 4 out of range for rank 3"),
         ((2, -4, 0), "letter -4 out of range for rank 3"),
+        ((1, -(10**30)), "letter -10000000000000000000... (31 digits) out of range for rank 3"),
     ])
     def test_rejects_first_bad_letter(self, letters, message):
         with pytest.raises(ValueError) as exc:

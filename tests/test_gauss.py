@@ -51,6 +51,23 @@ class TestValidate:
         with pytest.raises(MatchingViolation):
             GaussData(1, frozenset({(End(1, 3), End(2, 1)), (End(1, 4), End(1, 2))}), 0)
 
+    @pytest.mark.parametrize(
+        "crossings,arcs,message",
+        [
+            (10**5000, [], "expected 20000000000000000000... (5001 digits) arcs, found 0"),
+            (1, [((1, 3), (10**5000, 1)), ((1, 4), (1, 2))],
+             "end 10000000000000000000... (5001 digits).1 names no crossing"),
+            (1, [((1, 10**30), (1, 1)), ((1, 4), (1, 2))],
+             "arc source 1.10000000000000000000... (31 digits) is not an exit end"),
+            (1, [((1, 3), (2, 1)), ((1, 4), (1, 2))], "end 2.1 names no crossing"),
+        ],
+        ids=["count", "crossing", "slot", "short"],
+    )
+    def test_messages_cut_long_numbers(self, crossings, arcs, message):
+        with pytest.raises((MatchingViolation, SlotMisuse)) as exc:
+            make_gauss(crossings, arcs)
+        assert str(exc.value) == message
+
 
     def test_link_rechecked(self):
         # validate re-checks a link that library code built without checks

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from doodlekit import markov
 from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
 from doodlekit.freegroup import mu
-from doodlekit.gauss import closure_gauss
+from doodlekit.gauss import closure_gauss, parse_gauss
 from doodlekit.alexander import braid
 from doodlekit.markov import (
     _LETTER_RULES,
@@ -42,6 +42,7 @@ from doodlekit.words import (
     pi,
     random_word,
 )
+from conftest import fixture_text
 from test_fan import m0_brute_force
 
 
@@ -136,6 +137,20 @@ class TestApplyMove:
         assert format_word(grown) == "s1 s1 s1"
         back = apply_move(grown, "M0", ("square-del", 1))
         assert back == w("s1", 2)
+
+    def test_long_parameters_are_cut(self):
+        # a message quotes at most 20 digits of a position or letter
+        with pytest.raises(PatternMismatch) as exc:
+            apply_move(w("s1", 3), "M1", ("conj", 10**5000))
+        assert str(exc.value) == (
+            "move M1 ('conj', 10000000000000000000... (5001 digits)) does not apply to 's1'"
+        )
+        step = "step M0 braid " + "1" * 4000 + " -> s1 @ n=2"
+        with pytest.raises(CertificateError) as exc:
+            verify_certificate(f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{step}\n")
+        assert str(exc.value) == (
+            "move M0 ('braid', 11111111111111111111... (4000 digits)) does not apply to 's1'"
+        )
 
     @pytest.mark.parametrize("pos", [-1, -2, -3, 2])
     def test_square_del_position_in_range(self, pos):
@@ -508,6 +523,101 @@ class TestEquivalentClosures:
         assert isinstance(verdict, Equivalent)
         assert verdict.trace.replay()
         verify_certificate(format_certificate(u, v, verdict.trace))
+
+
+def stored_search(u, v, budget):
+    """The search with every reached state stored, the final level's too:
+    each level is expanded state by state until the budget runs out.
+    Returns the verdict and the explored count at the start of each level."""
+    cu, cv = closure_components(u), closure_components(v)
+    if cu != cv:
+        return Distinct("closure_components", cu, cv), []
+    max_states, max_len, max_n = budget.resolve(u, v)
+    nu, tu, nv, tv = u.strands, u.code, v.strands, v.code
+    roots = su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
+    visited = [{su: None}, {sv: None}]
+    frontier = [[su], [sv]]
+    explored, starts = 0, []
+
+    def proof(meet):
+        paths = [[], []]
+        for side in (0, 1):
+            cur = meet
+            while visited[side][cur] is not None:
+                prev, tag, params = visited[side][cur]
+                paths[side].append((prev, tag, params, cur))
+                cur = prev
+        edges = _square_edges(nu, tu, su[1]) + paths[0][::-1]
+        edges += markov._invert_edges(paths[1][::-1]) + _square_edges(nv, sv[1], tv)
+        return Equivalent(_edge_trace((nu, tu), edges, (nv, tv))), starts
+
+    if su == sv:
+        return proof(su)
+    while frontier[0] and frontier[1]:
+        if len(frontier[0]) != len(frontier[1]):
+            side = 0 if len(frontier[0]) < len(frontier[1]) else 1
+        else:
+            side = 0 if roots[0] <= roots[1] else 1
+        starts.append(explored)
+        nxt, mine, other = [], visited[side], visited[1 - side]
+        for state in sorted(frontier[side]):
+            if explored >= max_states:
+                return Unknown(explored, budget), starts
+            explored += 1
+            for tag, params, res in _moves_int(state, max_len, max_n):
+                entry = (state, tag, params)
+                if mine.setdefault(res, entry) is not entry:
+                    continue
+                if res in other:
+                    return proof(res)
+                nxt.append(res)
+        frontier[side] = nxt
+    return Unknown(explored, budget), starts
+
+
+def outcome(u, v, verdict):
+    """What a verdict shows: its class, its explored count or its certificate."""
+    if isinstance(verdict, Equivalent):
+        return "Equivalent", format_certificate(u, v, verdict.trace)
+    if isinstance(verdict, Unknown):
+        return "Unknown", verdict.states_explored, verdict.budget
+    return "Distinct", verdict
+
+
+class TestFinalLevel:
+    """equivalent_closures stores nothing from the level where its budget
+    runs out; it must agree with stored_search, which stores everything."""
+
+    def agree(self, u, v, budget):
+        expected, starts = stored_search(u, v, budget)
+        assert outcome(u, v, equivalent_closures(u, v, budget)) == outcome(u, v, expected)
+        return expected, starts
+
+    def test_kishino_at_every_budget(self):
+        kishino = braid(parse_gauss(fixture_text("kishino.gauss")))
+        budgets = range(1, 121)
+        for max_states in budgets:
+            verdict, starts = self.agree(kishino, w("", 1), Budget(max_states))
+            assert verdict == Unknown(max_states, Budget(max_states))
+        # six of these budgets end exactly where a level ends
+        assert starts == [0, 1, 2, 4, 12, 25, 70]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_small_pairs(self, data):
+        n = data.draw(st.integers(1, 4))
+        letters = st.integers(1, max(n - 1, 1)).flatmap(lambda i: st.sampled_from((i, -i)))
+        size = 6 if n > 1 else 0
+        u, v = (TwinWord(n, data.draw(st.lists(letters, max_size=size))) for _ in "uv")
+        self.agree(u, v, Budget(data.draw(st.integers(1, 150))))
+
+    def test_meet_in_the_final_level(self):
+        u, v = w("s2 r1 s2 r1", 3), w("r2 s1", 3)
+        proved, starts = self.agree(u, v, Budget(84))
+        assert isinstance(proved, Equivalent) and proved.trace.replay()
+        # the meet is found expanding the 6th state of the level that starts at 78
+        assert starts == [0, 1, 2, 10, 18, 78]
+        assert self.agree(u, v, Budget(83))[0] == Unknown(83, Budget(83))
 
 
 # step lines one field away from a form the certificate grammar accepts

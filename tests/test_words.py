@@ -209,7 +209,68 @@ class TestTokenTable:
             with pytest.raises(UnknownToken) as exc:
                 parse_word(f"s1 {token}", 3)
             errors.append(str(exc.value))
-        assert errors[0] == errors[1] and errors[0].endswith(": index too long")
+        assert errors[0] == errors[1] == (
+            "bad token 's1111111111111111111... (5001 characters)': index too long"
+        )
+
+
+class TestLongValuesInMessages:
+    # a message quotes at most 20 characters or digits of a token, index or count
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: TwinWord(3, (10**5000,)), IndexOutOfRange,
+             "letter s10000000000000000000... (5001 digits) invalid on 3 strands"),
+            (lambda: TwinWord(3, (-(10**20),)), IndexOutOfRange,
+             "letter r10000000000000000000... (21 digits) invalid on 3 strands"),
+            (lambda: TwinWord(-(10**5000), ()), InvalidStrandCount,
+             "strand count must be >= 1, got -10000000000000000000... (5001 digits)"),
+            (lambda: Letter("s", -(10**5000)), IndexOutOfRange,
+             "letter index must be >= 1, got -10000000000000000000... (5001 digits)"),
+            (lambda: Letter(10**5000, 1), UnknownToken,
+             "bad letter kind 10000000000000000000... (5001 digits)"),
+            (lambda: shift_left(-(10**5000), w("", 2)), InvalidStrandCount,
+             "shift amount must be >= 0, got -10000000000000000000... (5001 digits)"),
+            (lambda: parse_word("s" + "0" * 21, 3), IndexOutOfRange,
+             "letter s00000000000000000000... (21 digits) has index below 1"),
+            (lambda: parse_word("s" + "2" * 30, 10**25), IndexOutOfRange,
+             "letter s22222222222222222222... (30 digits) invalid on "
+             "10000000000000000000... (26 digits) strands"),
+            (lambda: parse_word_file("n=" + "1" * 5000 + "\ns1\n"), UnknownToken,
+             "bad strand header 'n=111111111111111111... (5002 characters)'"),
+        ],
+    )
+    def test_long_values_are_cut(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: TwinWord(3, (10**19,)), IndexOutOfRange,
+             "letter s10000000000000000000 invalid on 3 strands"),
+            (lambda: TwinWord(-(10**19), ()), InvalidStrandCount,
+             "strand count must be >= 1, got -10000000000000000000"),
+            (lambda: parse_word("r" + "0" * 20, 3), IndexOutOfRange,
+             "letter r00000000000000000000 has index below 1"),
+            (lambda: parse_word("x" * 20, 3), UnknownToken, "bad token '" + "x" * 20 + "'"),
+        ],
+    )
+    def test_values_at_the_cap_are_whole(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
+
+    @given(st.integers(-(10**300), 10**300) | st.sampled_from(
+        [s * (10**k + d) for k in (19, 20, 21, 299) for d in (-1, 0, 1) for s in (1, -1)]))
+    def test_digits_agree_with_str(self, a):
+        text = str(abs(a))
+        sign = "-" if a < 0 else ""
+        if len(text) <= 20:
+            assert words._digits(a) == sign + text
+        else:
+            assert words._digits(a) == f"{sign}{text[:20]}... ({len(text)} digits)"
 
 
 class TestFreeReduce:
