@@ -28,8 +28,8 @@ the length cap: on the first 15-letter word of the breadth-first walk from
 the Kishino word (the walk of the benchmark's fan sample), under the caps
 of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
 fits.  The derived row times one apply_derived call, left-tail-mixed at
-n = 4, center 4, beta r1 r2 and kinds srsr (126 steps): a mirrored trace
-whose arm splices an exchange-mixed chain run backwards.  The edge_trace
+n = 4, center 4, beta r1 r2 and kinds srsr (85 steps): a mirrored trace
+whose one tail chain pushes through real and virtual letters.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
 state the step before ended at.  The parse_word row times parse_word on

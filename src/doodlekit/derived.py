@@ -17,20 +17,25 @@ t_j itself, +j for s_j and -j for r_j; apply_derived makes it once from
 the 's'/'r' choices it is given.
 
 Construction strategy: every trace is an explicit chain of moves; none
-is searched for.  The right tail and exchange items are built by an
-inductive chain (exchange-move flip, mixed-relation pushes through the
-nested palindrome, commutation sweeps, rotations by conjugation with an
-end letter, recursion, and a final braid merge); the tail and the
-exchange run share one push-and-sweep.  Mixed-kind arms convert run by
-run: each maximal run of real levels takes one exchange chain, after the
-virtual levels above it are unwound to real by that chain run backwards.
-The mixed tail then moves its palindrome outward in one stage loop, by
-braid steps around a virtual center and mix3 steps around a real one.  Two rules carry the rest, with V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
+is searched for.  The exchange items are built by an inductive chain
+(exchange-move flip, mixed-relation pushes through the nested
+palindrome, commutation sweeps, rotations by conjugation with an end
+letter, recursion, and a final braid merge).  Mixed-kind arms convert
+run by run: each maximal run of real levels takes one exchange chain,
+after the virtual levels above it are unwound to real by that chain run
+backwards.  Every tail, real or mixed, takes one chain with the same
+push-and-sweep: M4 flips the top pair if it is real, the pair passes a
+real letter by mixed-relation steps and a virtual one by braid steps,
+and the inner letters, each one index up with its kind kept, form a
+shorter tail.  Once every arm is virtual, a stage loop moves the
+palindrome outward by braid steps around a virtual center and mix3 steps
+around a real one.  Two rules carry the rest, with V = r_n .. r_i and
+Q = r_n .. r_1 in VT_{n+1}:
 
 - Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
   around one braid or mix3 step).  left-virtual-destab wraps Q around the
   lifted word by conjugation, pushes it through letter by letter, and
-  ends in the all-virtual mixed tail.
+  ends in the stage loop of an all-virtual tail.
 - r_j V = V r_{j+1}, r_{j+1} b1 = b1 r_{j+1} and r_{j+1} V^-1 = V^-1 r_j
   (two braid steps and far commutations), so conjugating Y = V b1 V^-1
   plus b2 by r_j slides the left copy through Y.  The exchange-run tail,
@@ -121,24 +126,27 @@ def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# right-tail-real
+# right tails, real and mixed
 
 
-def _push_sweep(step, start: int, levels: int, core: int, centre: bool) -> None:
+def _push_sweep(step, start: int, levels: int, core: int, centre: bool, virtual=()) -> None:
     """Push the virtual pair at start inward through a nest of push levels
     around core letters, then sweep the nested virtual letters out to
-    flanking runs; a one-letter centre takes one more mix3 and one more
-    sweep level.  step(rule, pos) takes one M0 step."""
+    flanking runs; a one-letter centre takes one more splice and one more
+    sweep level.  The pair passes a real letter by mixs-grow and mix3 and,
+    at the same positions, a virtual one by braid-grow and braid; virtual
+    holds the levels k whose letter is virtual, the centre at k = 0.
+    step(rule, pos) takes one M0 step."""
     ofs = start
     for k in range(levels, 0, -1):
-        step("mixs-grow", ofs)
+        step("braid-grow" if k in virtual else "mixs-grow", ofs)
         zlen = 2 * (k - 1) + core
         for j in range(zlen):
             step("comm", ofs + 3 + j)
-        step("mix3", ofs + 3 + zlen)
+        step("braid" if k in virtual else "mix3", ofs + 3 + zlen)
         ofs += 2
     if centre:
-        step("mix3", ofs)
+        step("braid" if 0 in virtual else "mix3", ofs)
     d = levels + centre
     for j in range(1, d):
         for k in range(j):
@@ -149,32 +157,51 @@ def _push_sweep(step, start: int, levels: int, core: int, centre: bool) -> None:
             step("comm", nest_end - 2 * j + k)
 
 
-def _build_tail_real(b: _Builder, n: int, i: int) -> None:
-    """word = (reduced VT_n prefix) + s_n .. s_i .. s_n  ->  prefix."""
-    base = len(b.word) - len(_x_pattern(n, i + 1, (i,)))
+def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
+    """word = (reduced VT_n prefix) + t_n .. t_{i+1} t_i t_{i+1} .. t_n  ->  prefix."""
     if i == n:
         b.apply("M2", ("destab",))
         return
-    b.apply("M4", ())
-    # The nest is the exchange run's at level i + 1 around the centre s_i.
-    # A push or sweep step can drop a letter pair into the word prefix (the
-    # prefix may end with the very letter arriving at its boundary); every
-    # such contact only consumes prefix-run letters that no later step
-    # touches, so tracking the accumulated slippage keeps all later
-    # positions exact.
+    base = len(b.word) - 2 * (n - i) - 1
+    if all(kinds[j] < 0 for j in range(i + 1, n + 1)):
+        # every arm is virtual: turn the prefix to the back and move the
+        # palindrome outward stage by stage (r_{k+1} t_k r_{k+1} = r_k t_{k+1} r_k)
+        for _ in range(base):
+            b.conj(b.word[0])
+        rule, center = "braid" if kinds[i] < 0 else "mix3", n - i - 1
+        for k in range(i, n):
+            b.m0(rule, center)
+            for step in range(n - k - 1):
+                b.comm(center - 1 - step)
+            for step in range(n - k - 1):
+                b.comm(center + 2 + step)
+        for _ in range(n - i + 1):
+            b.conj(b.word[0])
+        b.apply("M2", ("destab",))
+        for k in range(n - 1, i - 1, -1):
+            b.conj(-k)
+        return
+    if kinds[n] > 0:
+        b.apply("M4", ())
+    # The nest is the exchange run's at level i + 1 around the centre t_i.
+    # A step can drop a letter pair into the prefix, which may end with the
+    # letter arriving at its boundary; such a contact only consumes prefix
+    # letters that no later step touches, so the accumulated slip keeps all
+    # later positions exact.
     slip = 0
 
     def tracked(rule, pos):
         nonlocal slip
-        want = len(b.word) + (2 if rule == "mixs-grow" else 0)
+        want = len(b.word) + (2 if rule.endswith("-grow") else 0)
         b.m0(rule, pos - slip)
         slip += want - len(b.word)
 
-    _push_sweep(tracked, base, n - i - 1, 1, True)
-    # conjugate the flanking runs away and recurse on the shorter tail
+    _push_sweep(tracked, base, n - i - 1, 1, True, {k for k in range(n - i) if kinds[i + k] < 0})
+    # conjugate the flanking runs away and recurse on the shorter tail,
+    # whose letters t_i .. t_{n-1} each moved up one index, kinds kept
     for _ in range(n - i):
         b.conj(b.word[-1])
-    _build_tail_real(b, n, i + 1)
+    _build_tail(b, n, i + 1, {j + 1: j + 1 if kinds[j] > 0 else -j - 1 for j in range(i, n)})
     for k in range(i, n):
         b.conj(-k)
 
@@ -259,40 +286,6 @@ def _build_exchange_mixed(
 
 
 # ---------------------------------------------------------------------------
-# right-tail-mixed
-
-
-def _pal_tail(n: int, c: int, kinds: dict[int, int]) -> tuple[int, ...]:
-    """t_n .. t_{c+1} t_c t_{c+1} .. t_n"""
-    return _mid_letters(n + 1, c + 1, (kinds[c],), kinds)
-
-
-def _build_tail_mixed(b: _Builder, n: int, c: int, kinds: dict[int, int]) -> None:
-    """word = beta + t_n .. t_{c+1} t_c t_{c+1} .. t_n  ->  beta."""
-    if c == n:
-        b.apply("M2", ("destab",))
-        return
-    for _ in range(len(b.word) - 2 * (n - c) - 1):
-        b.conj(b.word[0])
-    tc = kinds[c]
-    _build_exchange_mixed(b, n, c + 1, (tc,), kinds)
-    # word = r_n .. r_{c+1} t_c r_{c+1} .. r_n + beta; move the palindrome
-    # outward stage by stage (r_{k+1} t_k r_{k+1} = r_k t_{k+1} r_k)
-    rule, center = "braid" if tc < 0 else "mix3", n - c - 1
-    for k in range(c, n):
-        b.m0(rule, center)
-        for step in range(n - k - 1):
-            b.comm(center - 1 - step)
-        for step in range(n - k - 1):
-            b.comm(center + 2 + step)
-    for _ in range(n - c + 1):
-        b.conj(b.word[0])
-    b.apply("M2", ("destab",))
-    for k in range(n - 1, c - 1, -1):
-        b.conj(-k)
-
-
-# ---------------------------------------------------------------------------
 # left-virtual-destab
 
 
@@ -325,7 +318,7 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
             b.comm(m + n - j + step)
     for _ in range(c):
         b.conj(b.word[-1])
-    _build_tail_mixed(b, n, c + 1, {j: -j for j in range(c + 1, n + 1)})
+    _build_tail(b, n, c + 1, {j: -j for j in range(c + 1, n + 1)})
     for j in range(c, 0, -1):
         b.conj(-j)
     return b.edges
@@ -470,12 +463,9 @@ def apply_derived(
     if family.startswith("tail"):
         bt = _req_word(beta, n, "beta")
         bt_r = _mirror(n, bt) if mirror else bt
-        start, end = bt_r + _pal_tail(n, ir, kd_r), (n, bt)
+        start, end = bt_r + _mid_letters(N, ir + 1, (kd_r[ir],), kd_r), (n, bt)
         b = _Builder((N, start))
-        if family == "tail-real":
-            _build_tail_real(b, n, ir)
-        else:
-            _build_tail_mixed(b, n, ir, kd_r)
+        _build_tail(b, n, ir, kd_r)
     else:
         b1 = _req_word(beta1, ir, "beta1")
         b2 = _req_word(beta2, n, "beta2")

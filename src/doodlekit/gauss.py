@@ -34,7 +34,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import TwinWord, _count, _digits
+from .words import TwinWord, _count, _digits, _quoted_line
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -274,7 +274,7 @@ def parse_gauss(text: str) -> GaussData:
             else:
                 raise ValueError
         except (ValueError, IndexError) as exc:
-            raise UnknownToken(f"bad gauss line {raw!r}") from exc
+            raise UnknownToken(f"bad gauss line {_quoted_line(raw)}") from exc
     if "crossings" not in counts:
         raise UnknownToken("missing 'crossings <n>' line")
     unique = frozenset(arcs)

@@ -98,6 +98,7 @@ from .words import (
     _count,
     _letter,
     _quoted,
+    _quoted_line,
     _reduce,
     _shift,
     _tok,
@@ -755,10 +756,10 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
         if len(fields) == 2 and fields[0] == "conj":
             return ("conj", _letter(fields[1]))
     elif tag not in _FIXED:
-        raise CertificateError(f"unknown move tag {tag!r}")
+        raise CertificateError(f"unknown move tag {_quoted_line(tag)}")
     elif tuple(fields) in _FIXED[tag]:
         return tuple(fields)
-    raise CertificateError(f"bad parameters {fields} for move {tag}")
+    raise CertificateError(f"bad parameters {_quoted_line(fields)} for move {tag}")
 
 
 @lru_cache(maxsize=1024)
@@ -786,7 +787,7 @@ def parse_certificate(text: str):
                 raise ValueError(line)
             return parse_word(body.strip(), _count(strands[2:]))
         except (ValueError, DoodleError) as exc:
-            raise CertificateError(f"bad header line {line!r}") from exc
+            raise CertificateError(f"bad header line {_quoted_line(line)}") from exc
 
     if len(lines) < 3:
         raise CertificateError("certificate lacks word headers")
@@ -796,7 +797,7 @@ def parse_certificate(text: str):
     raw_steps = []
     for line in lines[3:]:
         if not line.startswith("step "):
-            raise CertificateError(f"unexpected line {line!r}")
+            raise CertificateError(f"unexpected line {_quoted_line(line)}")
         try:
             head, rhs = line[5:].split(" -> ", 1)
             body, ncl = rhs.rsplit("@ n=", 1)
@@ -806,7 +807,7 @@ def parse_certificate(text: str):
         except CertificateError:
             raise
         except (ValueError, IndexError, DoodleError) as exc:
-            raise CertificateError(f"bad step line {line!r}") from exc
+            raise CertificateError(f"bad step line {_quoted_line(line)}") from exc
         raw_steps.append((tag, params, result))
     return left, right, raw_steps
 

@@ -24,7 +24,8 @@ Conventions used throughout the package:
   ``_SHOWN`` characters or digits, and a longer one by its first
   ``_SHOWN`` and its length (``_cut``, ``_digits``, ``_quoted``), so a
   message stays one short line and never formats an int too long for
-  ``str``.
+  ``str``.  A quoted input line or list of fields is cut the same way at
+  ``_LINE`` characters (``_quoted_line``).
 - Permutations compose left to right: ``pi(uv) = pi(u) then pi(v)``, and
   ``pi(w)[k]`` is the bottom endpoint of the strand entering at top
   position ``k``.
@@ -47,14 +48,15 @@ VIRTUAL = "r"
 
 
 _SHOWN = 20  # the most characters or digits a message quotes of a token, index or count
+_LINE = 80  # the most characters a message quotes of an input line or its fields
 
 
-def _cut(text: str, unit: str = "characters") -> str:
-    """text as a message quotes it: whole up to _SHOWN characters, else its
-    first _SHOWN and its length in units."""
-    if len(text) <= _SHOWN:
+def _cut(text: str, unit: str = "characters", shown: int = _SHOWN) -> str:
+    """text as a message quotes it: whole up to shown characters, else its
+    first shown and its length in units."""
+    if len(text) <= shown:
         return text
-    return f"{text[:_SHOWN]}... ({len(text)} {unit})"
+    return f"{text[:shown]}... ({len(text)} {unit})"
 
 
 def _digits(a: int) -> str:
@@ -79,6 +81,12 @@ def _quoted(x: object) -> str:
     if type(x) is str:
         return repr(_cut(x))
     return repr(x)
+
+
+def _quoted_line(x: object) -> str:
+    """An input line, field or list of fields as a message quotes it: a str
+    by the repr of its _cut, anything else by the _cut of its repr, at _LINE."""
+    return repr(_cut(x, shown=_LINE)) if type(x) is str else _cut(repr(x), shown=_LINE)
 
 
 @functools.lru_cache(maxsize=1024)  # every letter up to 512 strands
@@ -219,7 +227,7 @@ def parse_word_file(text: str) -> TwinWord:
     except ValueError as exc:
         raise UnknownToken(f"bad strand header {_quoted(lines[0])}") from exc
     if len(lines) > 2:
-        raise UnknownToken(f"word file has a second token line {lines[2]!r}")
+        raise UnknownToken(f"word file has a second token line {_quoted_line(lines[2])}")
     body = lines[1] if len(lines) > 1 else ""
     return parse_word(body, strands)
 

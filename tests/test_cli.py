@@ -280,6 +280,21 @@ class TestUsage:
             assert (code, out) == (65, "") and err.startswith(f"doodlekit: bad certificate: {message} ")
 
     @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("verify-cert", "doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n"
+             "step M1 conj s" + "1" * 5000 + " -> s1 @ n=2\n"),
+            ("gauss-validate", "crossings " + "1" * 5000 + "\n"),
+        ],
+    )
+    def test_long_lines_are_cut_in_messages(self, tmp_path, command, text):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, out, err = invoke(command, str(path))
+        assert (code, out) == (65, "") and "... (50" in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
         "argv,code,message",
         [
             (("reduce", "--n", "3", "s" + "1" * 4000), 65,

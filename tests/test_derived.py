@@ -170,7 +170,7 @@ class TestMirrorItems:
 class TestSearchFreeInstances:
     """n = 4 instances with pinned traces.  The first two lie beyond a
     bounded search of 200,000 states; the tail-mixed one has only real
-    levels, so its arms convert in a single exchange run."""
+    levels, so it takes the real tail's trace."""
 
     def test_left_tail_mixed_n4(self):
         dm = apply_derived("left-tail-mixed", n=4, i=2, beta=w("s1", 4), kinds=["s", "r"])
@@ -190,7 +190,41 @@ class TestSearchFreeInstances:
         dm = apply_derived("right-tail-mixed", n=4, i=1, beta=w("s1", 4), kinds=list("ssss"))
         assert dm.lhs == w("s1 s4 s3 s2 s1 s2 s3 s4", 5) and dm.rhs == w("s1", 4)
         assert dm.trace.replay() and dm.trace.end == dm.rhs
-        assert len(dm.trace.steps) == 83
+        assert dm.trace == apply_derived("right-tail-real", n=4, i=1, beta=w("s1", 4)).trace
+
+
+def tail_span(side, n, i):
+    """How many kinds a side's tail-mixed item takes at (n, i)."""
+    return n - i + 1 if side == "right" else i
+
+
+class TestOneTailBuilder:
+    """The real and mixed tails share one builder."""
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_all_real_tail_mixed_is_tail_real(self, side):
+        for n in range(2, 6):
+            for i in range(1, n + 1):
+                for b in betas(n):
+                    real = apply_derived(f"{side}-tail-real", n=n, i=i, beta=w(b, n))
+                    mixed = apply_derived(
+                        f"{side}-tail-mixed", n=n, i=i, beta=w(b, n),
+                        kinds=["s"] * tail_span(side, n, i),
+                    )
+                    assert mixed.trace == real.trace
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_every_tail_mixed_at_n5(self, side):
+        n = 5
+        for i in range(1, n + 1):
+            for ks in itertools.product("sr", repeat=tail_span(side, n, i)):
+                for b in betas(n):
+                    dm = apply_derived(
+                        f"{side}-tail-mixed", n=n, i=i, beta=w(b, n), kinds=list(ks)
+                    )
+                    assert dm.trace.replay() and dm.trace.end == dm.rhs == w(b, n)
+                    cert = format_certificate(dm.lhs, dm.rhs, dm.trace)
+                    assert verify_certificate(cert).end == dm.rhs
 
 
 @st.composite
@@ -380,6 +414,31 @@ def test_batteries_match_golden():
     assert len(got) == len(want)
     for line, expected in zip(got, want):
         assert line == expected
+
+
+# each family's total steps= in the golden, as it was before the real and
+# mixed tails shared one builder; a regenerated golden may fall below it
+FAMILY_STEP_BUDGET = {
+    "right-tail-real": 428,
+    "right-exchange-run": 1363,
+    "right-exchange-mixed": 5864,
+    "right-tail-mixed": 6672,
+    "left-virtual-destab": 216,
+    "left-tail-real": 504,
+    "left-exchange-run": 1458,
+    "left-exchange-mixed": 623,
+    "left-tail-mixed": 8983,
+}
+
+
+def test_golden_step_totals_stay_within_budget():
+    totals = {}
+    for line in DERIVED_GOLDEN.read_text().splitlines():
+        item, steps = line.split()[0], line.split(" steps=")[1].split()[0]
+        totals[item] = totals.get(item, 0) + int(steps)
+    assert totals.keys() == FAMILY_STEP_BUDGET.keys()
+    for item, total in totals.items():
+        assert total <= FAMILY_STEP_BUDGET[item], (item, total)
 
 
 def test_each_step_is_computed_once(monkeypatch):

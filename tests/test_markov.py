@@ -39,6 +39,7 @@ from doodlekit.words import (
     format_word,
     free_reduce,
     parse_word,
+    parse_word_file,
     pi,
     random_word,
 )
@@ -174,6 +175,59 @@ class TestApplyMove:
         assert got == apply_move(word, "M0", ("comm-grow", 0, -3)) == w("r3 s1 r3", 4)
         assert all(type(a) is int for a in got.code)
         assert MoveInstance("M0", params, word, got).replay()
+
+
+HEAD = "doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n"
+LONG = "1" * 5000
+
+
+def cut_line(text):
+    return f"{text[:80]}... ({len(text)} characters)"
+
+
+class TestLongLinesInMessages:
+    """A message quotes an input line, field or list of fields whole up to
+    80 characters, else its first 80 and its length."""
+
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (verify_certificate, f"doodlekit certificate\nleft n=2 : s{LONG}\nright n=2 : s1\n",
+             f"bad header line '{cut_line('left n=2 : s' + LONG)}'"),
+            (verify_certificate, HEAD + f"step M1 conj s{LONG} -> s1 @ n=2\n",
+             f"bad step line '{cut_line(f'step M1 conj s{LONG} -> s1 @ n=2')}'"),
+            (verify_certificate, HEAD + f"junk {LONG}\n",
+             f"unexpected line '{cut_line('junk ' + LONG)}'"),
+            (verify_certificate, HEAD + f"step M{LONG} x -> s1 @ n=2\n",
+             f"unknown move tag '{cut_line('M' + LONG)}'"),
+            (verify_certificate, HEAD + "step M4" + " x" * 3000 + " -> s1 @ n=2\n",
+             f"bad parameters {cut_line(repr(['x'] * 3000))} for move M4"),
+            (parse_word_file, f"n=3\ns1\ns2 {LONG}\n",
+             f"word file has a second token line '{cut_line('s2 ' + LONG)}'"),
+            (parse_gauss, f"crossings {LONG}\n",
+             f"bad gauss line '{cut_line('crossings ' + LONG)}'"),
+        ],
+        ids=["header", "step", "unexpected", "tag", "parameters", "word-file", "gauss"],
+    )
+    def test_long_lines_are_cut(self, parse, text, message):
+        with pytest.raises(DoodleError) as exc:
+            parse(text)
+        assert str(exc.value) == message and len(message) < 160
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (HEAD + "x" * 80 + "\n", "unexpected line '" + "x" * 80 + "'"),
+            (HEAD + "x" * 81 + "\n", "unexpected line '" + "x" * 80 + "... (81 characters)'"),
+            (HEAD + "step M4 y -> s1 @ n=2\n", "bad parameters ['y'] for move M4"),
+            (HEAD + "step Mx y -> s1 @ n=2\n", "unknown move tag 'Mx'"),
+        ],
+        ids=["at-cap", "over-cap", "short-parameters", "short-tag"],
+    )
+    def test_lines_up_to_the_cap_are_whole(self, text, message):
+        with pytest.raises(CertificateError) as exc:
+            verify_certificate(text)
+        assert str(exc.value) == message
 
 
 class TestMalformedParams:
