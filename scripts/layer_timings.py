@@ -32,7 +32,10 @@ n = 4, center 4, beta r1 r2 and kinds srsr (85 steps): a mirrored trace
 whose one tail chain pushes through real and virtual letters.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
-state the step before ended at.  The parse_word row times parse_word on
+state the step before ended at.  The derived_exchange row times one
+apply_derived call, right-exchange-mixed at n = 4, i = 2, beta1 s1,
+beta2 r1 r2 and kinds srr (53 steps): the one exchange chain turning the
+real bottom level under a virtual top.  The parse_word row times parse_word on
 the text of the seed-1 word (n = 8, 120 letters), and the
 verify_certificate row one verify_certificate call on the certificate
 tests/golden/equiv_mixs_braid.txt (n = 3, 7 steps), which parses every
@@ -184,6 +187,10 @@ def main() -> int:
     trace = apply_derived("left-tail-mixed", **item).trace
     steps = len(trace.steps)
     checked = chain(trace)
+    exchange = dict(
+        n=4, i=2, beta1=parse_word("s1", 2), beta2=parse_word("r1 r2", 4), kinds="srr"
+    )
+    exchange_steps = len(apply_derived("right-exchange-mixed", **exchange).trace.steps)
     text = format_word(w)
     certificate = CERTIFICATE.read_text()
     replayed = verify_certificate(certificate)
@@ -210,6 +217,10 @@ def main() -> int:
         "isomorphic_wide": (lambda: isomorphic(wide_h, wide_g), wide_size),
         "braid_wider": (lambda: braid(wider_g), wider_size),
         "derived": (lambda: apply_derived("left-tail-mixed", **item), {"n": 4, "i": 4, "steps": steps}),
+        "derived_exchange": (
+            lambda: apply_derived("right-exchange-mixed", **exchange),
+            {"n": 4, "i": 2, "steps": exchange_steps},
+        ),
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
         "parse_word": (lambda: parse_word(text, w.strands), {"n": w.strands, "letters": len(w)}),
         "verify_certificate": (lambda: verify_certificate(certificate), cert_size),

@@ -17,20 +17,21 @@ t_j itself, +j for s_j and -j for r_j; apply_derived makes it once from
 the 's'/'r' choices it is given.
 
 Construction strategy: every trace is an explicit chain of moves; none
-is searched for.  The exchange items are built by an inductive chain
-(exchange-move flip, mixed-relation pushes through the nested
-palindrome, commutation sweeps, rotations by conjugation with an end
-letter, recursion, and a final braid merge).  Mixed-kind arms convert
-run by run: each maximal run of real levels takes one exchange chain,
-after the virtual levels above it are unwound to real by that chain run
-backwards.  Every tail, real or mixed, takes one chain with the same
-push-and-sweep: M4 flips the top pair if it is real, the pair passes a
-real letter by mixed-relation steps and a virtual one by braid steps,
-and the inner letters, each one index up with its kind kept, form a
-shorter tail.  Once every arm is virtual, a stage loop moves the
-palindrome outward by braid steps around a virtual center and mix3 steps
-around a real one.  Two rules carry the rest, with V = r_n .. r_i and
-Q = r_n .. r_1 in VT_{n+1}:
+is searched for.  Every exchange, run or mixed, takes one inductive
+chain: the virtual levels below the lowest real one join the core (an
+arm with no real level is already all-virtual), M4 flips the top pair if
+it is real, the pair r_n passes a real letter by mixed-relation pushes
+and a virtual one by braid pushes, commutation sweeps and a rotation by
+conjugation with an end letter bury the left run, the inner letters,
+each one index up with its kind kept, recurse around the core r_i b1
+r_i, and a final braid merge follows.  Every tail, real or mixed, takes
+one chain with the same push-and-sweep: M4 flips the top pair if it is
+real, the pair passes a real letter by mixed-relation steps and a
+virtual one by braid steps, and the inner letters, each one index up
+with its kind kept, form a shorter tail.  Once every arm is virtual, a
+stage loop moves the palindrome outward by braid steps around a virtual
+center and mix3 steps around a real one.  Two rules carry the rest, with
+V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
 
 - Q g_{i+1} = g_i Q for a generator g of either kind (far commutations
   around one braid or mix3 step).  left-virtual-destab wraps Q around the
@@ -38,9 +39,10 @@ Q = r_n .. r_1 in VT_{n+1}:
   ends in the stage loop of an all-virtual tail.
 - r_j V = V r_{j+1}, r_{j+1} b1 = b1 r_{j+1} and r_{j+1} V^-1 = V^-1 r_j
   (two braid steps and far commutations), so conjugating Y = V b1 V^-1
-  plus b2 by r_j slides the left copy through Y.  The exchange-run tail,
-  Y plus the reduced S b2 S^-1 (S = r_i .. r_{n-1}), is that chain from
-  Y b2 run backwards, whatever letters cancelled at either seam.
+  plus b2 by r_j slides the left copy through Y.  The exchange chain's
+  last leg, from Y plus the reduced S b2 S^-1 (S = r_i .. r_{n-1}) to
+  Y b2, is that chain run backwards, whatever letters cancelled at
+  either seam.
 
 Left-handed traces are produced by mirroring right-handed ones through
 the index reversal j -> n+1-j, which maps every splice rule to itself and
@@ -114,10 +116,18 @@ class _Builder:
 # word patterns (int encoding: +i real, -i virtual)
 
 
-def _x_pattern(n: int, i: int, b1: tuple[int, ...], sign: int = 1) -> tuple[int, ...]:
-    """s_n .. s_i b1 s_i .. s_n, or r_n .. r_i b1 r_i .. r_n for sign -1"""
-    down = tuple(sign * x for x in range(n, i - 1, -1))
-    return down + b1 + tuple(reversed(down))
+def _x_pattern(n: int, i: int, b1: tuple[int, ...]) -> tuple[int, ...]:
+    """r_n .. r_i b1 r_i .. r_n"""
+    down = tuple(range(-n, -i + 1))
+    return down + b1 + down[::-1]
+
+
+def _mid_letters(
+    j: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
+) -> tuple[int, ...]:
+    """t_{j-1} .. t_i b1 t_i .. t_{j-1}"""
+    out = tuple([kinds[m] for m in range(j - 1, i - 1, -1)])
+    return out + b1 + out[::-1]
 
 
 def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,31 +217,41 @@ def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# right-exchange-run
+# right exchanges, run and mixed
 
 
-def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> None:
-    """word = X(n, i, b1) + b2  ->  Y(n, i, b1) + b2."""
+def _build_exchange(
+    b: _Builder, n: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
+) -> None:
+    """word = t_n .. t_i b1 t_i .. t_n + b2  ->  Y(n, i, b1) + b2."""
     b2 = b.word[len(_x_pattern(n, i, b1)) :]
-    # rotate b2 round to the front, flip the extreme pair, rotate it back
-    for _ in b2:
-        b.conj(b.word[-1])
-    b.apply("M4", ())
-    for _ in b2:
-        b.conj(b.word[0])
+    # virtual levels below the lowest real one join the core
+    low = next((j for j in range(i, n + 1) if kinds[j] > 0), None)
+    if low is None:
+        return
+    i, b1 = low, _mid_letters(low, i, b1, kinds)
+    if kinds[n] > 0:
+        # rotate b2 round to the front, flip the extreme pair, rotate it back
+        for _ in b2:
+            b.conj(b.word[-1])
+        b.apply("M4", ())
+        for _ in b2:
+            b.conj(b.word[0])
     if i == n:
         return
     # pushes, bottom level included uniformly (b1 is nonempty here); not
-    # slip-tracked, as a mix3 can cancel core letters inside the nest
-    _push_sweep(b.m0, 0, n - i, len(b1), False)
-    # bury the left run and recurse at i+1
+    # slip-tracked, as a push step can cancel core letters inside the nest
+    virtual = {k for k in range(1, n - i + 1) if kinds[i + k - 1] < 0}
+    _push_sweep(b.m0, 0, n - i, len(b1), False, virtual)
+    # bury the left run and recurse at i+1 around r_i b1 r_i, whose arm
+    # t_i .. t_{n-1} moved up one index, kinds kept
     for _ in range(n - i):
         b.conj(b.word[0])
-    b1p = (-i,) + b1 + (-i,)
-    _build_exchange_run(b, n, i + 1, b1p)
+    up = {j + 1: j + 1 if kinds[j] > 0 else -j - 1 for j in range(i, n)}
+    _build_exchange(b, n, i + 1, (-i,) + b1 + (-i,), up)
 
     # word = Y + reduced S b2 S^-1; build Y + b2 -> here and run it backwards
-    Y = _x_pattern(n, i, b1, -1)
+    Y = _x_pattern(n, i, b1)
     if b.word[len(Y) :] == b2:
         return
     back = _Builder((b.n, Y + b2))
@@ -250,39 +270,6 @@ def _build_exchange_run(b: _Builder, n: int, i: int, b1: tuple[int, ...]) -> Non
         for step in range(n - j - 1):
             back.comm(p + 2 + step)
     b.splice(_invert_edges(back.edges))
-
-
-# ---------------------------------------------------------------------------
-# right-exchange-mixed
-
-
-def _mid_letters(
-    j: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
-) -> tuple[int, ...]:
-    """t_{j-1} .. t_i b1 t_i .. t_{j-1}"""
-    out = tuple([kinds[m] for m in range(j - 1, i - 1, -1)])
-    return out + b1 + out[::-1]
-
-
-def _build_exchange_mixed(
-    b: _Builder, n: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
-) -> None:
-    """word = t_n .. t_i b1 t_i .. t_n + b2  ->  all-virtual version + b2."""
-    lead = len(_mid_letters(n + 1, i, b1, kinds))
-    b2 = b.word[lead:]
-    top = n
-    for j in range(n, i - 1, -1):
-        if kinds[j] < 0:
-            top = j - 1
-        elif j == i or kinds[j - 1] < 0:
-            # top .. j is a maximal run of real levels: unwind the virtual
-            # levels above it to real, then turn levels n .. j virtual
-            if top < n:
-                blk = _mid_letters(top + 1, i, b1, kinds)
-                scratch = _Builder((b.n, _x_pattern(n, top + 1, blk) + b2))
-                _build_exchange_run(scratch, n, top + 1, blk)
-                b.splice(_invert_edges(scratch.edges))
-            _build_exchange_run(b, n, j, _mid_letters(j, i, b1, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +459,12 @@ def apply_derived(
         if mirror:
             b1, b2 = _mirror(ir, b1), _mirror(n, b2)
         start = _mid_letters(N, ir, b1, kd_r) + b2
-        rhs = _x_pattern(n, ir, b1, -1) + b2
+        rhs = _x_pattern(n, ir, b1) + b2
         end = (N, _mirror(N, rhs) if mirror else rhs)
         if _reduce(start) != start or _reduce(rhs) != rhs:
             lhs = _mirror(N, start) if mirror else start
             return _finish(item, (N, lhs), end, _square_edges(N, lhs, end[1]))
         b = _Builder((N, start))
-        _build_exchange_mixed(b, n, ir, b1, kd_r)
+        _build_exchange(b, n, ir, b1, kd_r)
     edges = _mirror_edges(b.edges) if mirror else b.edges
     return _finish(item, (N, _mirror(N, start) if mirror else start), end, edges)

@@ -193,8 +193,8 @@ class TestSearchFreeInstances:
         assert dm.trace == apply_derived("right-tail-real", n=4, i=1, beta=w("s1", 4)).trace
 
 
-def tail_span(side, n, i):
-    """How many kinds a side's tail-mixed item takes at (n, i)."""
+def kinds_span(side, n, i):
+    """How many kinds a side's mixed items take at (n, i)."""
     return n - i + 1 if side == "right" else i
 
 
@@ -209,7 +209,7 @@ class TestOneTailBuilder:
                     real = apply_derived(f"{side}-tail-real", n=n, i=i, beta=w(b, n))
                     mixed = apply_derived(
                         f"{side}-tail-mixed", n=n, i=i, beta=w(b, n),
-                        kinds=["s"] * tail_span(side, n, i),
+                        kinds=["s"] * kinds_span(side, n, i),
                     )
                     assert mixed.trace == real.trace
 
@@ -217,7 +217,7 @@ class TestOneTailBuilder:
     def test_every_tail_mixed_at_n5(self, side):
         n = 5
         for i in range(1, n + 1):
-            for ks in itertools.product("sr", repeat=tail_span(side, n, i)):
+            for ks in itertools.product("sr", repeat=kinds_span(side, n, i)):
                 for b in betas(n):
                     dm = apply_derived(
                         f"{side}-tail-mixed", n=n, i=i, beta=w(b, n), kinds=list(ks)
@@ -225,6 +225,55 @@ class TestOneTailBuilder:
                     assert dm.trace.replay() and dm.trace.end == dm.rhs == w(b, n)
                     cert = format_certificate(dm.lhs, dm.rhs, dm.trace)
                     assert verify_certificate(cert).end == dm.rhs
+
+
+def core_strands(side, n, i):
+    """The strand count of a side's exchange core beta1 at (n, i)."""
+    return i if side == "right" else n + 1 - i
+
+
+class TestOneExchangeBuilder:
+    """The run and mixed exchanges share one builder."""
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_all_real_exchange_mixed_is_exchange_run(self, side):
+        for n in range(2, 6):
+            for i in range(1, n + 1):
+                m = core_strands(side, n, i)
+                for b1, b2 in itertools.product(betas(m), betas(n)):
+                    args = dict(n=n, i=i, beta1=w(b1, m), beta2=w(b2, n))
+                    run = apply_derived(f"{side}-exchange-run", **args)
+                    mixed = apply_derived(
+                        f"{side}-exchange-mixed", **args, kinds=["s"] * kinds_span(side, n, i)
+                    )
+                    assert mixed.trace == run.trace
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_every_exchange_mixed_at_n5(self, side):
+        n = 5
+        for i in range(1, n + 1):
+            m = core_strands(side, n, i)
+            for ks in itertools.product("sr", repeat=kinds_span(side, n, i)):
+                for b1, b2 in itertools.product(betas(m), betas(n)[::2]):
+                    dm = apply_derived(
+                        f"{side}-exchange-mixed", n=n, i=i,
+                        beta1=w(b1, m), beta2=w(b2, n), kinds=list(ks),
+                    )
+                    assert dm.trace.replay() and dm.trace.end == dm.rhs
+                    cert = format_certificate(dm.lhs, dm.rhs, dm.trace)
+                    assert verify_certificate(cert).end == dm.rhs
+
+    def test_virtual_top_takes_no_unwind(self):
+        # the real level below a virtual top turns virtual in one chain,
+        # with no level turned real on the way
+        dm = apply_derived(
+            "right-exchange-mixed", n=4, i=2,
+            beta1=w("s1", 2), beta2=w("r1 r2", 4), kinds=list("srr"),
+        )
+        assert dm.lhs == w("r4 r3 s2 s1 s2 r3 r4 r1 r2", 5)
+        assert dm.rhs == w("r4 r3 r2 s1 r2 r3 r4 r1 r2", 5)
+        assert dm.trace.replay() and dm.trace.end == dm.rhs
+        assert len(dm.trace.steps) == 53
 
 
 @st.composite
