@@ -12,9 +12,9 @@ Right-handed items (words in VT_{n+1}, all on n >= 2):
 
 The left-* items are the strand mirrors of these, and left-virtual-destab
 is the rewrite (1 (x) b) r_1 ~ b, which is not an atomic move.  The
-builders take the kinds of the t_j as one map from level j to the letter
-t_j itself, +j for s_j and -j for r_j; apply_derived makes it once from
-the 's'/'r' choices it is given.
+builders take the arm as the tuple of its letters t_i .. t_n, +j for s_j
+and -j for r_j, and read i and n off its two ends; apply_derived makes
+it once from the 's'/'r' choices it is given.
 
 Construction strategy: every trace is an explicit chain of moves; none
 is searched for.  Every exchange, run or mixed, takes one inductive
@@ -116,18 +116,14 @@ class _Builder:
 # word patterns (int encoding: +i real, -i virtual)
 
 
-def _x_pattern(n: int, i: int, b1: tuple[int, ...]) -> tuple[int, ...]:
-    """r_n .. r_i b1 r_i .. r_n"""
-    down = tuple(range(-n, -i + 1))
-    return down + b1 + down[::-1]
+def _pal(arm: tuple[int, ...], core: tuple[int, ...]) -> tuple[int, ...]:
+    """t_n .. t_i core t_i .. t_n for arm = t_i .. t_n"""
+    return arm[::-1] + core + arm
 
 
-def _mid_letters(
-    j: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
-) -> tuple[int, ...]:
-    """t_{j-1} .. t_i b1 t_i .. t_{j-1}"""
-    out = tuple([kinds[m] for m in range(j - 1, i - 1, -1)])
-    return out + b1 + out[::-1]
+def _virtual_arm(i: int, n: int) -> tuple[int, ...]:
+    """r_i .. r_n"""
+    return tuple(range(-i, -n - 1, -1))
 
 
 def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,24 +135,25 @@ def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 # right tails, real and mixed
 
 
-def _push_sweep(step, start: int, levels: int, core: int, centre: bool, virtual=()) -> None:
+def _push_sweep(step, start: int, letters: tuple[int, ...], core: int, centre: bool) -> None:
     """Push the virtual pair at start inward through a nest of push levels
     around core letters, then sweep the nested virtual letters out to
     flanking runs; a one-letter centre takes one more splice and one more
-    sweep level.  The pair passes a real letter by mixs-grow and mix3 and,
-    at the same positions, a virtual one by braid-grow and braid; virtual
-    holds the levels k whose letter is virtual, the centre at k = 0.
-    step(rule, pos) takes one M0 step."""
+    sweep level.  letters are the letters of the push levels from the
+    innermost out, the centre's first if there is one.  The pair passes a
+    real letter by mixs-grow and mix3 and, at the same positions, a virtual
+    one by braid-grow and braid.  step(rule, pos) takes one M0 step."""
     ofs = start
-    for k in range(levels, 0, -1):
-        step("braid-grow" if k in virtual else "mixs-grow", ofs)
+    levels = len(letters) - centre
+    for k, a in zip(range(levels, 0, -1), letters[::-1]):
+        step("braid-grow" if a < 0 else "mixs-grow", ofs)
         zlen = 2 * (k - 1) + core
         for j in range(zlen):
             step("comm", ofs + 3 + j)
-        step("braid" if k in virtual else "mix3", ofs + 3 + zlen)
+        step("braid" if a < 0 else "mix3", ofs + 3 + zlen)
         ofs += 2
     if centre:
-        step("braid" if 0 in virtual else "mix3", ofs)
+        step("braid" if letters[0] < 0 else "mix3", ofs)
     d = levels + centre
     for j in range(1, d):
         for k in range(j):
@@ -167,18 +164,19 @@ def _push_sweep(step, start: int, levels: int, core: int, centre: bool, virtual=
             step("comm", nest_end - 2 * j + k)
 
 
-def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
+def _build_tail(b: _Builder, arm: tuple[int, ...]) -> None:
     """word = (reduced VT_n prefix) + t_n .. t_{i+1} t_i t_{i+1} .. t_n  ->  prefix."""
+    i, n = abs(arm[0]), abs(arm[-1])
     if i == n:
         b.apply("M2", ("destab",))
         return
     base = len(b.word) - 2 * (n - i) - 1
-    if all(kinds[j] < 0 for j in range(i + 1, n + 1)):
+    if all(a < 0 for a in arm[1:]):
         # every arm is virtual: turn the prefix to the back and move the
         # palindrome outward stage by stage (r_{k+1} t_k r_{k+1} = r_k t_{k+1} r_k)
         for _ in range(base):
             b.conj(b.word[0])
-        rule, center = "braid" if kinds[i] < 0 else "mix3", n - i - 1
+        rule, center = "braid" if arm[0] < 0 else "mix3", n - i - 1
         for k in range(i, n):
             b.m0(rule, center)
             for step in range(n - k - 1):
@@ -191,7 +189,7 @@ def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
         for k in range(n - 1, i - 1, -1):
             b.conj(-k)
         return
-    if kinds[n] > 0:
+    if arm[-1] > 0:
         b.apply("M4", ())
     # The nest is the exchange run's at level i + 1 around the centre t_i.
     # A step can drop a letter pair into the prefix, which may end with the
@@ -206,12 +204,12 @@ def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
         b.m0(rule, pos - slip)
         slip += want - len(b.word)
 
-    _push_sweep(tracked, base, n - i - 1, 1, True, {k for k in range(n - i) if kinds[i + k] < 0})
+    _push_sweep(tracked, base, arm[:-1], 1, True)
     # conjugate the flanking runs away and recurse on the shorter tail,
     # whose letters t_i .. t_{n-1} each moved up one index, kinds kept
     for _ in range(n - i):
         b.conj(b.word[-1])
-    _build_tail(b, n, i + 1, {j + 1: j + 1 if kinds[j] > 0 else -j - 1 for j in range(i, n)})
+    _build_tail(b, _shift(arm[:-1], 1))
     for k in range(i, n):
         b.conj(-k)
 
@@ -220,17 +218,16 @@ def _build_tail(b: _Builder, n: int, i: int, kinds: dict[int, int]) -> None:
 # right exchanges, run and mixed
 
 
-def _build_exchange(
-    b: _Builder, n: int, i: int, b1: tuple[int, ...], kinds: dict[int, int]
-) -> None:
+def _build_exchange(b: _Builder, b1: tuple[int, ...], arm: tuple[int, ...]) -> None:
     """word = t_n .. t_i b1 t_i .. t_n + b2  ->  Y(n, i, b1) + b2."""
-    b2 = b.word[len(_x_pattern(n, i, b1)) :]
+    b2 = b.word[2 * len(arm) + len(b1) :]
     # virtual levels below the lowest real one join the core
-    low = next((j for j in range(i, n + 1) if kinds[j] > 0), None)
+    low = next((k for k, a in enumerate(arm) if a > 0), None)
     if low is None:
         return
-    i, b1 = low, _mid_letters(low, i, b1, kinds)
-    if kinds[n] > 0:
+    arm, b1 = arm[low:], _pal(arm[:low], b1)
+    i, n = arm[0], abs(arm[-1])
+    if arm[-1] > 0:
         # rotate b2 round to the front, flip the extreme pair, rotate it back
         for _ in b2:
             b.conj(b.word[-1])
@@ -241,17 +238,15 @@ def _build_exchange(
         return
     # pushes, bottom level included uniformly (b1 is nonempty here); not
     # slip-tracked, as a push step can cancel core letters inside the nest
-    virtual = {k for k in range(1, n - i + 1) if kinds[i + k - 1] < 0}
-    _push_sweep(b.m0, 0, n - i, len(b1), False, virtual)
+    _push_sweep(b.m0, 0, arm[:-1], len(b1), False)
     # bury the left run and recurse at i+1 around r_i b1 r_i, whose arm
     # t_i .. t_{n-1} moved up one index, kinds kept
     for _ in range(n - i):
         b.conj(b.word[0])
-    up = {j + 1: j + 1 if kinds[j] > 0 else -j - 1 for j in range(i, n)}
-    _build_exchange(b, n, i + 1, (-i,) + b1 + (-i,), up)
+    _build_exchange(b, (-i,) + b1 + (-i,), _shift(arm[:-1], 1))
 
     # word = Y + reduced S b2 S^-1; build Y + b2 -> here and run it backwards
-    Y = _x_pattern(n, i, b1)
+    Y = _pal(_virtual_arm(i, n), b1)
     if b.word[len(Y) :] == b2:
         return
     back = _Builder((b.n, Y + b2))
@@ -305,7 +300,7 @@ def _virtual_destab_edges(beta: State) -> list[Edge]:
             b.comm(m + n - j + step)
     for _ in range(c):
         b.conj(b.word[-1])
-    _build_tail(b, n, c + 1, {j: -j for j in range(c + 1, n + 1)})
+    _build_tail(b, _virtual_arm(c + 1, n))
     for j in range(c, 0, -1):
         b.conj(-j)
     return b.edges
@@ -389,12 +384,12 @@ def _req_word(w: TwinWord | None, strands: int, label: str) -> tuple[int, ...]:
     return t
 
 
-def _req_kinds(kinds, span) -> dict[int, int]:
+def _req_kinds(kinds, span) -> tuple[int, ...]:
     if kinds is None:
-        return {j: j for j in span}
+        return tuple(span)
     if len(kinds) != len(span) or any(k not in ("s", "r") for k in kinds):
         raise PatternMismatch(f"kinds must give 's'/'r' for each of indices {list(span)}")
-    return {j: j if k == "s" else -j for j, k in zip(span, kinds)}
+    return tuple([j if k == "s" else -j for j, k in zip(span, kinds)])
 
 
 def apply_derived(
@@ -441,30 +436,33 @@ def apply_derived(
     if i is None or not 1 <= i <= n:
         raise PatternMismatch(f"item {item} needs 1 <= i <= n")
 
-    # build the right-handed instance; a left item is its mirror image, and
-    # the mirror of (k (x) w) in VT_{n+1} is the mirror of w in VT_{n+1-k}
-    ir = n + 1 - i if mirror else i
-    span = range(1, i + 1) if mirror else range(i, n + 1)
-    kd = _req_kinds(kinds, span)
-    kd_r = {N - j: N - j if a > 0 else j - N for j, a in kd.items()} if mirror else kd
-    if family.startswith("tail"):
-        bt = _req_word(beta, n, "beta")
-        bt_r = _mirror(n, bt) if mirror else bt
-        start, end = bt_r + _mid_letters(N, ir + 1, (kd_r[ir],), kd_r), (n, bt)
-        b = _Builder((N, start))
-        _build_tail(b, n, ir, kd_r)
+    # build the right-handed instance on the arm t_i .. t_n; a left item is
+    # its mirror image, and the mirror of (k (x) w) in VT_{n+1} is the
+    # mirror of w in VT_{n+1-k}
+    arm = _req_kinds(kinds, range(1, i + 1) if mirror else range(i, n + 1))
+    if mirror:
+        arm = _mirror(N, arm)[::-1]
+    tail = family.startswith("tail")
+    if tail:
+        inputs = [(n, _req_word(beta, n, "beta"))]
     else:
-        b1 = _req_word(beta1, ir, "beta1")
-        b2 = _req_word(beta2, n, "beta2")
-        if mirror:
-            b1, b2 = _mirror(ir, b1), _mirror(n, b2)
-        start = _mid_letters(N, ir, b1, kd_r) + b2
-        rhs = _x_pattern(n, ir, b1) + b2
-        end = (N, _mirror(N, rhs) if mirror else rhs)
-        if _reduce(start) != start or _reduce(rhs) != rhs:
-            lhs = _mirror(N, start) if mirror else start
-            return _finish(item, (N, lhs), end, _square_edges(N, lhs, end[1]))
-        b = _Builder((N, start))
-        _build_exchange(b, n, ir, b1, kd_r)
-    edges = _mirror_edges(b.edges) if mirror else b.edges
-    return _finish(item, (N, _mirror(N, start) if mirror else start), end, edges)
+        ir = abs(arm[0])
+        inputs = [(ir, _req_word(beta1, ir, "beta1")), (n, _req_word(beta2, n, "beta2"))]
+    subs = [_mirror(*s) for s in inputs] if mirror else [t for _, t in inputs]
+    if tail:
+        # the right side is beta as given, in either hand
+        start, rhs = (N, subs[0] + _pal(arm[1:], arm[:1])), inputs[0]
+    else:
+        b1, b2 = subs
+        start = (N, _pal(arm, b1) + b2)
+        rhs = _pal(_virtual_arm(ir, n), b1) + b2
+        rhs = (N, _mirror(N, rhs) if mirror else rhs)
+    lhs = (N, _mirror(*start)) if mirror else start
+    b = _Builder(start)
+    if tail:
+        _build_tail(b, arm)
+    elif _reduce(start[1]) != start[1] or _reduce(rhs[1]) != rhs[1]:
+        return _finish(item, lhs, rhs, _square_edges(N, lhs[1], rhs[1]))
+    else:
+        _build_exchange(b, b1, arm)
+    return _finish(item, lhs, rhs, _mirror_edges(b.edges) if mirror else b.edges)

@@ -497,7 +497,10 @@ Verdict = Union[Equivalent, Distinct, Unknown]
 
 
 def _quoted_params(params: tuple) -> str:
-    """repr(params), each element quoted as words._quoted quotes it."""
+    """repr(params), each element of a tuple or list quoted as
+    words._quoted quotes it."""
+    if type(params) is list:
+        return f"[{', '.join(map(_quoted, params))}]"
     if type(params) is not tuple:
         return repr(params)
     items = ", ".join(map(_quoted, params))

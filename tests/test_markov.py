@@ -140,12 +140,21 @@ class TestApplyMove:
         assert back == w("s1", 2)
 
     def test_long_parameters_are_cut(self):
-        # a message quotes at most 20 digits of a position or letter
+        # a message quotes at most 20 digits of a position or letter, in a
+        # tuple or a list
         with pytest.raises(PatternMismatch) as exc:
             apply_move(w("s1", 3), "M1", ("conj", 10**5000))
         assert str(exc.value) == (
             "move M1 ('conj', 10000000000000000000... (5001 digits)) does not apply to 's1'"
         )
+        with pytest.raises(PatternMismatch) as exc:
+            apply_move(w("s1", 3), "M1", ["conj", 10**5000])
+        assert str(exc.value) == (
+            "move M1 ['conj', 10000000000000000000... (5001 digits)] does not apply to 's1'"
+        )
+        with pytest.raises(PatternMismatch) as exc:
+            apply_move(w("s1", 3), "M4", [])
+        assert str(exc.value) == "move M4 [] does not apply to 's1'"
         step = "step M0 braid " + "1" * 4000 + " -> s1 @ n=2"
         with pytest.raises(CertificateError) as exc:
             verify_certificate(f"doodlekit certificate\nleft n=2 : s1\nright n=2 : s1\n{step}\n")
@@ -153,7 +162,8 @@ class TestApplyMove:
             "move M0 ('braid', 11111111111111111111... (4000 digits)) does not apply to 's1'"
         )
 
-    @pytest.mark.parametrize("pos", [-1, -2, -3, 2])
+    # 0 is in range but holds no square
+    @pytest.mark.parametrize("pos", [-1, -2, -3, 0, 2])
     def test_square_del_position_in_range(self, pos):
         with pytest.raises(PatternMismatch):
             apply_move(w("s1 s2 s2", 3), "M0", ("square-del", pos))
@@ -252,6 +262,8 @@ class TestMalformedParams:
         # a bool is an int but no letter
         ("M1", ("conj", True)),
         ("M0", ("comm-grow", 0, True)),
+        # params that are neither a tuple nor a list
+        ("M4", None),
     ]
 
     @pytest.mark.parametrize("tag,params", CASES)
@@ -323,10 +335,14 @@ class TestEdgeInverse:
     def test_inverse_chain_replays_to_source(self, src):
         # the single inverse rule is total: no fan scan or search backs it up.
         # Checked on the fan's edges and on every M0 rule at every position,
-        # with the shrinks the fan leaves out
+        # with the shrinks and the square insertions the fan leaves out
         n, t = src
         edges = list(_moves_int(src, len(t) + 4, n + 1))
         edges += [("M0", params, dst) for params, dst in m0_brute_force(src, len(t) + 4, n + 1)]
+        squares = [
+            ("square-ins", pos, a) for pos in range(len(t) + 1) for j in range(1, n) for a in (j, -j)
+        ]
+        edges += [("M0", params, _apply_int(src, "M0", params)) for params in squares]
         for tag, params, dst in edges:
             cur = dst
             for a, itag, iparams, b in _inverse_edges(src, tag, params, dst):
