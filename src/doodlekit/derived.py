@@ -72,7 +72,7 @@ from .markov import (
     _invert_edges,
     _square_edges,
 )
-from .words import TwinWord, _digits, _reduce, _shift
+from .words import TwinWord, _digits, _quoted, _reduce, _shift
 
 
 @dataclass
@@ -105,9 +105,7 @@ class _Builder:
         self.apply("M1", ("conj", g))
 
     def splice(self, edges: list[Edge]) -> None:
-        """Append a chain built elsewhere; it must start here."""
-        if edges[0][0] != self.state:
-            raise RuntimeError("internal: spliced sub-trace does not chain")
+        """Append a chain built elsewhere; _edge_trace checks that it starts here."""
         self.edges += edges
         self.state = edges[-1][3]
 
@@ -421,7 +419,7 @@ def apply_derived(
         takes = {"i", "kinds"} if family.endswith("mixed") else {"i"}
         takes |= {"beta"} if family.startswith("tail") else {"beta1", "beta2"}
     else:
-        raise PatternMismatch(f"unknown derived item {item!r}")
+        raise PatternMismatch(f"unknown derived item {_quoted(item)}")
     given = {"i": i, "beta": beta, "beta1": beta1, "beta2": beta2, "kinds": kinds}
     for name, value in given.items():
         if value is not None and name not in takes:
@@ -461,7 +459,8 @@ def apply_derived(
     b = _Builder(start)
     if tail:
         _build_tail(b, arm)
-    elif _reduce(start[1]) != start[1] or _reduce(rhs[1]) != rhs[1]:
+    elif not b1:
+        # both sides are unreduced exactly here: t_i t_i meet, other seams join distinct indices
         return _finish(item, lhs, rhs, _square_edges(N, lhs[1], rhs[1]))
     else:
         _build_exchange(b, b1, arm)

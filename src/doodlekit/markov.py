@@ -96,6 +96,7 @@ from .words import (
     Letter,
     TwinWord,
     _count,
+    _cut,
     _letter,
     _quoted,
     _quoted_line,
@@ -496,22 +497,12 @@ class Unknown:
 Verdict = Union[Equivalent, Distinct, Unknown]
 
 
-def _quoted_params(params: tuple) -> str:
-    """repr(params), each element of a tuple or list quoted as
-    words._quoted quotes it."""
-    if type(params) is list:
-        return f"[{', '.join(map(_quoted, params))}]"
-    if type(params) is not tuple:
-        return repr(params)
-    items = ", ".join(map(_quoted, params))
-    return f"({items},)" if len(params) == 1 else f"({items})"
-
-
 def apply_move(w: TwinWord, tag: str, params: tuple) -> TwinWord:
     """Apply one tagged rewrite; raises PatternMismatch if it does not fit."""
     res = _apply_int((w.strands, w.code), tag, params)
     if res is None:
-        raise PatternMismatch(f"move {tag} {_quoted_params(params)} does not apply to '{w}'")
+        shown = _cut(tag) if type(tag) is str else _quoted(tag)  # a str tag shows bare
+        raise PatternMismatch(f"move {shown} {_quoted(params)} does not apply to {_quoted(str(w))}")
     return TwinWord(*res)
 
 
@@ -522,7 +513,7 @@ def neighbors(
     resulting word; every result is free-reduced too.  Raises
     PatternMismatch for a word that is not free-reduced."""
     if _reduce(w.code) != w.code:
-        raise PatternMismatch(f"neighbors needs a free-reduced word, not '{w}'")
+        raise PatternMismatch(f"neighbors needs a free-reduced word, not {_quoted(str(w))}")
     caps = caps or Budget()
     _, ml, mn = caps.resolve(w, w)
     state = (w.strands, w.code)
@@ -827,13 +818,13 @@ def verify_certificate(text: str) -> MoveTrace:
                 word = apply_move(cur, tag, params)
             except PatternMismatch as exc:
                 raise CertificateError(str(exc)) from exc
+            gives, claims = _quoted(str(word)), _quoted(str(result))
             raise CertificateError(
-                f"step {tag} {_quoted_params(params)} gives '{word}', certificate claims '{result}'"
+                f"step {tag} {_quoted(params)} gives {gives}, certificate claims {claims}"
             )
         steps.append(MoveInstance(tag, params, cur, result))
         cur = result
     if cur != right:
-        raise CertificateError(
-            f"trace ends at '{cur}' @ n={cur.strands}, not the right word"
-        )
+        ends = f"{_quoted(str(cur))} @ n={_quoted(cur.strands)}"
+        raise CertificateError(f"trace ends at {ends}, not the right word")
     return MoveTrace(left, tuple(steps))

@@ -20,12 +20,12 @@ Conventions used throughout the package:
   and the certificate grammar, and ``_tok`` maps an int to its token, for
   ``format_word``, certificates and messages.  A bad token is never cached,
   so it raises on every call.
-- An error message quotes a token, index or count in full up to
-  ``_SHOWN`` characters or digits, and a longer one by its first
-  ``_SHOWN`` and its length (``_cut``, ``_digits``, ``_quoted``), so a
-  message stays one short line and never formats an int too long for
-  ``str``.  A quoted input line or list of fields is cut the same way at
-  ``_LINE`` characters (``_quoted_line``).
+- An error message quotes an outside value by ``_quoted``: a token, word,
+  index or count whole up to ``_SHOWN`` characters or digits, else its
+  first ``_SHOWN`` and its length (``_cut``, ``_digits``), and a tuple or
+  list item by item, ``_DEPTH`` levels deep, cut at ``_LINE`` characters,
+  so a message never formats an int too long for ``str``.  An input line
+  or its fields are cut at ``_LINE`` too (``_quoted_line``).
 - Permutations compose left to right: ``pi(uv) = pi(u) then pi(v)``, and
   ``pi(w)[k]`` is the bottom endpoint of the strand entering at top
   position ``k``.
@@ -48,7 +48,8 @@ VIRTUAL = "r"
 
 
 _SHOWN = 20  # the most characters or digits a message quotes of a token, index or count
-_LINE = 80  # the most characters a message quotes of an input line or its fields
+_LINE = 80  # the most characters a message quotes of an input line, its fields or a container
+_DEPTH = 8  # the most levels of nested tuples and lists a message quotes
 
 
 def _cut(text: str, unit: str = "characters", shown: int = _SHOWN) -> str:
@@ -73,14 +74,22 @@ def _digits(a: int) -> str:
     return f"{'-' if a < 0 else ''}{m // 10 ** (d - _SHOWN)}... ({d} digits)"
 
 
-def _quoted(x: object) -> str:
-    """x as a message quotes a value: an exact int by _digits, a str by the
-    repr of its _cut, anything else by its repr."""
+def _quoted(x: object, depth: int = _DEPTH) -> str:
+    """x as a message quotes an outside value: an int by _digits, a str by the
+    repr of its _cut, a tuple or list item by item to depth levels (deeper as
+    ...) cut at _LINE with its item count, else the _cut of its repr at _LINE."""
     if type(x) is int:
         return _digits(x)
     if type(x) is str:
         return repr(_cut(x))
-    return repr(x)
+    if type(x) not in (tuple, list):
+        return _cut(repr(x), shown=_LINE)
+    text, end = ("[", "]") if type(x) is list else ("(", ",)" if len(x) == 1 else ")")
+    for k, item in enumerate(x):  # stops past _LINE: a wide or cyclic value is read no further
+        text += (", " if k else "") + (_quoted(item, depth - 1) if depth > 1 else "...")
+        if len(text) > _LINE:
+            return f"{text[:_LINE]}... ({len(x)} items)"
+    return text + end
 
 
 def _quoted_line(x: object) -> str:
@@ -294,7 +303,7 @@ class Permutation:
     def __post_init__(self) -> None:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+            raise ValueError(f"not a bijection of 1..{n}: {_quoted(self.images)}")
 
     @property
     def n(self) -> int:

@@ -294,6 +294,16 @@ class TestUsage:
         assert (code, out) == (65, "") and "... (50" in err
         assert len(err.encode()) < 200
 
+    def test_long_words_are_cut_in_messages(self, tmp_path):
+        # a step whose 2,000-letter result differs from the replayed one
+        word = " ".join(["s1", "s2"] * 1000)
+        path = tmp_path / "long.cert"
+        path.write_text(f"doodlekit certificate\nleft n=3 : {word}\nright n=3 : s1\n"
+                        f"step M2 stab s -> {word} @ n=3\n")
+        code, out, err = invoke("verify-cert", str(path))
+        assert (code, out) == (65, "") and "... (5999 characters)" in err
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize(
         "argv,code,message",
         [
@@ -337,7 +347,7 @@ class TestUsage:
 
 
 @pytest.mark.parametrize("script, args, line", [
-    ("rebraid_roundtrip.py", ["--samples", "30"], "30/30 round trips closed"),
+    ("rebraid_roundtrip.py", ["--samples", "200"], "200/200 round trips closed"),
     ("kishino_probe.py", ["--max-states", "2000"], "verdict: Unknown(states_explored=2000"),
     ("layer_timings.py", ["--repeat", "1", "--number", "1"], '"layers": {"mu": {"us": '),
     ("branch_census.py",

@@ -510,6 +510,16 @@ def test_each_step_is_computed_once(monkeypatch):
     assert 0 < calls <= steps, (calls, steps)
 
 
+def test_exchange_is_all_squares_exactly_when_beta1_is_empty():
+    # apply_derived decides a degenerate exchange by beta1 alone; with
+    # beta1, an all-virtual arm takes no step, and any other a non-square one
+    for item, args in battery_instances():
+        if "exchange" in item:
+            steps = battery_move(item, args).trace.steps
+            squares = all(s.tag == "M0" and s.params[0].startswith("square-") for s in steps)
+            assert squares == (args["beta1"] == "" or not steps), (item, args)
+
+
 def test_mirrored_gap_is_caught():
     # the mirror reuses a mapped state only where the chain is unbroken,
     # so a gap in a right-handed chain stays a gap in its mirror

@@ -9,6 +9,7 @@ from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
 from doodlekit.freegroup import mu
 from doodlekit.gauss import closure_gauss, parse_gauss
 from doodlekit.alexander import braid
+from doodlekit.derived import apply_derived
 from doodlekit.markov import (
     _LETTER_RULES,
     _M0_RULES,
@@ -238,6 +239,69 @@ class TestLongLinesInMessages:
         with pytest.raises(CertificateError) as exc:
             verify_certificate(text)
         assert str(exc.value) == message
+
+
+def nested(depth):
+    x = []
+    for _ in range(depth):
+        x = [x]
+    return x
+
+
+LONG_WORD = w(" ".join(["s1", "s2"] * 1000), 3)
+
+
+class TestOutsideValuesInMessages:
+    """Every outside value a message shows goes through words._quoted, so a
+    huge int, a long word, tag or item, or a deep or wide container in the
+    params ends in a short DoodleError."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: apply_move(w("s1", 3), "M1", ("conj", [10**5000])), PatternMismatch),
+            (lambda: apply_move(w("s1", 3), 10**5000, ()), PatternMismatch),
+            (lambda: apply_move(w("s1", 3), "M" * 5000, ()), PatternMismatch),
+            (lambda: apply_move(w("s1", 3), "M1", ("conj", nested(100_000))), PatternMismatch),
+            (lambda: apply_move(w("s1", 3), "M1", tuple(range(10**5))), PatternMismatch),
+            (lambda: apply_derived("x" * 5000, n=3), PatternMismatch),
+            (lambda: apply_move(LONG_WORD, "M4", ()), PatternMismatch),
+            (lambda: neighbors(w(" ".join(["s1"] * 2000), 3)), PatternMismatch),
+            (lambda: verify_certificate(
+                f"doodlekit certificate\nleft n=3 : {LONG_WORD}\nright n=3 : s1\n"
+                f"step M1 conj s1 -> {LONG_WORD} @ n=3\n"), CertificateError),
+            (lambda: verify_certificate(
+                f"doodlekit certificate\nleft n=3 : {LONG_WORD}\nright n=3 : s1\n"),
+             CertificateError),
+        ],
+        ids=["int-in-list", "int-tag", "long-tag", "deep-params", "wide-params",
+             "derived-item", "apply-word", "neighbors-word", "step-words", "end-word"],
+    )
+    def test_message_is_short(self, call, error):
+        with pytest.raises(error) as exc:
+            call()
+        assert len(str(exc.value)) < 200
+
+    def test_int_in_a_nested_list(self):
+        with pytest.raises(PatternMismatch) as exc:
+            apply_move(w("s1", 3), "M1", ("conj", [10**5000]))
+        assert str(exc.value) == (
+            "move M1 ('conj', [10000000000000000000... (5001 digits)]) does not apply to 's1'"
+        )
+
+    def test_long_words_are_cut(self):
+        cut = "'s1 s2 s1 s2 s1 s2 s1... (5999 characters)'"
+        with pytest.raises(PatternMismatch) as exc:
+            apply_move(LONG_WORD, "M4", ())
+        assert str(exc.value) == f"move M4 () does not apply to {cut}"
+        cert = (f"doodlekit certificate\nleft n=3 : {LONG_WORD}\nright n=3 : s1\n"
+                f"step M2 stab s -> {LONG_WORD} @ n=3\n")
+        with pytest.raises(CertificateError) as exc:
+            verify_certificate(cert)
+        assert str(exc.value) == (
+            f"step M2 ('stab', 's') gives 's1 s2 s1 s2 s1 s2 s1... (6002 characters)', "
+            f"certificate claims {cut}"
+        )
 
 
 class TestMalformedParams:

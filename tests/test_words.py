@@ -273,6 +273,72 @@ class TestLongValuesInMessages:
             assert words._digits(a) == f"{sign}{text[:20]}... ({len(text)} digits)"
 
 
+def self_containing(width):
+    x = []
+    x.extend([x] * width)
+    return x
+
+
+def nested_deep(depth, kind):
+    x = kind()
+    for _ in range(depth):
+        x = kind([x])
+    return x
+
+
+# _quoted's longest text: a str's 20 quoted characters may each print as
+# an escape of up to 10 characters, plus the quotes and its length
+QUOTED_BOUND = 10 * 20 + 40
+huge_ints = st.builds(lambda k, d, s: s * (10**k + d), st.integers(0, 6000),
+                      st.integers(-5, 5), st.sampled_from([1, -1]))
+any_strs = st.text() | st.builds(lambda c, k: c * k, st.characters(), st.integers(0, 10**5))
+outside_values = st.one_of(
+    st.recursive(
+        st.integers() | huge_ints | any_strs | st.none() | st.floats(),
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple),
+    ),
+    st.builds(nested_deep, st.integers(0, 10**5), st.sampled_from([list, tuple])),
+    st.builds(self_containing, st.integers(1, 1000)),
+    st.builds(lambda k: tuple(range(k)), st.integers(0, 10**5)),
+)
+short_values = st.recursive(
+    st.integers(-(10**19), 10**19) | st.text(max_size=20) | st.none(),
+    lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+class TestQuoted:
+    """words._quoted is the one way a message shows an outside value."""
+
+    @given(outside_values)
+    @settings(max_examples=100, deadline=None)
+    def test_never_raises_and_stays_short(self, x):
+        assert len(words._quoted(x)) < QUOTED_BOUND
+
+    @given(short_values)
+    def test_short_values_read_as_their_repr(self, x):
+        # messages only change for values over the caps
+        if len(repr(x)) <= 80 and repr(x).count("[") + repr(x).count("(") < 8:
+            assert words._quoted(x) == repr(x)
+
+    def test_containers(self):
+        assert words._quoted(("destab",)) == "('destab',)"
+        assert words._quoted(["conj", 10**5000]) == "['conj', 10000000000000000000... (5001 digits)]"
+        assert words._quoted(self_containing(1)) == "[[[[[[[[...]]]]]]]]"
+        assert words._quoted(tuple(range(10**5))) == (
+            "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 2"
+            "... (100000 items)"
+        )
+
+    def test_permutation_message_is_cut(self):
+        with pytest.raises(ValueError) as exc:
+            Permutation((10**5000,))
+        assert str(exc.value) == (
+            "not a bijection of 1..1: (10000000000000000000... (5001 digits),)"
+        )
+
+
 class TestFreeReduce:
     def test_involution_pair(self):
         assert free_reduce(w("s1 s1", 2)) == w("", 2)
