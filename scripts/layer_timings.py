@@ -48,7 +48,9 @@ steps at both ends, since neither word is free-reduced).  The
 equivalent_closures_unknown row times the benchmark's Kishino op: the
 braided Kishino doodle against the unknot at Budget(800), which ends
 Unknown when its budget runs out, so it times 800 expanded states, the
-last level's fan results only looked up, never stored.  Each figure is
+last level's fan results only looked up, never stored, and that fan run
+under the caps of the unknot's side: its longest word and widest strand
+count, which no state of the last level fits.  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
 the diagram layers, crossings, and for the derived rows the trace steps.  The

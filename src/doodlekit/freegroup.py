@@ -50,7 +50,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import RankMismatch
-from .words import TwinWord, _digits
+from .words import TwinWord, _cut, _digits
 
 # ---------------------------------------------------------------------------
 # free words
@@ -122,7 +122,7 @@ class FreeEndomorphism:
                 raise ValueError("image rank mismatch")
             x = img.letters
             if any(map(operator.eq, x, map(operator.neg, x[1:]))):
-                raise ValueError(f"image {img} is not reduced")
+                raise ValueError(f"image {_cut(str(img))} is not reduced")
 
     @classmethod
     def identity(cls, rank: int) -> "FreeEndomorphism":

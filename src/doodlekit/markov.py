@@ -45,7 +45,8 @@ verdict: the move system is complete but gives no length bound, so
 budgets are honest caps, not heuristics.  The level where the budget runs
 out is never expanded further, so it stores nothing: its fan edges are
 only tested against the other side's visited map, which finds the same
-first meet (equivalent_closures).
+first meet (equivalent_closures).  Its fan is capped at the other side's
+longest word and widest strand count, since nothing else can meet.
 
 The fan takes free-reduced states only; the search reduces both roots and
 every move keeps a reduced word reduced.  An M0 move rewrites one window
@@ -59,9 +60,12 @@ cancels wherever it sits, so the width-3 splice or comm at that position,
 or an edge one position left, reaches the word first.  So no seam of a
 grow (2-letter window, comm-grow) cancels: it is the prefix, the new
 letters and the suffix concatenated, two letters longer than the word,
-and none is built where that passes the length cap.  comm and width-3
-splices are joined by _join, which cancels only at the seam after the new
-letters.  The prefix and suffix are sliced only for an edge that is built.
+and none is built where that passes the length cap; nor is a conjugation
+by a letter at neither end.  comm and width-3 splices are joined by _join,
+which cancels only at the seam after the new letters, so none is built
+whose seam cannot cancel on a word over the cap.  The prefix and suffix
+are sliced only for an edge that is built.  A tighter cap drops the edges
+whose results do not fit and keeps the rest in order.
 _splice, _apply_int and _inverse_edges keep every rule and take unreduced
 words too, which certificates and derived chains hold.  The fan builds
 every move inline and calls no _apply_int: an exchange only where its
@@ -342,6 +346,7 @@ def _moves_int(
     L = len(t)
     ix = list(map(abs, t))  # the index of each letter
     grows = L + 2 <= max_len  # every grow has L + 2 letters
+    fits = L <= max_len  # else a comm or width-3 splice fits only if its seam cancels
 
     # M0 and M1 keep the strand count, so its cap is checked once
     if 1 <= n <= max_n:
@@ -359,7 +364,7 @@ def _moves_int(
                 k = ix[pos + 1]
                 gap = abs(i - k)
                 if gap >= 2:
-                    if b != left:
+                    if b != left and (fits or t[pos + 2 : pos + 3] == (g,)):
                         res = _join(t[:pos], (b, g), t[pos + 2 :])
                         if len(res) <= max_len:
                             yield "M0", ("comm", pos), (n, res)
@@ -372,7 +377,7 @@ def _moves_int(
                         if rhs[0] == left:
                             continue
                         if rest:
-                            if rest[0] == c:
+                            if rest[0] == c and (fits or t[pos + 3 : pos + 4] == rhs[-1:]):
                                 res = _join(t[:pos], rhs, t[pos + 3 :])
                                 if len(res) <= max_len:
                                     yield "M0", (rule, pos), (n, res)
@@ -389,6 +394,8 @@ def _moves_int(
         # M1 conjugations (g w g: cancel at the front, then at the back)
         for j in range(1, n):
             for g in (j, -j):
+                if not grows and t and g != t[0] and g != t[-1]:
+                    continue  # L + 2 letters: g is at neither end
                 res = t[1:] if t and t[0] == g else (g,) + t
                 res = res[:-1] if res and res[-1] == g else res + (g,)
                 if len(res) <= max_len:
@@ -652,6 +659,8 @@ def equivalent_closures(
     is exact: a result already visited on its own side is never on the
     other, since a state on both sides would have ended the search, so the
     first hit is the meet the full level would find, with the same edge.
+    Its fan is capped at the other side's longest word and widest strand
+    count too, which only drops edges whose results are not on that side.
     """
     budget = budget or Budget()
     cu, cv = closure_components(u), closure_components(v)
@@ -696,9 +705,15 @@ def equivalent_closures(
         rest = max(max_states - explored, 0)
         if rest <= len(level):
             # the final level: nothing it reaches is expanded, so it only
-            # looks for a meet (docstring)
+            # looks for a meet, no longer or wider than the other side (docstring)
+            cap_len = cap_n = 0
+            for m, x in other:
+                if len(x) > cap_len:
+                    cap_len = len(x)
+                if m > cap_n:
+                    cap_n = m
             for state in level[:rest]:
-                for tag, params, res in _moves_int(state, max_len, max_n):
+                for tag, params, res in _moves_int(state, min(max_len, cap_len), min(max_n, cap_n)):
                     if res in other:
                         mine[res] = (state, tag, params)
                         return build_verdict(res)

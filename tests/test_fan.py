@@ -192,6 +192,46 @@ class TestFanReference:
         assert reached == {(tag, res) for tag, _, res in brute if res != state}, state
 
 
+class TestMonotoneCaps:
+    """A tighter cap only drops edges: the fan under caps (a, b) is, in
+    order, the edges of the fan under (A, B) whose results fit (a, b).  The
+    search's final level relies on this when it caps its fan at the other
+    side's longest word and widest strand count."""
+
+    @staticmethod
+    def check(state, a, b, wide_len, wide_n):
+        wide = list(_moves_int(state, wide_len, wide_n))
+        fitting = [e for e in wide if len(e[2][1]) <= a and e[2][0] <= b]
+        assert list(_moves_int(state, a, b)) == fitting, (state, a, b, wide_len, wide_n)
+        return fitting
+
+    @settings(max_examples=500, deadline=None)
+    @given(int_states(), st.data())
+    def test_tighter_caps_keep_the_fitting_edges_in_order(self, state, data):
+        # both length caps are drawn near the state's length, the tight one
+        # often below it, where only edges that cancel letters fit
+        n, t = state
+        wide_len = max(len(t) + data.draw(st.integers(-4, 4)), 0)
+        a = max(wide_len - data.draw(st.integers(0, 4)), 0)
+        wide_n = data.draw(st.integers(1, n + 2))
+        self.check(state, a, data.draw(st.integers(1, wide_n)), wide_len, wide_n)
+
+    @pytest.mark.parametrize("t, shorter, edge", [
+        # at the cap, a comm, a width-3 splice and a conjugation by the
+        # letter at one end keep the length
+        ((1, 3, 2), 0, ("M0", ("comm", 0), (4, (3, 1, 2)))),
+        ((-1, -2, -1), 0, ("M0", ("braid", 0), (4, (-2, -1, -2)))),
+        ((1, 3, 2), 0, ("M1", ("conj", 1), (4, (3, 2, 1)))),
+        # below it, they fit only if letters cancel: s1 s3 s1 -> s3 s1 s1 -> s3,
+        # r1 r2 r1 r2 -> r2 r1 r2 r2 -> r2 r1 and s1 s2 s1 -> s2
+        ((1, 3, 1), 2, ("M0", ("comm", 0), (4, (3,)))),
+        ((-1, -2, -1, -2), 2, ("M0", ("braid", 0), (4, (-2, -1)))),
+        ((1, 2, 1), 2, ("M1", ("conj", 1), (4, (2,)))),
+    ])
+    def test_edges_that_fit_at_or_below_the_words_length(self, t, shorter, edge):
+        assert edge in self.check((4, t), len(t) - shorter, 4, len(t) + 4, 4)
+
+
 class TestLengthCap:
     """No edge the fan yields is longer than the length cap; on a reduced
     word every grow has two letters more than the word, so the fan builds

@@ -145,6 +145,13 @@ class TestMu:
         assert type(exc.value) is ValueError
         assert str(exc.value) == "image x1 x2 x2^-1 x1 is not reduced"
 
+    def test_long_unreduced_image_is_cut_in_the_message(self):
+        with pytest.raises(ValueError) as exc:
+            FreeEndomorphism(1, (FreeWord(1, (1, -1) * 50000),))
+        assert type(exc.value) is ValueError
+        assert len(str(exc.value)) < 200
+        assert str(exc.value) == "image x1 x1^-1 x1 x1^-1 x1... (449999 characters) is not reduced"
+
     def test_one_image_per_generator_of_its_rank(self):
         with pytest.raises(ValueError):
             FreeEndomorphism(2, (FreeWord(2, (1,)),))

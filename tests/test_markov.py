@@ -736,6 +736,14 @@ class TestFinalLevel:
         # six of these budgets end exactly where a level ends
         assert starts == [0, 1, 2, 4, 12, 25, 70]
 
+    def test_kishino_rotations_at_the_benchmark_budget(self):
+        # the benchmark's Kishino op: every rotation against the unknot at 800
+        kishino = braid(parse_gauss(fixture_text("kishino.gauss")))
+        for rot in range(len(kishino)):
+            word = TwinWord(kishino.strands, kishino.code[rot:] + kishino.code[:rot])
+            verdict, _ = self.agree(word, w("", 1), Budget(800))
+            assert verdict == Unknown(800, Budget(800)), rot
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_small_pairs(self, data):
