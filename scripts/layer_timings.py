@@ -28,13 +28,13 @@ the length cap: on the first 15-letter word of the breadth-first walk from
 the Kishino word (the walk of the benchmark's fan sample), under the caps
 of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
 fits.  The derived row times one apply_derived call, left-tail-mixed at
-n = 4, center 4, beta r1 r2 and kinds srsr (85 steps): a mirrored trace
+n = 4, center 4, beta r1 r2 and kinds srsr (79 steps): a mirrored trace
 whose one tail chain pushes through real and virtual letters.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
 state the step before ended at.  The derived_exchange row times one
 apply_derived call, right-exchange-mixed at n = 4, i = 2, beta1 s1,
-beta2 r1 r2 and kinds srr (53 steps): the one exchange chain turning the
+beta2 r1 r2 and kinds srr (51 steps): the one exchange chain turning the
 real bottom level under a virtual top.  The parse_word row times parse_word on
 the text of the seed-1 word (n = 8, 120 letters), and the
 verify_certificate row one verify_certificate call on the certificate

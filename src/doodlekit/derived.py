@@ -53,9 +53,10 @@ trace.
 
 Each step is computed once, by the builder that takes it: chains run
 backwards (markov._invert_edges) and mirrored chains are passed on as
-built, not applied again.  The finished trace is replayed once, in
+built, not applied again.  The finished chain is replayed once, in
 markov._edge_trace, which also checks that it ends at the item's right
-side; a chain that goes wrong is an internal error (RuntimeError).
+side and drops its loops, so no trace passes a state twice; a chain that
+goes wrong is an internal error (RuntimeError).
 """
 
 from __future__ import annotations

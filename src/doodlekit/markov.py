@@ -40,7 +40,8 @@ square-ins) appear in a search trace only where letters cancel: at an end
 whose input word is not free-reduced, which is joined to its root by
 square deletions (left) or insertions (right), and inside the inverse
 chain of a backward edge whose move cancelled letters.  A free-reduced end
-has no square chain and is not scanned for one.  Unknown is a first-class
+has no square chain and is not scanned for one, and no trace passes a
+state twice: s1 s1 to s1 s1 takes no step.  Unknown is a first-class
 verdict: the move system is complete but gives no length bound, so
 budgets are honest caps, not heuristics.  The level where the budget runs
 out is never expanded further, so it stores nothing: its fan edges are
@@ -85,7 +86,8 @@ A search state is the plain tuple (w.strands, w.code), which hashes
 faster than a word; _word turns it back into one.  An edge chain becomes
 a public MoveTrace in _edge_trace alone.  It replays the raw chain once,
 state against state, and checks where it ends; only then does it build
-one word per distinct state and the steps between them.
+the steps, going on from each state after the chain's last arrival there,
+so a loop in the chain (a step the next one undoes) leaves no step.
 """
 
 from __future__ import annotations
@@ -612,11 +614,11 @@ def _invert_edges(edges: list[Edge]) -> list[Edge]:
 
 
 def _edge_trace(start: State, edges: list[Edge], end: State) -> MoveTrace:
-    """The trace of a chain of edges from start, replayed once on the raw
-    states, then built with one TwinWord per distinct state.  Every trace
-    the search and the derived moves build is checked here and nowhere
-    else: RuntimeError unless each edge starts where the last one ended,
-    its move gives its result, and the chain runs from start to end."""
+    """The trace of a chain of edges from start.  Every search and derived
+    trace is checked here alone: RuntimeError unless each edge of the raw
+    chain, loops included, starts where the last ended, its move gives its
+    result, and the chain runs from start to end.  The trace goes on from
+    each state after the chain's last arrival there, so no state repeats."""
     cur = start
     for a, tag, params, b in edges:
         if a != cur or _apply_int(a, tag, params) != b:
@@ -624,16 +626,16 @@ def _edge_trace(start: State, edges: list[Edge], end: State) -> MoveTrace:
         cur = b
     else:
         if cur == end:
-            src = _word(*start)
-            words = {start: src}
+            last = {e[3]: k for k, e in enumerate(edges, 1)}
+            k = last.get(start, 0)
+            first = src = _word(*start)
             steps = []
-            for _, tag, params, b in edges:
-                res = words.get(b)
-                if res is None:
-                    res = words[b] = _word(*b)
+            while k < len(edges):
+                _, tag, params, b = edges[k]
+                res = _word(*b)
                 steps.append(MoveInstance(tag, params, src, res))
-                src = res
-            return MoveTrace(words[start], tuple(steps))
+                src, k = res, last[b]
+            return MoveTrace(first, tuple(steps))
     raise RuntimeError(f"internal: edge chain from {start} does not replay to {end}")
 
 

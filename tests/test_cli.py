@@ -163,6 +163,15 @@ class TestEquivCommands:
         code, out2, _ = invoke("verify-cert", str(cert))
         assert code == 0 and out2.startswith("certificate ok")
 
+    def test_equal_unreduced_words_print_the_headers_only(self, tmp_path):
+        code, out, _ = invoke("equiv", "--n1", "2", "--n2", "2", "s1 s1", "s1 s1")
+        assert code == 0
+        assert out == "doodlekit certificate\nleft n=2 : s1 s1\nright n=2 : s1 s1\n"
+        cert = tmp_path / "cert.txt"
+        cert.write_text(out)
+        code, out2, _ = invoke("verify-cert", str(cert))
+        assert code == 0 and out2.startswith("certificate ok")
+
     def test_verify_cert_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a certificate\n")

@@ -39,7 +39,7 @@ class TestRightTailReal:
         dm = apply_derived("right-tail-real", n=2, i=1, beta=w("r1", 2))
         assert dm.lhs == w("r1 s2 s1 s2", 3)
         assert dm.rhs == w("r1", 2)
-        assert [s.tag for s in dm.trace.steps] == ["M4", "M0", "M1", "M2", "M1"]
+        assert [s.tag for s in dm.trace.steps] == ["M4", "M0", "M1", "M2"]
         assert dm.trace.replay()
 
     def test_base_case_is_destabilization(self):
@@ -184,7 +184,7 @@ class TestSearchFreeInstances:
         assert dm.lhs == w("s4 s3 s2 s1 s2 s3 s4 s2 r3", 5)
         assert dm.rhs == w("r4 r3 r2 s1 r2 r3 r4 s2 r3", 5)
         assert dm.trace.replay() and dm.trace.end == dm.rhs
-        assert len(dm.trace.steps) == 63
+        assert len(dm.trace.steps) == 59
 
     def test_right_tail_mixed_n4(self):
         dm = apply_derived("right-tail-mixed", n=4, i=1, beta=w("s1", 4), kinds=list("ssss"))
@@ -273,7 +273,7 @@ class TestOneExchangeBuilder:
         assert dm.lhs == w("r4 r3 s2 s1 s2 r3 r4 r1 r2", 5)
         assert dm.rhs == w("r4 r3 r2 s1 r2 r3 r4 r1 r2", 5)
         assert dm.trace.replay() and dm.trace.end == dm.rhs
-        assert len(dm.trace.steps) == 53
+        assert len(dm.trace.steps) == 51
 
 
 @st.composite
@@ -368,7 +368,7 @@ class TestValidation:
 
     def test_defaults(self):
         # beta=None is the empty word, kinds=None is all real
-        assert len(apply_derived("right-tail-real", n=3, i=1).trace.steps) == 16
+        assert len(apply_derived("right-tail-real", n=3, i=1).trace.steps) == 13
         args = dict(n=3, i=2, beta1=w("s1", 2), beta2=w("r2", 3))
         plain = apply_derived("right-exchange-mixed", **args)
         assert plain.trace == apply_derived("right-exchange-mixed", **args, kinds=["s", "s"]).trace
@@ -465,18 +465,18 @@ def test_batteries_match_golden():
         assert line == expected
 
 
-# each family's total steps= in the golden, as it was before the real and
-# mixed tails shared one builder; a regenerated golden may fall below it
+# each family's total steps= in the golden, as it was once no trace came
+# back to a state it had passed; a regenerated golden may fall below it
 FAMILY_STEP_BUDGET = {
-    "right-tail-real": 428,
-    "right-exchange-run": 1363,
-    "right-exchange-mixed": 5864,
-    "right-tail-mixed": 6672,
-    "left-virtual-destab": 216,
-    "left-tail-real": 504,
-    "left-exchange-run": 1458,
-    "left-exchange-mixed": 623,
-    "left-tail-mixed": 8983,
+    "right-tail-real": 408,
+    "right-exchange-run": 1271,
+    "right-exchange-mixed": 4274,
+    "right-tail-mixed": 4114,
+    "left-virtual-destab": 173,
+    "left-tail-real": 477,
+    "left-exchange-run": 1298,
+    "left-exchange-mixed": 409,
+    "left-tail-mixed": 6260,
 }
 
 
@@ -490,24 +490,37 @@ def test_golden_step_totals_stay_within_budget():
         assert total <= FAMILY_STEP_BUDGET[item], (item, total)
 
 
+def test_no_battery_trace_repeats_a_state():
+    for item, args in battery_instances():
+        trace = battery_move(item, args).trace
+        states = [(x.strands, x.code) for x in [trace.start, *(s.result for s in trace.steps)]]
+        assert len(set(states)) == len(states), (item, args)
+
+
 def test_each_step_is_computed_once(monkeypatch):
     # builders pass on the states they computed; only the builder's own
     # steps and the turn around a mirrored exchange apply a move, so the
-    # moves applied in derived.py never outnumber the trace steps
-    apply, calls = derived._apply_int, 0
+    # moves applied in derived.py never outnumber the edges built.  The
+    # trace may be shorter than its edge chain, which _edge_trace cuts
+    # where the chain comes back to a state.
+    apply, trace, calls, built = derived._apply_int, derived._edge_trace, 0, 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return apply(*args)
 
+    def handed(start, edges, end):
+        nonlocal built
+        built += len(edges)
+        return trace(start, edges, end)
+
     monkeypatch.setattr(derived, "_apply_int", counted)
-    steps = sum(
-        len(battery_move(item, args).trace.steps)
-        for item, args in battery_instances()
-        if args["n"] <= 3
-    )
-    assert 0 < calls <= steps, (calls, steps)
+    monkeypatch.setattr(derived, "_edge_trace", handed)
+    for item, args in battery_instances():
+        if args["n"] <= 3:
+            battery_move(item, args)
+    assert 0 < calls <= built, (calls, built)
 
 
 def test_exchange_is_all_squares_exactly_when_beta1_is_empty():

@@ -393,6 +393,24 @@ def int_states(max_letters=12):
     return st.integers(1, 5).flatmap(lambda n: letters(n).map(lambda t: (n, t)))
 
 
+@st.composite
+def one_reduction_pairs(draw):
+    """Two words on 2..4 strands with one free reduction: squares g g put
+    at random places into one reduced word."""
+    n = draw(st.integers(2, 4))
+    gen = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    base = _reduce(tuple(draw(st.lists(gen, max_size=6))))
+
+    def padded():
+        t = list(base)
+        for _ in range(draw(st.integers(0, 3))):
+            p, g = draw(st.integers(0, len(t))), draw(gen)
+            t[p:p] = [g, g]
+        return TwinWord(n, tuple(t))
+
+    return padded(), padded()
+
+
 class TestEdgeInverse:
     @settings(max_examples=300, deadline=None)
     @given(int_states())
@@ -460,13 +478,18 @@ class TestEdgeTrace:
         with pytest.raises(RuntimeError, match="internal"):
             _edge_trace(src, edges, end)
 
-    def test_equal_states_share_one_word(self):
-        # stab then destab comes back to an equal, but distinct, tuple
+    def test_a_chain_that_comes_back_is_cut(self):
+        # stab then destab comes back to an equal, but distinct, tuple: the
+        # trace goes on from the chain's last arrival there, so it is empty
         src, mid = (2, (1,)), (3, (1, 2))
         edges = [(src, "M2", ("stab", "s"), mid), (mid, "M2", ("destab",), (2, (1,)))]
-        trace = _edge_trace(src, edges, src)
-        assert trace.steps[0].result is trace.steps[1].source
-        assert trace.steps[1].result is trace.start
+        assert _edge_trace(src, edges, src).steps == ()
+        # A -> B -> A -> C is A -> C
+        a, b, c = (3, (1, 2)), (3, (2, 1)), (3, (-2, 1, 2, -2))
+        edges = [(a, "M1", ("conj", 1), b), (b, "M1", ("conj", 1), a), (a, "M1", ("conj", -2), c)]
+        trace = _edge_trace(a, edges, c)
+        assert trace.start == TwinWord(*a)
+        assert trace.steps == (MoveInstance("M1", ("conj", -2), TwinWord(*a), TwinWord(*c)),)
 
     @settings(max_examples=400, deadline=None)
     @given(int_states(10), st.data())
@@ -497,13 +520,28 @@ class TestEdgeTrace:
             edges[k] = (a, tag, params, b)
         elif fault == "end":
             end = data.draw(st.sampled_from([start] + [b for *_, b in edges]))
-        oracle = MoveTrace(TwinWord(*start), tuple(
-            MoveInstance(tag, params, TwinWord(*a), TwinWord(*b)) for a, tag, params, b in edges
-        ))
-        if not oracle.replay() or oracle.end != TwinWord(*end):
+
+        def word_trace(chain):
+            return MoveTrace(TwinWord(*start), tuple(
+                MoveInstance(tag, params, TwinWord(*a), TwinWord(*b)) for a, tag, params, b in chain
+            ))
+
+        raw = word_trace(edges)
+        if not raw.replay() or raw.end != TwinWord(*end):
             with pytest.raises(RuntimeError, match="internal"):
                 _edge_trace(start, edges, end)
             return
+        # the chain replays; cut it by removing the first repeated state,
+        # with the steps since that state's first visit, until none repeats
+        cut = list(edges)
+        while True:
+            states = [start] + [b for *_, b in cut]
+            j = next((j for j in range(len(states)) if states[j] in states[:j]), None)
+            if j is None:
+                break
+            del cut[states.index(states[j]) : j]
+        oracle = word_trace(cut)
+        assert oracle.replay() and oracle.end == TwinWord(*end)
         trace = _edge_trace(start, edges, end)
         assert trace == oracle
         # one word per distinct state, handed on from step to step
@@ -559,6 +597,24 @@ class TestEquivalentClosures:
         assert verdict.trace.end == w("r1 r1", 2)
         tags = [s.params[0] for s in verdict.trace.steps if s.tag == "M0"]
         assert "square-del" in tags and "square-ins" in tags
+
+    def test_equal_unreduced_words_take_no_step(self):
+        # deleting the square and inserting it again would come back
+        verdict = equivalent_closures(w("s1 s1", 2), w("s1 s1", 2))
+        assert isinstance(verdict, Equivalent) and verdict.trace.steps == ()
+        assert verdict.trace.start == w("s1 s1", 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_reduction_pairs())
+    def test_no_certificate_repeats_a_state(self, pair):
+        u, v = pair
+        verdict = equivalent_closures(u, v)
+        assert isinstance(verdict, Equivalent)
+        trace = verdict.trace
+        states = [trace.start, *(s.result for s in trace.steps)]
+        assert len(set(states)) == len(states)
+        assert trace.start == u and trace.end == v
+        assert verify_certificate(format_certificate(u, v, trace)).end == v
 
     @pytest.mark.parametrize(
         "a,b,squares",
@@ -808,6 +864,11 @@ class TestCertificates:
         left, right, steps = parse_certificate(cert)
         assert left == w("s1", 2) and right == w("", 1)
         assert len(steps) == 1
+
+    @pytest.mark.parametrize("text", ["", "left n=2 : s1\nright n=2 : s1\n"])
+    def test_certificate_without_header_rejected(self, text):
+        with pytest.raises(CertificateError, match="missing certificate header"):
+            parse_certificate(text)
 
     def test_empty_trace_certificate(self):
         verdict = equivalent_closures(w("", 1), w("", 1))
