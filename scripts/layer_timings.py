@@ -115,7 +115,7 @@ def fan(w: TwinWord, caps=None):
     emits and their distinct results."""
     state = (w.strands, w.code)
     max_len, max_n = caps or Budget().resolve(w, w)[1:]
-    results = [res for _, _, res in _moves_int(state, max_len, max_n)]
+    results = [res for *_, res in _moves_int(state, max_len, max_n)]
     at = {"n": w.strands, "letters": len(w), "edges": len(results), "distinct": len(set(results))}
     if caps:
         at.update(max_len=max_len, max_n=max_n)

@@ -10,7 +10,7 @@ class UnknownToken(DoodleError):
 
 
 class IndexOutOfRange(DoodleError):
-    """A generator index lies outside 1..strands-1."""
+    """A generator index lies outside 1..strands-1 (1..rank for a free word)."""
 
 
 class InvalidStrandCount(DoodleError):
@@ -18,7 +18,7 @@ class InvalidStrandCount(DoodleError):
 
 
 class RankMismatch(DoodleError):
-    """Operands live in groups of different rank / strand count."""
+    """Operands live in groups of different rank / strand count / size."""
 
 
 class GaussDataError(DoodleError):
@@ -42,7 +42,8 @@ class InvalidGaussData(GaussDataError):
 
 
 class PatternMismatch(DoodleError):
-    """Parameters do not match the required word pattern."""
+    """A value does not match the required pattern: move parameters that do
+    not fit the word, or a word, image or permutation of the wrong form."""
 
 
 class CertificateError(DoodleError):

@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import RankMismatch
+from .errors import IndexOutOfRange, PatternMismatch, RankMismatch
 from .words import TwinWord, _cut, _digits
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,8 @@ class FreeWord:
     def __post_init__(self) -> None:
         for a in self.letters:
             if a == 0 or abs(a) > self.rank:
-                raise ValueError(f"letter {_digits(a)} out of range for rank {_digits(self.rank)}")
+                rank = _digits(self.rank)
+                raise IndexOutOfRange(f"letter {_digits(a)} out of range for rank {rank}")
 
     def __str__(self) -> str:
         if not self.letters:
@@ -116,13 +117,13 @@ class FreeEndomorphism:
 
     def __post_init__(self) -> None:
         if len(self.images) != self.rank:
-            raise ValueError("one image required per generator")
+            raise RankMismatch("one image required per generator")
         for img in self.images:
             if img.rank != self.rank:
-                raise ValueError("image rank mismatch")
+                raise RankMismatch("image rank mismatch")
             x = img.letters
             if any(map(operator.eq, x, map(operator.neg, x[1:]))):
-                raise ValueError(f"image {_cut(str(img))} is not reduced")
+                raise PatternMismatch(f"image {_cut(str(img))} is not reduced")
 
     @classmethod
     def identity(cls, rank: int) -> "FreeEndomorphism":

@@ -35,7 +35,12 @@ splice seams only, see below):
 
 The search is a bidirectional breadth-first search keyed by
 (free-reduced word, strand count), with deterministic expansion order and
-a replayable stitched trace on success.  Square steps (M0 square-del and
+a replayable stitched trace on success.  The fan yields Edges
+(source, tag, params, result), and each side's visited map holds the
+edge that first reached each state (None at its root), so a path is read
+back by following sources.  The cyclic collector is paused during a
+search: it builds many tuples and no reference cycle, so the collector's
+passes over them would free nothing.  Square steps (M0 square-del and
 square-ins) appear in a search trace only where letters cancel: at an end
 whose input word is not free-reduced, which is joined to its root by
 square deletions (left) or insertions (right), and inside the inverse
@@ -62,9 +67,10 @@ or an edge one position left, reaches the word first.  So no seam of a
 grow (2-letter window, comm-grow) cancels: it is the prefix, the new
 letters and the suffix concatenated, two letters longer than the word,
 and none is built where that passes the length cap; nor is a conjugation
-by a letter at neither end.  comm and width-3 splices are joined by _join,
-which cancels only at the seam after the new letters, so none is built
-whose seam cannot cancel on a word over the cap.  The prefix and suffix
+by a letter at neither end, and over the cap only the one by the letter at
+both ends.  comm and width-3 splices are joined by _join, which cancels
+only at the seam after the new letters, so none is built whose seam
+cannot cancel on a word over the cap.  The prefix and suffix
 are sliced only for an edge that is built.  A tighter cap drops the edges
 whose results do not fit and keeps the rest in order.
 _splice, _apply_int and _inverse_edges keep every rule and take unreduced
@@ -92,6 +98,7 @@ so a loop in the chain (a step the next one undoes) leaves no step.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -337,12 +344,11 @@ def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(h for j in range(1, n) if abs(j - i) >= 2 for h in (j, -j)) for i in range(n))
 
 
-def _moves_int(
-    state: State, max_len: int, max_n: int
-) -> Iterator[tuple[str, tuple, State]]:
-    """All single moves from a free-reduced state, deterministic order,
-    caps applied; results are free-reduced (module docstring).  Self-loops
-    and the duplicate results the M0 skips leave are filtered by the caller.
+def _moves_int(state: State, max_len: int, max_n: int) -> Iterator[Edge]:
+    """All single moves from a free-reduced state as edges from it,
+    deterministic order, caps applied; results are free-reduced (module
+    docstring).  Self-loops and the duplicate results the M0 skips leave are
+    filtered by the caller.
     """
     n, t = state
     L = len(t)
@@ -369,7 +375,7 @@ def _moves_int(
                     if b != left and (fits or t[pos + 2 : pos + 3] == (g,)):
                         res = _join(t[:pos], (b, g), t[pos + 2 :])
                         if len(res) <= max_len:
-                            yield "M0", ("comm", pos), (n, res)
+                            yield state, "M0", ("comm", pos), (n, res)
                 elif gap == 1:
                     # relator letters alternate two adjacent indices
                     table = _splices_at((i if i < k else k) - 1)
@@ -382,26 +388,31 @@ def _moves_int(
                             if rest[0] == c and (fits or t[pos + 3 : pos + 4] == rhs[-1:]):
                                 res = _join(t[:pos], rhs, t[pos + 3 :])
                                 if len(res) <= max_len:
-                                    yield "M0", (rule, pos), (n, res)
+                                    yield state, "M0", (rule, pos), (n, res)
                         elif grows and rhs[-1] != c:
-                            yield "M0", (rule, pos), (n, t[:pos] + rhs + t[pos + 2 :])
+                            yield state, "M0", (rule, pos), (n, t[:pos] + rhs + t[pos + 2 :])
             if grows and far[i]:
                 # up to 2(n - 3) grows share one prefix and suffix
                 head, tail = t[:pos], t[pos + 1 :]
                 for h in far[i]:
                     if h != left and h != b:
-                        yield "M0", ("comm-grow", pos, h), (n, head + (h, g, h) + tail)
+                        yield state, "M0", ("comm-grow", pos, h), (n, head + (h, g, h) + tail)
             left = g
 
         # M1 conjugations (g w g: cancel at the front, then at the back)
-        for j in range(1, n):
-            for g in (j, -j):
-                if not grows and t and g != t[0] and g != t[-1]:
-                    continue  # L + 2 letters: g is at neither end
-                res = t[1:] if t and t[0] == g else (g,) + t
-                res = res[:-1] if res and res[-1] == g else res + (g,)
-                if len(res) <= max_len:
-                    yield "M1", ("conj", g), (n, res)
+        if fits:
+            for j in range(1, n):
+                for g in (j, -j):
+                    if not grows and t and g != t[0] and g != t[-1]:
+                        continue  # L + 2 letters: g is at neither end
+                    res = t[1:] if t and t[0] == g else (g,) + t
+                    res = res[:-1] if res and res[-1] == g else res + (g,)
+                    if len(res) <= max_len:
+                        yield state, "M1", ("conj", g), (n, res)
+        elif 2 <= L <= max_len + 2 and t[0] == t[-1]:
+            # over the cap only the conjugation by a letter at both ends can
+            # fit; a one-letter word is its own conjugate
+            yield state, "M1", ("conj", t[0]), (n, t[1:-1])
 
     # M2 / M3 stabilizations if a strand and a letter fit; destabilizations
     # if the extreme index ends the word and occurs nowhere else
@@ -409,14 +420,14 @@ def _moves_int(
     destab = n <= max_n + 1 and L <= max_len + 1
     last = ix[-1] if t else 0
     if stab:
-        yield "M2", ("stab", "s"), (n + 1, t + (n,))
-        yield "M2", ("stab", "r"), (n + 1, t + (-n,))
+        yield state, "M2", ("stab", "s"), (n + 1, t + (n,))
+        yield state, "M2", ("stab", "r"), (n + 1, t + (-n,))
     if destab and last == n - 1 and ix.count(last) == 1:
-        yield "M2", ("destab",), (n - 1, t[:-1])
+        yield state, "M2", ("destab",), (n - 1, t[:-1])
     if stab:
-        yield "M3", ("stab",), (n + 1, _shift(t, 1) + (1,))
+        yield state, "M3", ("stab",), (n + 1, _shift(t, 1) + (1,))
     if destab and t and t[-1] == 1 and ix.count(1) == 1:
-        yield "M3", ("destab",), (n - 1, _shift(t[:-1], -1))
+        yield state, "M3", ("destab",), (n - 1, _shift(t[:-1], -1))
     # M4 / M5 exchanges if the extreme index ends (M4) or starts (M5) the
     # word and occurs exactly twice, both times with the same kind, that is
     # as the same letter; both occurrences flip kind
@@ -424,11 +435,11 @@ def _moves_int(
         if last == n - 1 and ix.count(last) == 2:
             p = ix.index(last)
             if t[p] == t[-1]:
-                yield "M4", (), (n, t[:p] + (-t[p],) + t[p + 1 : -1] + (-t[p],))
+                yield state, "M4", (), (n, t[:p] + (-t[p],) + t[p + 1 : -1] + (-t[p],))
         if L and ix[0] == 1 and ix.count(1) == 2:
             p = ix.index(1, 1)
             if t[0] == t[p]:
-                yield "M5", (), (n, (-t[p],) + t[1:p] + (-t[p],) + t[p + 1 :])
+                yield state, "M5", (), (n, (-t[p],) + t[1:p] + (-t[p],) + t[p + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +539,7 @@ def neighbors(
     state = (w.strands, w.code)
     seen = {state}
     out = []
-    for tag, params, res in _moves_int(state, ml, mn):
+    for _, tag, params, res in _moves_int(state, ml, mn):
         if res in seen:
             continue
         seen.add(res)
@@ -663,75 +674,85 @@ def equivalent_closures(
     first hit is the meet the full level would find, with the same edge.
     Its fan is capped at the other side's longest word and widest strand
     count too, which only drops edges whose results are not on that side.
+
+    The search runs with Python's cyclic garbage collector paused, for the
+    whole process, and turns it back on after, if it was on before.  That is
+    safe because the search builds no reference cycle, so the collector
+    would only walk the tuples it allocates and free nothing.
     """
     budget = budget or Budget()
     cu, cv = closure_components(u), closure_components(v)
     if cu != cv:
         return Distinct("closure_components", cu, cv)
 
-    max_states, max_len, max_n = budget.resolve(u, v)
-    nu, tu = u.strands, u.code
-    nv, tv = v.strands, v.code
-    su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
-    visited: list[dict] = [{su: None}, {sv: None}]
-    frontier: list[list[State]] = [[su], [sv]]
-    roots = (su, sv)
-    explored = 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        max_states, max_len, max_n = budget.resolve(u, v)
+        nu, tu = u.strands, u.code
+        nv, tv = v.strands, v.code
+        su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
+        visited: list[dict] = [{su: None}, {sv: None}]
+        frontier: list[list[State]] = [[su], [sv]]
+        roots = (su, sv)
+        explored = 0
 
-    def build_verdict(meet: State) -> Equivalent:
-        paths: list[list[Edge]] = [[], []]
-        for side in (0, 1):
-            cur = meet
-            while visited[side][cur] is not None:
-                prev, tag, params = visited[side][cur]
-                paths[side].append((prev, tag, params, cur))
-                cur = prev
-        # the v-side edges run v -> meet; their inverses run meet -> v.  A
-        # square chain joins an unreduced end to its root; a reduced end has none
-        edges = _square_edges(nu, tu, su[1]) if tu != su[1] else []
-        edges += paths[0][::-1] + _invert_edges(paths[1][::-1])
-        if tv != sv[1]:
-            edges += _square_edges(nv, sv[1], tv)
-        return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
+        def build_verdict(meet: State) -> Equivalent:
+            paths: list[list[Edge]] = [[], []]
+            for side in (0, 1):
+                edge = visited[side][meet]
+                while edge is not None:
+                    paths[side].append(edge)
+                    edge = visited[side][edge[0]]
+            # the v-side edges run v -> meet; their inverses run meet -> v.  A
+            # square chain joins an unreduced end to its root; a reduced end has none
+            edges = _square_edges(nu, tu, su[1]) if tu != su[1] else []
+            edges += paths[0][::-1] + _invert_edges(paths[1][::-1])
+            if tv != sv[1]:
+                edges += _square_edges(nv, sv[1], tv)
+            return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
 
-    if su == sv:
-        return build_verdict(su)  # both paths are empty
+        if su == sv:
+            return build_verdict(su)  # both paths are empty
 
-    while frontier[0] and frontier[1]:
-        if len(frontier[0]) != len(frontier[1]):
-            side = 0 if len(frontier[0]) < len(frontier[1]) else 1
-        else:
-            side = 0 if roots[0] <= roots[1] else 1
-        mine, other = visited[side], visited[1 - side]
-        level = sorted(frontier[side])
-        rest = max(max_states - explored, 0)
-        if rest <= len(level):
-            # the final level: nothing it reaches is expanded, so it only
-            # looks for a meet, no longer or wider than the other side (docstring)
-            cap_len = cap_n = 0
-            for m, x in other:
-                if len(x) > cap_len:
-                    cap_len = len(x)
-                if m > cap_n:
-                    cap_n = m
-            for state in level[:rest]:
-                for tag, params, res in _moves_int(state, min(max_len, cap_len), min(max_n, cap_n)):
+        while frontier[0] and frontier[1]:
+            if len(frontier[0]) != len(frontier[1]):
+                side = 0 if len(frontier[0]) < len(frontier[1]) else 1
+            else:
+                side = 0 if roots[0] <= roots[1] else 1
+            mine, other = visited[side], visited[1 - side]
+            level = sorted(frontier[side])
+            rest = max(max_states - explored, 0)
+            if rest <= len(level):
+                # the final level: nothing it reaches is expanded, so it only
+                # looks for a meet, no longer or wider than the other side (docstring)
+                cap_len = cap_n = 0
+                for m, x in other:
+                    if len(x) > cap_len:
+                        cap_len = len(x)
+                    if m > cap_n:
+                        cap_n = m
+                for state in level[:rest]:
+                    for edge in _moves_int(state, min(max_len, cap_len), min(max_n, cap_n)):
+                        if edge[3] in other:
+                            mine[edge[3]] = edge
+                            return build_verdict(edge[3])
+                return Unknown(explored + rest, budget)
+            explored += len(level)
+            nxt: list[State] = []
+            for state in level:
+                for edge in _moves_int(state, max_len, max_n):
+                    res = edge[3]
+                    if mine.setdefault(res, edge) is not edge:
+                        continue
                     if res in other:
-                        mine[res] = (state, tag, params)
                         return build_verdict(res)
-            return Unknown(explored + rest, budget)
-        explored += len(level)
-        nxt: list[State] = []
-        for state in level:
-            for tag, params, res in _moves_int(state, max_len, max_n):
-                entry = (state, tag, params)
-                if mine.setdefault(res, entry) is not entry:
-                    continue
-                if res in other:
-                    return build_verdict(res)
-                nxt.append(res)
-        frontier[side] = nxt
-    return Unknown(explored, budget)
+                    nxt.append(res)
+            frontier[side] = nxt
+        return Unknown(explored, budget)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import IndexOutOfRange, InvalidStrandCount, UnknownToken
+from .errors import IndexOutOfRange, InvalidStrandCount, PatternMismatch, RankMismatch, UnknownToken
 
 REAL = "s"
 VIRTUAL = "r"
@@ -303,7 +303,7 @@ class Permutation:
     def __post_init__(self) -> None:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {_quoted(self.images)}")
+            raise PatternMismatch(f"not a bijection of 1..{n}: {_quoted(self.images)}")
 
     @property
     def n(self) -> int:
@@ -319,7 +319,7 @@ class Permutation:
     def then(self, other: "Permutation") -> "Permutation":
         """Left-to-right composition: apply self first, then other."""
         if self.n != other.n:
-            raise ValueError("size mismatch")
+            raise RankMismatch("size mismatch")
         return Permutation(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":

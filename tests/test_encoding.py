@@ -76,7 +76,7 @@ def test_words_from_parse_braid_and_moves(w, data):
 def test_search_states_from_letters_are_exact_ints(w):
     # the search expands free-reduced states only
     built = free_reduce(TwinWord(w.strands, tuple(Letter(let.kind, let.index) for let in w.letters)))
-    for _, _, (_, t) in _moves_int((built.strands, built.code), len(built) + 2, w.strands + 1):
+    for *_, (_, t) in _moves_int((built.strands, built.code), len(built) + 2, w.strands + 1):
         assert all(type(a) is int for a in t), t
 
 

@@ -65,7 +65,7 @@ def fan_block(word) -> str:
     _, max_len, max_n = Budget().resolve(word, word)
     state = (word.strands, word.code)
     lines = [f"state n={state[0]} : {letters(state[1])}"]
-    for tag, params, (n, t) in _moves_int(state, max_len, max_n):
+    for _, tag, params, (n, t) in _moves_int(state, max_len, max_n):
         head = " ".join([tag] + _render_params(tag, params))
         lines.append(f"{head} -> {letters(t)} @ n={n}")
     return "\n".join(lines) + "\n"
@@ -158,7 +158,7 @@ class TestFanReference:
     def test_edges_equal_whole_word_reduction(self, state, len_slack, n_slack):
         n, t = state
         max_len, max_n = len(t) + len_slack, n + n_slack
-        fan = list(_moves_int(state, max_len, max_n))
+        fan = [e[1:] for e in _moves_int(state, max_len, max_n)]
         assert len({(tag, params) for tag, params, _ in fan}) == len(fan)
         for tag, params, res in fan:
             assert _apply_int(state, tag, params) == res, (state, tag, params)
@@ -185,7 +185,7 @@ class TestFanReference:
         # not fit, so a cap check that drops too much or too little shows
         n, t = state
         max_len, max_n = len(t) + len_slack, n + n_slack
-        fan = set(_moves_int(state, max_len, max_n))
+        fan = {e[1:] for e in _moves_int(state, max_len, max_n)}
         brute = brute_force(state, max_len, max_n)
         assert fan <= brute, state
         reached = {(tag, res) for tag, _, res in fan if res != state}
@@ -201,7 +201,7 @@ class TestMonotoneCaps:
     @staticmethod
     def check(state, a, b, wide_len, wide_n):
         wide = list(_moves_int(state, wide_len, wide_n))
-        fitting = [e for e in wide if len(e[2][1]) <= a and e[2][0] <= b]
+        fitting = [e for e in wide if len(e[3][1]) <= a and e[3][0] <= b]
         assert list(_moves_int(state, a, b)) == fitting, (state, a, b, wide_len, wide_n)
         return fitting
 
@@ -229,7 +229,7 @@ class TestMonotoneCaps:
         ((1, 2, 1), 2, ("M1", ("conj", 1), (4, (2,)))),
     ])
     def test_edges_that_fit_at_or_below_the_words_length(self, t, shorter, edge):
-        assert edge in self.check((4, t), len(t) - shorter, 4, len(t) + 4, 4)
+        assert ((4, t), *edge) in self.check((4, t), len(t) - shorter, 4, len(t) + 4, 4)
 
 
 class TestLengthCap:
@@ -250,7 +250,7 @@ class TestLengthCap:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(markov, "_join", join)
             return max(
-                (len(t) for state in states for _, _, (_, t) in _moves_int(state, max_len, max_n)),
+                (len(t) for state in states for *_, (_, t) in _moves_int(state, max_len, max_n)),
                 default=0,
             )
 
@@ -353,7 +353,7 @@ class TestRelatorOracle:
             planted = set()
             for t, pos, (family, d, win, rhs) in planted_words(n, rng):
                 planted.add((family, d, win, rhs))
-                fan = list(_moves_int((n, t), len(t) + 4, n))
+                fan = [e[1:] for e in _moves_int((n, t), len(t) + 4, n)]
                 # completeness: the planted split's result is reached by M0
                 want = (n, _reduce(t[:pos] + rhs + t[pos + len(win):]))
                 assert want in {res for tag, _, res in fan if tag == "M0"}, (n, t, pos, win, rhs)
@@ -379,7 +379,7 @@ EXCHANGES = ("M4", "M5")
 
 def exchange_edges(state, max_len, max_n):
     """(tag, result) of the fan's M4 and M5 edges from state."""
-    return {(tag, res) for tag, _, res in _moves_int(state, max_len, max_n) if tag in EXCHANGES}
+    return {(tag, res) for _, tag, _, res in _moves_int(state, max_len, max_n) if tag in EXCHANGES}
 
 
 def exchange_oracle(state):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doodlekit.errors import RankMismatch
+from doodlekit.errors import IndexOutOfRange, PatternMismatch, RankMismatch
 from doodlekit.freegroup import (
     FreeEndomorphism,
     FreeWord,
@@ -105,9 +105,9 @@ class TestFreeWords:
         ((1, -(10**30)), "letter -10000000000000000000... (31 digits) out of range for rank 3"),
     ])
     def test_rejects_first_bad_letter(self, letters, message):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(IndexOutOfRange) as exc:
             FreeWord(3, letters)
-        assert type(exc.value) is ValueError and str(exc.value) == message
+        assert type(exc.value) is IndexOutOfRange and str(exc.value) == message
 
 
 class TestMu:
@@ -138,24 +138,24 @@ class TestMu:
             compose(FreeEndomorphism.identity(2), FreeEndomorphism.identity(3))
 
     def test_images_must_be_reduced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PatternMismatch):
             FreeEndomorphism(1, (FreeWord(1, (1, -1)),))
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(PatternMismatch) as exc:
             FreeEndomorphism(2, (FreeWord(2, (2,)), FreeWord(2, (1, 2, -2, 1))))
-        assert type(exc.value) is ValueError
+        assert type(exc.value) is PatternMismatch
         assert str(exc.value) == "image x1 x2 x2^-1 x1 is not reduced"
 
     def test_long_unreduced_image_is_cut_in_the_message(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(PatternMismatch) as exc:
             FreeEndomorphism(1, (FreeWord(1, (1, -1) * 50000),))
-        assert type(exc.value) is ValueError
+        assert type(exc.value) is PatternMismatch
         assert len(str(exc.value)) < 200
         assert str(exc.value) == "image x1 x1^-1 x1 x1^-1 x1... (449999 characters) is not reduced"
 
     def test_one_image_per_generator_of_its_rank(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankMismatch, match="^one image required per generator$"):
             FreeEndomorphism(2, (FreeWord(2, (1,)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(RankMismatch, match="^image rank mismatch$"):
             FreeEndomorphism(2, (FreeWord(2, (1,)), FreeWord(3, (2,))))
 
     def test_rank_mismatches(self):

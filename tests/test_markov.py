@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 
 import pytest
@@ -419,7 +420,7 @@ class TestEdgeInverse:
         # Checked on the fan's edges and on every M0 rule at every position,
         # with the shrinks and the square insertions the fan leaves out
         n, t = src
-        edges = list(_moves_int(src, len(t) + 4, n + 1))
+        edges = [e[1:] for e in _moves_int(src, len(t) + 4, n + 1)]
         edges += [("M0", params, dst) for params, dst in m0_brute_force(src, len(t) + 4, n + 1)]
         squares = [
             ("square-ins", pos, a) for pos in range(len(t) + 1) for j in range(1, n) for a in (j, -j)
@@ -498,7 +499,7 @@ class TestEdgeTrace:
         # built word by word here and judged by MoveTrace.replay
         edges, cur = [], start
         for _ in range(data.draw(st.integers(0, 6))):
-            fan = list(_moves_int(cur, len(cur[1]) + 4, 6))
+            fan = [e[1:] for e in _moves_int(cur, len(cur[1]) + 4, 6)]
             if not fan:
                 break
             tag, params, res = data.draw(st.sampled_from(fan))
@@ -516,7 +517,7 @@ class TestEdgeTrace:
         elif fault == "params" and edges:
             k = data.draw(st.integers(0, len(edges) - 1))
             a, _, _, b = edges[k]
-            tag, params, _ = data.draw(st.sampled_from(list(_moves_int(a, len(a[1]) + 4, 6))))
+            _, tag, params, _ = data.draw(st.sampled_from(list(_moves_int(a, len(a[1]) + 4, 6))))
             edges[k] = (a, tag, params, b)
         elif fault == "end":
             end = data.draw(st.sampled_from([start] + [b for *_, b in edges]))
@@ -754,7 +755,7 @@ def stored_search(u, v, budget):
             if explored >= max_states:
                 return Unknown(explored, budget), starts
             explored += 1
-            for tag, params, res in _moves_int(state, max_len, max_n):
+            for _, tag, params, res in _moves_int(state, max_len, max_n):
                 entry = (state, tag, params)
                 if mine.setdefault(res, entry) is not entry:
                     continue
@@ -816,6 +817,73 @@ class TestFinalLevel:
         # the meet is found expanding the 6th state of the level that starts at 78
         assert starts == [0, 1, 2, 10, 18, 78]
         assert self.agree(u, v, Budget(83))[0] == Unknown(83, Budget(83))
+
+    def test_over_the_cap_only_the_conjugation_by_both_ends_fits(self):
+        # s1 s2 s1 under a one-letter cap: conjugating by s1 gives s2, and
+        # no other edge fits
+        state = (3, (1, 2, 1))
+        assert list(_moves_int(state, 1, 3)) == [(state, "M1", ("conj", 1), (3, (2,)))]
+
+
+@pytest.fixture
+def collector():
+    """Turn the cyclic collector on for a test, and back to how it was after."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """equivalent_closures pauses the cyclic collector during its search and
+    leaves it as it found it.  The pause is safe because the search makes no
+    reference cycle: with the collector off, a search leaves nothing behind
+    that only the collector could free."""
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_state_is_restored_after_a_verdict(self, collector, monkeypatch, on):
+        during = set()
+
+        def recording(*args):
+            during.add(gc.isenabled())
+            return fan(*args)
+
+        fan = markov._moves_int
+        monkeypatch.setattr(markov, "_moves_int", recording)
+        if not on:
+            gc.disable()
+        u, v = w("s1 s2 s1", 3), w("s2 s1 s2", 3)
+        for verdict, budget in ((Equivalent, Budget()), (Unknown, Budget(1))):
+            assert isinstance(equivalent_closures(u, v, budget), verdict)
+            assert gc.isenabled() is on
+        assert during == {False}
+
+    def test_collector_is_back_on_after_an_exception(self, collector, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("fan failed")
+
+        monkeypatch.setattr(markov, "_moves_int", failing)
+        with pytest.raises(RuntimeError, match="fan failed"):
+            equivalent_closures(w("s1", 2), w("r1", 2))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("pair", ["unreduced", "derived", "kishino"])
+    def test_the_search_makes_no_reference_cycle(self, collector, pair):
+        if pair == "unreduced":
+            u, v = w("r1 s2 r2 s1 s2 s2 r2", 3), w("s1 r2 s2 r2 r1 s1 s1 r2 r1", 3)
+            budget, verdict = Budget(20_000), Equivalent
+        elif pair == "derived":
+            label = "right-exchange n=3 i=2 ks=('s', 's') b1='s1' b2='s1'"
+            _, lhs, ln, rhs, rn = next(p for p in _BATTERY if p[0] == label)
+            u, v = w(lhs, ln), w(rhs, rn)
+            budget, verdict = tight_budget(u, v), Equivalent
+        else:
+            u, v = braid(parse_gauss(fixture_text("kishino.gauss"))), w("", 1)
+            budget, verdict = Budget(2_000), Unknown
+        gc.disable()
+        gc.collect()
+        assert isinstance(equivalent_closures(u, v, budget), verdict)
+        assert gc.collect() == 0
 
 
 # step lines one field away from a form the certificate grammar accepts

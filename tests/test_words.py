@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doodlekit import words
-from doodlekit.errors import DoodleError, IndexOutOfRange, InvalidStrandCount, UnknownToken
+from doodlekit.errors import (
+    DoodleError,
+    IndexOutOfRange,
+    InvalidStrandCount,
+    PatternMismatch,
+    RankMismatch,
+    UnknownToken,
+)
 from doodlekit.words import (
     Letter,
     Permutation,
@@ -332,7 +339,7 @@ class TestQuoted:
         )
 
     def test_permutation_message_is_cut(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(PatternMismatch) as exc:
             Permutation((10**5000,))
         assert str(exc.value) == (
             "not a bijection of 1..1: (10000000000000000000... (5001 digits),)"
@@ -471,10 +478,10 @@ class TestClosureComponents:
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PatternMismatch, match=r"^not a bijection of 1\.\.2: \(1, 1\)$"):
         Permutation((1, 1))
     assert Permutation.identity(3)(2) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(RankMismatch, match="^size mismatch$"):
         Permutation.identity(2).then(Permutation.identity(3))
 
 
