@@ -27,9 +27,15 @@ call on the Kishino word.  The fan_capped row times one _moves_int call at
 the length cap: on the first 15-letter word of the breadth-first walk from
 the Kishino word (the walk of the benchmark's fan sample), under the caps
 of the benchmark's Kishino searches (16 letters, 4 strands), where no grow
-fits.  The derived row times one apply_derived call, left-tail-mixed at
-n = 4, center 4, beta r1 r2 and kinds srsr (79 steps): a mirrored trace
-whose one tail chain pushes through real and virtual letters.  The edge_trace
+fits.  The fan_final row times the fans of a final search level: every
+_moves_int call of the Kishino op below (the Kishino word against the
+unknot at Budget(800)) that runs under caps tighter than the search's
+own, which only its last level makes, each under the caps it was called
+with, in microseconds per fan.  Those words are longer than the unknot's
+side allows, so most fans return before their move loop.  The derived
+row times one apply_derived call, left-tail-mixed at n = 4, center 4,
+beta r1 r2 and kinds srsr (79 steps): a mirrored trace whose one tail
+chain pushes through real and virtual letters.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
 state the step before ended at.  The derived_exchange row times one
@@ -50,7 +56,10 @@ braided Kishino doodle against the unknot at Budget(800), which ends
 Unknown when its budget runs out, so it times 800 expanded states, the
 last level's fan results only looked up, never stored, and that fan run
 under the caps of the unknot's side: its longest word and widest strand
-count, which no state of the last level fits.  Each figure is
+count, which no state of the last level fits.  These two
+equivalent_closures rows time with Python's cyclic collector on, as the
+benchmark does, since the search pauses it; every other row times with it
+off, as timeit does by default.  Each figure is
 the best of --repeat timeit runs of --number calls, in microseconds per
 call, next to the input size it was taken at: strands n, letters and, for
 the diagram layers, crossings, and for the derived rows the trace steps.  The
@@ -81,6 +90,7 @@ from doodlekit import (
     format_certificate,
     format_word,
     isomorphic,
+    markov,
     mu,
     neighbors,
     parse_gauss,
@@ -146,6 +156,25 @@ def chain(trace):
     return (trace.start.strands, trace.start.code), edges, cur
 
 
+def final_fans(u: TwinWord, v: TwinWord, budget: Budget):
+    """The (state, max_len, max_n) of every _moves_int call of the search of
+    u and v under caps tighter than the search's own: the final level's."""
+    caps = budget.resolve(u, v)[1:]
+    calls = []
+
+    def recording(state, max_len, max_n):
+        if (max_len, max_n) != caps:
+            calls.append((state, max_len, max_n))
+        return _moves_int(state, max_len, max_n)
+
+    markov._moves_int = recording
+    try:
+        equivalent_closures(u, v, budget)
+    finally:
+        markov._moves_int = _moves_int
+    return calls
+
+
 def first_of_length(first: TwinWord, letters: int) -> TwinWord:
     """The first word with this many letters in the breadth-first walk from first."""
     seen, queue = {first}, [first]
@@ -198,6 +227,7 @@ def main() -> int:
     replayed = verify_certificate(certificate)
     cert_size = {"n": replayed.start.strands, "steps": len(replayed.steps)}
     left, right = replayed.start, replayed.end
+    final = final_fans(kishino, unknot, Budget(KISHINO_STATES))
     calls = {
         "mu": (lambda: mu(w), size),
         "pi": (lambda: pi(w), size),
@@ -213,6 +243,18 @@ def main() -> int:
         "fan_random": fan(other),
         # the Kishino searches cap at the Kishino word's default caps
         "fan_capped": fan(first_of_length(kishino, CAPPED_LETTERS), Budget().resolve(kishino, kishino)[1:]),
+        "fan_final": (
+            lambda: [edge for call in final for edge in _moves_int(*call)],
+            {
+                "n": kishino.strands,
+                "letters": len(kishino),
+                "max_states": KISHINO_STATES,
+                "fans": len(final),
+                "edges": sum(len(list(_moves_int(*call))) for call in final),
+                "max_len": final[0][1],
+                "max_n": final[0][2],
+            },
+        ),
         "neighbors": (lambda: neighbors(kishino), {"n": kishino.strands, "letters": len(kishino)}),
         "closure_gauss_wide": (lambda: closure_gauss(wide), wide_size),
         "braid_wide": (lambda: braid(wide_g), wide_size),
@@ -233,11 +275,15 @@ def main() -> int:
             {"n": kishino.strands, "letters": len(kishino), "max_states": KISHINO_STATES},
         ),
     }
+    collector_on = {"equivalent_closures_small", "equivalent_closures_unknown"}
+    per_call = {"fan_final": len(final)}
     layers = {}
     for name, (call, at) in calls.items():
-        runs = [(reference(), timeit.timeit(call, number=args.number)) for _ in range(args.repeat)]
+        timer = timeit.Timer(call, setup="gc.enable()" if name in collector_on else "pass")
+        runs = [(reference(), timer.timeit(args.number)) for _ in range(args.repeat)]
         ref, best = map(min, zip(*runs))
-        layers[name] = {"us": round(best / args.number * 1e6, 2), "ref_us": round(ref * 1e6, 1), **at}
+        us = best / args.number / per_call.get(name, 1) * 1e6
+        layers[name] = {"us": round(us, 2), "ref_us": round(ref * 1e6, 1), **at}
     print(json.dumps({
         "python": platform.python_version(),
         "seed": SEED,

@@ -70,9 +70,16 @@ and none is built where that passes the length cap; nor is a conjugation
 by a letter at neither end, and over the cap only the one by the letter at
 both ends.  comm and width-3 splices are joined by _join, which cancels
 only at the seam after the new letters, so none is built whose seam
-cannot cancel on a word over the cap.  The prefix and suffix
-are sliced only for an edge that is built.  A tighter cap drops the edges
-whose results do not fit and keeps the rest in order.
+cannot cancel on a word over the cap.  On a word more than two letters
+over it, nothing but these two can fit, and only by cancelling at least
+two letter pairs: a comm needs g b g b at its position, a width-3 splice
+its window and then the last two letters of its replacement reversed
+(all three, a whole relator rotation, for three or more pairs).  A word
+with none of these factors has an empty fan, so the fan returns before
+its loop, after one set test and one scan for squares
+(_seams_can_cancel).  The prefix and suffix are sliced only for an
+edge that is built.  A tighter cap drops the edges whose results do not
+fit and keeps the rest in order.
 _splice, _apply_int and _inverse_edges keep every rule and take unreduced
 words too, which certificates and derived chains hold.  The fan builds
 every move inline and calls no _apply_int: an exchange only where its
@@ -102,6 +109,8 @@ import gc
 import re
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import compress
+from operator import eq
 from typing import Iterator, Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
@@ -338,6 +347,36 @@ def _join(
 
 
 @cache
+def _seam_factors(n: int) -> tuple[frozenset, frozenset]:
+    """The 5- and 6-letter factors at which a width-3 splice on n strands
+    cancels 2 and 3 letter pairs at its seam: its window, then the last two
+    letters of its replacement, or all three (a whole relator rotation),
+    in reverse.  Built from the windows of _SPLICES shifted to every level
+    0..n-3, not from _splices_at, so that no level's table is built."""
+    level0 = [win + rhs[::-1] for (win, _), rhs in _SPLICES.items() if len(win) == 3]
+    sixes = frozenset(_shift(f, d) for d in range(n - 2) for f in level0)
+    return frozenset(f[:5] for f in sixes), sixes
+
+
+def _seams_can_cancel(n: int, t: tuple[int, ...], need: int) -> bool:
+    """Whether a comm or width-3 splice on (n, t) can cancel need >= 2 letter
+    pairs at its seam: t has g b g b with g, b far, or one of the
+    _seam_factors.  Kept out of _moves_int: inlined there, its generator
+    expression would make t a cell of the fan and its generator object
+    larger than the 512 bytes Python's small-object allocator serves."""
+    fives, sixes = _seam_factors(n)
+    if need == 2:
+        if not fives.isdisjoint(zip(t, t[1:], t[2:], t[3:], t[4:])):
+            return True
+    elif not sixes.isdisjoint(zip(t, t[1:], t[2:], t[3:], t[4:], t[5:])):
+        return True
+    if n < 4:
+        return False  # no two indices are far apart
+    squares = compress(range(len(t) - 3), map(eq, t, t[2:]))
+    return any(t[p + 1] == t[p + 3] and _far(t[p], t[p + 1]) for p in squares)
+
+
+@cache
 def _far_letters(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry i: the letters h on n strands whose index is at least 2 away
     from i, in comm-grow fan order (index ascending, s before r)."""
@@ -352,6 +391,8 @@ def _moves_int(state: State, max_len: int, max_n: int) -> Iterator[Edge]:
     """
     n, t = state
     L = len(t)
+    if L > max_len + 2 and not _seams_can_cancel(n, t, (L - max_len + 1) // 2):
+        return  # only an edge whose seam cancels that many letter pairs fits
     ix = list(map(abs, t))  # the index of each letter
     grows = L + 2 <= max_len  # every grow has L + 2 letters
     fits = L <= max_len  # else a comm or width-3 splice fits only if its seam cancels
@@ -673,7 +714,10 @@ def equivalent_closures(
     other, since a state on both sides would have ended the search, so the
     first hit is the meet the full level would find, with the same edge.
     Its fan is capped at the other side's longest word and widest strand
-    count too, which only drops edges whose results are not on that side.
+    count too, which only drops edges whose results are not on that side;
+    on a word more than two letters over that cap, the fan returns at once
+    unless a seam can cancel enough letters for an edge to fit (module
+    docstring), since no other edge can.
 
     The search runs with Python's cyclic garbage collector paused, for the
     whole process, and turns it back on after, if it was on before.  That is

@@ -16,10 +16,11 @@ code whose fan is known good, with
 import collections
 import gzip
 import random
+import tracemalloc
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN, fixture_text
 from doodlekit import braid, markov, parse_gauss
@@ -32,6 +33,7 @@ from doodlekit.markov import (
     _moves_int,
     _reduce,
     _render_params,
+    _seam_factors,
     _splices_at,
     _tok,
     neighbors,
@@ -369,6 +371,79 @@ class TestRelatorOracle:
                         for f, _, w, r in splices
                     ), (n, t, params)
             assert planted == splices, n
+
+
+@st.composite
+def over_cap_words(draw):
+    """(n, t, pos, rhs): a relator 6-factor, its 5-prefix or a far g b g b
+    at pos of t, between a flank and the start of the flank reversed, so
+    that the width-3 splice (or comm) there, which writes rhs, cancels at
+    least two letter pairs at its seam: the factor's own, and after a
+    6-factor or a square the mirrored flank's too."""
+    kind = draw(st.sampled_from(("six", "five", "square")))
+    n = draw(st.integers(4 if kind == "square" else 3, 8))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    if kind == "square":
+        g = draw(letter)
+        b = draw(letter.filter(lambda b: abs(abs(g) - abs(b)) >= 2))
+        factor, rhs = (g, b, g, b), (b, g)
+    else:
+        windows = sorted((win, rhs) for *_, win, rhs in oracle_splices(n) if len(win) == 3)
+        win, rhs = draw(st.sampled_from(windows))
+        factor = (win + rhs[::-1])[: 6 if kind == "six" else 5]
+    flank = draw(st.lists(letter, max_size=6).map(lambda ls: _reduce(tuple(ls))))
+    t = flank + factor + flank[::-1][: draw(st.integers(0, len(flank)))]
+    assume(_reduce(t) == t)
+    return n, t, len(flank), rhs
+
+
+class TestOverTheCap:
+    """On a word more than two letters over the length cap, only a comm or a
+    width-3 splice whose seam cancels at least two letter pairs can fit, and
+    the fan returns at once unless the word has a factor that allows one.
+    Random reduced words almost never cancel twice at a seam, so the factors
+    are planted; the fan must still equal the wide fan, which is never over
+    the cap, cut to the edges that fit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(over_cap_words(), st.integers(3, 8))
+    def test_planted_factors(self, planted, over):
+        n, t, pos, rhs = planted
+        a = max(len(t) - over, 0)
+        fitting = TestMonotoneCaps.check((n, t), a, n, len(t) + 4, n + 2)
+        planted_result = _reduce(t[:pos] + rhs + t[pos + len(rhs) :])
+        if len(planted_result) <= a:
+            assert (n, planted_result) in {res for *_, res in fitting}, (n, t, a)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_seam_factors_are_the_width_3_windows(self, n):
+        # the window, then the replacement reversed, of every width-3 splice
+        # of the fan's per-level tables and of the relator oracle
+        fives, sixes = _seam_factors(n)
+        fan_windows = {
+            key + rest + rhs[::-1]
+            for d in range(n - 2)
+            for key, group in _splices_at(d).items()
+            for rest, _, rhs in group
+            if rest
+        }
+        oracle = {win + rhs[::-1] for *_, win, rhs in oracle_splices(n) if len(win) == 3}
+        assert sixes == fan_windows == oracle
+        assert fives == {f[:5] for f in oracle}
+
+    def test_seam_factors_fill_no_level_table(self):
+        # at n = 1,000 the factors of all 998 levels are built from the
+        # level-0 windows, in a few MB, and no level's splice table is
+        tables = _splices_at.cache_info().currsize, markov._rules_at.cache_info().currsize
+        tracemalloc.start()
+        try:
+            fives, sixes = _seam_factors.__wrapped__(1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sixes) == 8 * 998 and len(fives) == len(sixes)
+        assert peak < 5_000_000
+        assert (_splices_at.cache_info().currsize, markov._rules_at.cache_info().currsize) == tables
 
 
 # ---------------------------------------------------------------------------

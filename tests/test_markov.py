@@ -820,9 +820,47 @@ class TestFinalLevel:
 
     def test_over_the_cap_only_the_conjugation_by_both_ends_fits(self):
         # s1 s2 s1 under a one-letter cap: conjugating by s1 gives s2, and
-        # no other edge fits
+        # no other edge fits; under a strand cap below the word's, none does
         state = (3, (1, 2, 1))
         assert list(_moves_int(state, 1, 3)) == [(state, "M1", ("conj", 1), (3, (2,)))]
+        assert list(_moves_int(state, 1, 2)) == []
+
+    @pytest.mark.parametrize("state, max_len, edges", [
+        # a 5-factor: r1 r2 r1 -> r2 r1 r2 cancels the r2 r1 after it
+        ((3, (-1, -2, -1, -2, -1)), 2, [("braid", 0), (3, (-2,))]),
+        # a 6-factor at the top level: a whole relator rotation cancels
+        ((4, (-2, -3, -2, -3, -2, -3)), 1, [("braid", 0), (4, ())]),
+        # a far square: s1 s3 s1 s3 -> s3 s1 s1 s3 cancels
+        ((4, (1, 3, 1, 3)), 1, [("comm", 0), (4, ())]),
+        # no factor that cancels twice: s1 s3 s1 s2 only starts a square
+        ((4, (1, 3, 1, 2)), 1, []),
+    ])
+    def test_three_letters_over_the_cap_a_seam_must_cancel_twice(self, state, max_len, edges):
+        n, t = state
+        wide = _moves_int(state, len(t) + 4, n + 2)
+        fitting = [e for e in wide if len(e[3][1]) <= max_len and e[3][0] <= n]
+        want = [(state, "M0", *edges)] if edges else []
+        assert list(_moves_int(state, max_len, n)) == fitting == want
+
+    @pytest.mark.parametrize("u", [
+        "s1 s3 s1 s3", "s2 s1 s3 s1 s3 s2", "r1 r2 r1 r2 r1 r2", "s3 r1 r2 r1 r2 r1 r2 s3",
+    ])
+    def test_meet_from_a_word_over_the_cap(self, u, monkeypatch):
+        # at Budget(2) the empty word's level comes first and u's is final;
+        # its cap is the longest word the empty word reached, one letter, and
+        # u meets the empty word by a move whose seam cancels every letter
+        calls = []
+
+        def recording(state, max_len, max_n):
+            calls.append((state, max_len))
+            return fan(state, max_len, max_n)
+
+        fan = markov._moves_int
+        monkeypatch.setattr(markov, "_moves_int", recording)
+        proved, starts = self.agree(w(u, 4), w("", 4), Budget(2))
+        assert isinstance(proved, Equivalent) and starts == [0, 1]
+        (n, t), cap = calls[-1]
+        assert (n, t) == (4, w(u, 4).code) and len(t) >= cap + 3
 
 
 @pytest.fixture
