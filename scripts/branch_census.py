@@ -26,6 +26,27 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "doodlekit"
 
 
+class LocalTracer:
+    """The tracer of one frame: adds its (file, line, next line) arcs to arcs.
+
+    An object that returns itself, not a closure: a closure that returns
+    itself holds itself through its own cell, so every traced frame would
+    leave a reference cycle, and tests that count the cycles a call leaves
+    would fail under the census alone."""
+
+    __slots__ = ("arcs", "name", "last")
+
+    def __init__(self, arcs, name):
+        self.arcs, self.name = arcs, name
+        self.last = None  # no arc into a frame's first line or out of an exception
+
+    def __call__(self, frame, event, arg):
+        line = 0 if event == "return" else frame.f_lineno
+        self.arcs.add((self.name, self.last, line))
+        self.last = None if event == "exception" else line
+        return self
+
+
 def trace_run(args):
     """pytest's exit code and the set of (file, line, next line) arcs; 0 is the frame's exit."""
     arcs, files = set(), {}
@@ -37,17 +58,7 @@ def trace_run(args):
             files[name] = path if path.parent == PKG else None
         if files[name] is None:
             return None
-        name = files[name]
-        last = None  # no arc into a frame's first line or out of an exception
-
-        def local(frame, event, arg):
-            nonlocal last
-            line = 0 if event == "return" else frame.f_lineno
-            arcs.add((name, last, line))
-            last = None if event == "exception" else line
-            return local
-
-        return local
+        return LocalTracer(arcs, files[name])
 
     sys.path.insert(0, str(ROOT / "src"))
     import pytest

@@ -101,7 +101,8 @@ from doodlekit import (
     validate,
     verify_certificate,
 )
-from doodlekit.markov import Budget, _edge_trace, _moves_int
+from doodlekit.markov import Budget
+from doodlekit.moves import _edge_trace, _moves_int
 from doodlekit.words import TwinWord, free_reduce, random_word
 
 SEED, STRANDS, LETTERS = 1, 8, 120

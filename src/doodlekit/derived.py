@@ -1,7 +1,7 @@
 """Derived Markov moves: the composite rewrites behind destabilization.
 
 Each item rewrites a word pattern and returns a move-by-move trace that
-replays under the atomic M0-M5 semantics of :mod:`doodlekit.markov`.
+replays under the atomic M0-M5 semantics of :mod:`doodlekit.moves`.
 
 Right-handed items (words in VT_{n+1}, all on n >= 2):
 
@@ -52,63 +52,21 @@ whose two sides share a free reduction get a pure square-deletion/insertion
 trace.
 
 Each step is computed once, by the builder that takes it: chains run
-backwards (markov._invert_edges) and mirrored chains are passed on as
+backwards (moves._invert_edges) and mirrored chains are passed on as
 built, not applied again.  The finished chain is replayed once, in
-markov._edge_trace, which also checks that it ends at the item's right
+moves._edge_trace, which also checks that it ends at the item's right
 side and drops its loops, so no trace passes a state twice; a chain that
 goes wrong is an internal error (RuntimeError).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PatternMismatch
-from .markov import (
-    Edge,
-    MoveTrace,
-    State,
-    _apply_int,
-    _edge_trace,
-    _invert_edges,
-    _square_edges,
-)
+from .moves import Edge, MoveTrace, State
+from .moves import _apply_int, _Builder, _edge_trace, _invert_edges, _push_sweep, _square_edges
 from .words import TwinWord, _digits, _quoted, _reduce, _shift
-
-
-@dataclass
-class _Builder:
-    state: State
-    edges: list = field(default_factory=list)
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.state[1]
-
-    @property
-    def n(self) -> int:
-        return self.state[0]
-
-    def apply(self, tag: str, params: tuple) -> None:
-        res = _apply_int(self.state, tag, params)
-        if res is None:
-            raise RuntimeError(f"internal: step {tag} {params} does not apply to {self.state}")
-        self.edges.append((self.state, tag, params, res))
-        self.state = res
-
-    def m0(self, rule: str, pos: int) -> None:
-        self.apply("M0", (rule, pos))
-
-    def comm(self, pos: int) -> None:
-        self.m0("comm", pos)
-
-    def conj(self, g: int) -> None:
-        self.apply("M1", ("conj", g))
-
-    def splice(self, edges: list[Edge]) -> None:
-        """Append a chain built elsewhere; _edge_trace checks that it starts here."""
-        self.edges += edges
-        self.state = edges[-1][3]
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +90,6 @@ def _mirror(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # right tails, real and mixed
-
-
-def _push_sweep(step, start: int, letters: tuple[int, ...], core: int, centre: bool) -> None:
-    """Push the virtual pair at start inward through a nest of push levels
-    around core letters, then sweep the nested virtual letters out to
-    flanking runs; a one-letter centre takes one more splice and one more
-    sweep level.  letters are the letters of the push levels from the
-    innermost out, the centre's first if there is one.  The pair passes a
-    real letter by mixs-grow and mix3 and, at the same positions, a virtual
-    one by braid-grow and braid.  step(rule, pos) takes one M0 step."""
-    ofs = start
-    levels = len(letters) - centre
-    for k, a in zip(range(levels, 0, -1), letters[::-1]):
-        step("braid-grow" if a < 0 else "mixs-grow", ofs)
-        zlen = 2 * (k - 1) + core
-        for j in range(zlen):
-            step("comm", ofs + 3 + j)
-        step("braid" if a < 0 else "mix3", ofs + 3 + zlen)
-        ofs += 2
-    if centre:
-        step("braid" if letters[0] < 0 else "mix3", ofs)
-    d = levels + centre
-    for j in range(1, d):
-        for k in range(j):
-            step("comm", start + 2 * j - 1 - k)
-    nest_end = start + 4 * levels + 1 + core
-    for j in range(1, d):
-        for k in range(j):
-            step("comm", nest_end - 2 * j + k)
 
 
 def _build_tail(b: _Builder, arm: tuple[int, ...]) -> None:
@@ -318,7 +247,7 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
     around a misplaced exchange pair computes its two intermediate words.
     Each state is mirrored once: an edge that starts where the last one
     ended reuses that mirror, and any other source, a gap included, is
-    mirrored afresh for markov._edge_trace to judge."""
+    mirrored afresh for moves._edge_trace to judge."""
     out: list[Edge] = []
     prev = mdst = None
     for src, tag, params, dst in edges:

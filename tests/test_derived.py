@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN
-from doodlekit import derived
+from doodlekit import derived, moves
 from doodlekit.derived import apply_derived
 from doodlekit.errors import PatternMismatch
 from doodlekit.markov import format_certificate, verify_certificate
@@ -499,11 +499,12 @@ def test_no_battery_trace_repeats_a_state():
 
 def test_each_step_is_computed_once(monkeypatch):
     # builders pass on the states they computed; only the builder's own
-    # steps and the turn around a mirrored exchange apply a move, so the
-    # moves applied in derived.py never outnumber the edges built.  The
-    # trace may be shorter than its edge chain, which _edge_trace cuts
-    # where the chain comes back to a state.
-    apply, trace, calls, built = derived._apply_int, derived._edge_trace, 0, 0
+    # steps (_Builder.apply, in moves.py) and the turn around a mirrored
+    # exchange (in derived.py) apply a move, so those moves never outnumber
+    # the edges built.  _edge_trace's replay is not counted.  The trace may
+    # be shorter than its edge chain, which _edge_trace cuts where the chain
+    # comes back to a state.
+    apply, trace, calls, built = moves._apply_int, derived._edge_trace, 0, 0
 
     def counted(*args):
         nonlocal calls
@@ -511,10 +512,15 @@ def test_each_step_is_computed_once(monkeypatch):
         return apply(*args)
 
     def handed(start, edges, end):
-        nonlocal built
+        nonlocal built, calls
         built += len(edges)
-        return trace(start, edges, end)
+        before = calls
+        try:
+            return trace(start, edges, end)
+        finally:
+            calls = before
 
+    monkeypatch.setattr(moves, "_apply_int", counted)
     monkeypatch.setattr(derived, "_apply_int", counted)
     monkeypatch.setattr(derived, "_edge_trace", handed)
     for item, args in battery_instances():

@@ -11,14 +11,8 @@ from hypothesis import given, settings, strategies as st
 from test_derived import derived_instances
 from doodlekit import apply_derived, braid, closure_gauss
 from doodlekit.cli import run
-from doodlekit.markov import (
-    Budget,
-    Equivalent,
-    _moves_int,
-    apply_move,
-    equivalent_closures,
-    neighbors,
-)
+from doodlekit.markov import Budget, Equivalent, apply_move, equivalent_closures, neighbors
+from doodlekit.moves import _moves_int
 from doodlekit.words import Letter, TwinWord, format_word, free_reduce, parse_word
 
 

@@ -23,22 +23,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN, fixture_text
-from doodlekit import braid, markov, parse_gauss
-from doodlekit.markov import (
+from doodlekit import braid, moves, parse_gauss
+from doodlekit.markov import Budget, neighbors
+from doodlekit.moves import (
     _LETTER_RULES,
     _M0_RULES,
-    Budget,
     _apply_int,
     _join,
     _moves_int,
-    _reduce,
     _render_params,
     _seam_factors,
     _splices_at,
-    _tok,
-    neighbors,
 )
-from doodlekit.words import parse_word
+from doodlekit.words import _reduce, _tok, parse_word
 
 FAN_GOLDEN = GOLDEN / "fans.txt.gz"
 WALK_STATES = 200
@@ -250,7 +247,7 @@ class TestLengthCap:
             return _join(*parts)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(markov, "_join", join)
+            mp.setattr(moves, "_join", join)
             return max(
                 (len(t) for state in states for *_, (_, t) in _moves_int(state, max_len, max_n)),
                 default=0,
@@ -302,7 +299,7 @@ def oracle_splices(n):
 
 
 def oracle_rule(family, win, rhs):
-    """The rule id of a split, from the naming in the markov docstring."""
+    """The rule id of a split, from the naming in the moves docstring."""
     if len(win) == 3:
         return "braid" if family == "braid" else "mix3"
     short = win if len(win) == 2 else rhs
@@ -434,7 +431,7 @@ class TestOverTheCap:
     def test_seam_factors_fill_no_level_table(self):
         # at n = 1,000 the factors of all 998 levels are built from the
         # level-0 windows, in a few MB, and no level's splice table is
-        tables = _splices_at.cache_info().currsize, markov._rules_at.cache_info().currsize
+        tables = _splices_at.cache_info().currsize, moves._rules_at.cache_info().currsize
         tracemalloc.start()
         try:
             fives, sixes = _seam_factors.__wrapped__(1_000)
@@ -443,7 +440,7 @@ class TestOverTheCap:
             tracemalloc.stop()
         assert len(sixes) == 8 * 998 and len(fives) == len(sixes)
         assert peak < 5_000_000
-        assert (_splices_at.cache_info().currsize, markov._rules_at.cache_info().currsize) == tables
+        assert (_splices_at.cache_info().currsize, moves._rules_at.cache_info().currsize) == tables
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +518,7 @@ class TestExchangeOracle:
 
         states = [(w.strands, w.code) for w in walk]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(markov, "_apply_int", apply_int)
+            mp.setattr(moves, "_apply_int", apply_int)
             fans = [exchange_edges(state, max_len, max_n) for state in states]
         assert not calls
         assert fans == [exchange_oracle(state) for state in states]

@@ -5,29 +5,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doodlekit import markov
+from doodlekit import markov, moves
 from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
 from doodlekit.freegroup import mu
 from doodlekit.gauss import closure_gauss, parse_gauss
 from doodlekit.alexander import braid
 from doodlekit.derived import apply_derived
 from doodlekit.markov import (
-    _LETTER_RULES,
-    _M0_RULES,
     Budget,
     Distinct,
     Equivalent,
     MoveInstance,
     MoveTrace,
     Unknown,
-    _apply_int,
-    _edge_trace,
-    _inverse_edges,
-    _moves_int,
-    _parse_params,
-    _reduce,
-    _render_params,
-    _square_edges,
     apply_move,
     equivalent_closures,
     format_certificate,
@@ -35,8 +25,20 @@ from doodlekit.markov import (
     parse_certificate,
     verify_certificate,
 )
+from doodlekit.moves import (
+    _LETTER_RULES,
+    _M0_RULES,
+    _apply_int,
+    _edge_trace,
+    _inverse_edges,
+    _moves_int,
+    _parse_params,
+    _render_params,
+    _square_edges,
+)
 from doodlekit.words import (
     TwinWord,
+    _reduce,
     closure_components,
     format_word,
     free_reduce,
@@ -342,6 +344,22 @@ class TestMalformedParams:
         assert not MoveInstance(tag, params, word, word).replay()
         assert not MoveInstance(tag, params, word, w("s1 r1 r2", 3)).replay()
 
+    @pytest.mark.parametrize(
+        "tag,params",
+        [
+            ("M0", ()),
+            ("M0", (["comm"], 0)),
+            ("M1", ("shift",)),
+            ("M1", ("conj", "s1")),
+            ("M0", ("comm", 0, 10**5000)),  # more digits than str() converts
+            ("M4", None),
+        ],
+    )
+    def test_describe_without_a_certificate_form_raises_pattern_mismatch(self, tag, params):
+        word = w("s1 r1", 2)
+        with pytest.raises(PatternMismatch, match="has no certificate form"):
+            MoveInstance(tag, params, word, word).describe()
+
 
 # (window width, matches) of each fixed-window M0 rule over every window of
 # 2-4 letters at n = 7 whose length is the rule's width
@@ -635,7 +653,9 @@ class TestEquivalentClosures:
             scans.append((lhs, rhs))
             return _square_edges(n, lhs, rhs)
 
+        # the search joins its ends, and each backward edge's inverse its squares
         monkeypatch.setattr(markov, "_square_edges", recording)
+        monkeypatch.setattr(moves, "_square_edges", recording)
         verdict = equivalent_closures(w(a, 3), w(b, 3), Budget(20_000))
         steps = verdict.trace.steps
         assert verdict.trace.replay()
@@ -739,7 +759,7 @@ def stored_search(u, v, budget):
                 paths[side].append((prev, tag, params, cur))
                 cur = prev
         edges = _square_edges(nu, tu, su[1]) + paths[0][::-1]
-        edges += markov._invert_edges(paths[1][::-1]) + _square_edges(nv, sv[1], tv)
+        edges += moves._invert_edges(paths[1][::-1]) + _square_edges(nv, sv[1], tv)
         return Equivalent(_edge_trace((nu, tu), edges, (nv, tv))), starts
 
     if su == sv:
