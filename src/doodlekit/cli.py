@@ -200,10 +200,9 @@ def run(argv: list[str], out=None, err=None) -> int:
                 return 1
             print(f"unknown: budget exhausted after {verdict.states_explored} states", file=out)
             return 2
-        if args.command == "verify-cert":
-            trace = verify_certificate(_read(args.path))
-            print(f"certificate ok: {len(trace.steps)} steps", file=out)
-            return 0
+        trace = verify_certificate(_read(args.path))  # verify-cert, the last subcommand
+        print(f"certificate ok: {len(trace.steps)} steps", file=out)
+        return 0
     except CertificateError as exc:
         print(f"doodlekit: bad certificate: {exc}", file=err)
         return DATA_ERROR
@@ -213,7 +212,6 @@ def run(argv: list[str], out=None, err=None) -> int:
     except OSError as exc:
         print(f"doodlekit: {exc}", file=err)
         return DATA_ERROR
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

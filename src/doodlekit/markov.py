@@ -4,26 +4,19 @@ The moves themselves, the fan that lists a state's moves, the exact
 inverse of every edge and the traces that edge chains become are in
 doodlekit.moves; its MoveInstance and MoveTrace are public here too.
 
-The search is a bidirectional breadth-first search keyed by
-(free-reduced word, strand count), with deterministic expansion order and
-a replayable stitched trace on success.  The fan yields Edges
-(source, tag, params, result), and each side's visited map holds the
-edge that first reached each state (None at its root), so a path is read
-back by following sources.  The cyclic collector is paused during a
-search: it builds many tuples and no reference cycle, so the collector's
-passes over them would free nothing.  Square steps (M0 square-del and
-square-ins) appear in a search trace only where letters cancel: at an end
-whose input word is not free-reduced, which is joined to its root by
-square deletions (left) or insertions (right), and inside the inverse
-chain of a backward edge whose move cancelled letters.  A free-reduced end
-has no square chain and is not scanned for one, and no trace passes a
-state twice: s1 s1 to s1 s1 takes no step.  Unknown is a first-class
-verdict: the move system is complete but gives no length bound, so
-budgets are honest caps, not heuristics.  The level where the budget runs
-out is never expanded further, so it stores nothing: its fan edges are
-only tested against the other side's visited map, which finds the same
-first meet (equivalent_closures).  Its fan is capped at the other side's
-longest word and widest strand count, since nothing else can meet.
+equivalent_closures compares closure components, then _search, a
+bidirectional breadth-first search keyed by (free-reduced word, strand
+count) with deterministic expansion order, returns a path of Edges
+(source, tag, params, result) between the two roots or the states it
+spent; one stitch turns a path into a replayable trace.  Square steps (M0
+square-del and square-ins) appear in a search trace only where letters
+cancel: at an end whose input word is not free-reduced, which is joined to
+its root by square deletions (left) or insertions (right), and inside the
+inverse chain of a backward edge whose move cancelled letters.  A
+free-reduced end has no square chain and is not scanned for one, and no
+trace passes a state twice: s1 s1 to s1 s1 takes no step.  Unknown is a
+first-class verdict: the move system is complete but gives no length
+bound, so budgets are honest caps, not heuristics.
 """
 
 from __future__ import annotations
@@ -130,8 +123,34 @@ def equivalent_closures(
 
     Distinct verdicts cite a computed invariant mismatch; Equivalent
     verdicts carry a replayable trace; Unknown reports the spent budget.
-    Search states are free-reduced; unreduced inputs enter and leave the
-    trace through explicit square-deletion / insertion M0 steps.
+    The closure components are compared first, then _search joins the two
+    free-reduced roots, and one stitch turns its path into the trace:
+    unreduced inputs enter and leave it through explicit square-deletion /
+    insertion M0 steps.
+    """
+    budget = budget or Budget()
+    cu, cv = closure_components(u), closure_components(v)
+    if cu != cv:
+        return Distinct("closure_components", cu, cv)
+    max_states, max_len, max_n = budget.resolve(u, v)
+    (nu, tu), (nv, tv) = (u.strands, u.code), (v.strands, v.code)
+    su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
+    path = _search(su, sv, max_states, max_len, max_n)
+    if type(path) is int:
+        return Unknown(path, budget)
+    # a square chain joins an unreduced end to its root; a reduced end has none
+    if tu != su[1]:
+        path = _square_edges(nu, tu, su[1]) + path
+    if tv != sv[1]:
+        path += _square_edges(nv, sv[1], tv)
+    return Equivalent(_edge_trace((nu, tu), path, (nv, tv)))
+
+
+def _search(
+    su: State, sv: State, max_states: int, max_len: int, max_n: int
+) -> Union[list[Edge], int]:
+    """The edges of a path from su to sv ([] if they are equal), or the
+    number of states expanded when the budget or the frontier runs out.
 
     Each round expands one sorted level of the side with the smaller
     frontier.  A level is final when the states left in the budget,
@@ -144,54 +163,27 @@ def equivalent_closures(
     Its fan is capped at the other side's longest word and widest strand
     count too, which only drops edges whose results are not on that side;
     on a word more than two letters over that cap, the fan returns at once
-    unless a seam can cancel enough letters for an edge to fit (module
-    docstring), since no other edge can.
+    unless a seam can cancel enough letters for an edge to fit
+    (doodlekit.moves), since no other edge can.
 
     The search runs with Python's cyclic garbage collector paused, for the
     whole process, and turns it back on after, if it was on before.  That is
     safe because the search builds no reference cycle, so the collector
     would only walk the tuples it allocates and free nothing.
     """
-    budget = budget or Budget()
-    cu, cv = closure_components(u), closure_components(v)
-    if cu != cv:
-        return Distinct("closure_components", cu, cv)
-
+    if su == sv:
+        return []
     enabled = gc.isenabled()
     gc.disable()
     try:
-        max_states, max_len, max_n = budget.resolve(u, v)
-        nu, tu = u.strands, u.code
-        nv, tv = v.strands, v.code
-        su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
         visited: list[dict] = [{su: None}, {sv: None}]
         frontier: list[list[State]] = [[su], [sv]]
-        roots = (su, sv)
         explored = 0
-
-        def build_verdict(meet: State) -> Equivalent:
-            paths: list[list[Edge]] = [[], []]
-            for side in (0, 1):
-                edge = visited[side][meet]
-                while edge is not None:
-                    paths[side].append(edge)
-                    edge = visited[side][edge[0]]
-            # the v-side edges run v -> meet; their inverses run meet -> v.  A
-            # square chain joins an unreduced end to its root; a reduced end has none
-            edges = _square_edges(nu, tu, su[1]) if tu != su[1] else []
-            edges += paths[0][::-1] + _invert_edges(paths[1][::-1])
-            if tv != sv[1]:
-                edges += _square_edges(nv, sv[1], tv)
-            return Equivalent(_edge_trace((nu, tu), edges, (nv, tv)))
-
-        if su == sv:
-            return build_verdict(su)  # both paths are empty
-
         while frontier[0] and frontier[1]:
             if len(frontier[0]) != len(frontier[1]):
                 side = 0 if len(frontier[0]) < len(frontier[1]) else 1
             else:
-                side = 0 if roots[0] <= roots[1] else 1
+                side = 0 if su <= sv else 1
             mine, other = visited[side], visited[1 - side]
             level = sorted(frontier[side])
             rest = max(max_states - explored, 0)
@@ -208,8 +200,8 @@ def equivalent_closures(
                     for edge in _moves_int(state, min(max_len, cap_len), min(max_n, cap_n)):
                         if edge[3] in other:
                             mine[edge[3]] = edge
-                            return build_verdict(edge[3])
-                return Unknown(explored + rest, budget)
+                            return _meet_path(visited, edge[3])
+                return explored + rest
             explored += len(level)
             nxt: list[State] = []
             for state in level:
@@ -218,13 +210,27 @@ def equivalent_closures(
                     if mine.setdefault(res, edge) is not edge:
                         continue
                     if res in other:
-                        return build_verdict(res)
+                        return _meet_path(visited, res)
                     nxt.append(res)
             frontier[side] = nxt
-        return Unknown(explored, budget)
+        return explored
     finally:
         if enabled:
             gc.enable()
+
+
+def _meet_path(visited: list[dict], meet: State) -> list[Edge]:
+    """The edges from the first side's root through meet to the second's:
+    each side's visited map holds the edge that first reached a state (None
+    at its root), and the second side's edges are inverted, since they run
+    from its root to meet."""
+    paths: list[list[Edge]] = [[], []]
+    for side in (0, 1):
+        edge = visited[side][meet]
+        while edge is not None:
+            paths[side].append(edge)
+            edge = visited[side][edge[0]]
+    return paths[0][::-1] + _invert_edges(paths[1][::-1])
 
 
 # ---------------------------------------------------------------------------

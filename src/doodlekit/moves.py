@@ -97,7 +97,7 @@ from itertools import compress
 from operator import eq
 from typing import Iterator, Optional
 
-from .errors import CertificateError, PatternMismatch
+from .errors import CertificateError, DoodleError, PatternMismatch
 from .words import Letter, TwinWord, _letter, _quoted, _quoted_line, _reduce, _shift, _tok, _word
 
 State = tuple[int, tuple[int, ...]]  # (strand count, letters)
@@ -459,10 +459,12 @@ class MoveInstance:
 
     def describe(self) -> str:
         """The move as a certificate step line shows it; PatternMismatch
-        if its tag and params are not of the certificate grammar's form."""
+        if its tag and params have no form that the line grammar parses."""
         try:
-            return " ".join([self.tag] + _render_params(self.tag, self.params))
-        except (IndexError, TypeError, ValueError) as exc:
+            fields = _render_params(self.tag, self.params)
+            _parse_params(self.tag, fields)
+            return " ".join([self.tag] + fields)
+        except (DoodleError, IndexError, TypeError, ValueError) as exc:
             shown = f"{_quoted(self.tag)} {_quoted(self.params)}"
             raise PatternMismatch(f"move {shown} has no certificate form") from exc
 

@@ -105,7 +105,8 @@ def test_move_objects_and_formatting(move, steps, left, right):
     outcome(move.describe)
     trace = MoveTrace(left, tuple(steps))
     outcome(trace.replay)
-    outcome(format_certificate, left, right, trace)
+    text = outcome(format_certificate, left, right, trace)
+    assert text is None or parse_certificate(text)[:2] == (left, right)
 
 
 @st.composite

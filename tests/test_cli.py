@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import FIXTURES, GOLDEN
-from doodlekit.cli import run
+from doodlekit.cli import main, run
 from doodlekit.errors import CertificateError, MatchingViolation, SlotMisuse, UnknownToken
 from doodlekit.markov import verify_certificate
 from doodlekit.words import parse_word
@@ -265,6 +265,13 @@ class TestUsage:
     def test_missing_n_flag(self):
         code, _, _ = invoke("pi", "s1")
         assert code == 64
+
+    @pytest.mark.parametrize("argv", [["reduce", "--n", "3", "s1 s1"], ["pi", "--n", "3", "s9"]])
+    def test_main_exits_with_the_code_of_run(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["doodlekit", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == invoke(*argv)[0]
 
     def test_version_goes_to_out(self):
         # argparse prints --version itself; run must route it to out

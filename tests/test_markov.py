@@ -3,7 +3,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doodlekit import markov, moves
 from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
@@ -353,6 +353,11 @@ class TestMalformedParams:
             ("M1", ("conj", "s1")),
             ("M0", ("comm", 0, 10**5000)),  # more digits than str() converts
             ("M4", None),
+            # forms that render a line the step grammar refuses
+            ("M0", ("comm", "x")),
+            ("M2", ("stab", "x")),
+            ("M0", ("comm", 0, 2)),
+            ("M0", ("comm-grow", 0, 0)),  # renders r0, an index below 1
         ],
     )
     def test_describe_without_a_certificate_form_raises_pattern_mismatch(self, tag, params):
@@ -881,6 +886,50 @@ class TestFinalLevel:
         assert isinstance(proved, Equivalent) and starts == [0, 1]
         (n, t), cap = calls[-1]
         assert (n, t) == (4, w(u, 4).code) and len(t) >= cap + 3
+
+
+@st.composite
+def search_pairs(draw):
+    """Two free-reduced states on 1..4 strands, at most 8 letters each, with
+    equal closure component counts, and caps of at most 2,000 states."""
+
+    def state():
+        n = draw(st.integers(1, 4))
+        letters = [a for j in range(1, n) for a in (j, -j)]
+        code = draw(st.lists(st.sampled_from(letters), max_size=8)) if letters else []
+        return n, _reduce(tuple(code))
+
+    su, sv = state(), state()
+    assume(closure_components(TwinWord(*su)) == closure_components(TwinWord(*sv)))
+    budget = Budget(
+        draw(st.integers(0, 2_000)),
+        draw(st.one_of(st.none(), st.integers(0, 12))),
+        draw(st.one_of(st.none(), st.integers(1, 6))),
+    )
+    return su, sv, budget
+
+
+class TestSearch:
+    """markov._search returns the edges of a path between two reduced roots,
+    or the number of states it spent; equivalent_closures reports either."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_pairs())
+    def test_a_path_replays_and_a_spend_is_the_verdicts(self, pair):
+        su, sv, budget = pair
+        u, v = TwinWord(*su), TwinWord(*sv)
+        found = markov._search(su, sv, *budget.resolve(u, v))
+        verdict = equivalent_closures(u, v, budget)
+        if isinstance(found, int):
+            assert verdict == Unknown(found, budget)
+        else:
+            trace = _edge_trace(su, found, sv)
+            assert trace.replay() and (trace.start, trace.end) == (u, v)
+            assert verdict == Equivalent(trace)
+
+    @given(int_states(max_letters=8), st.integers(0, 2_000))
+    def test_equal_roots_give_the_empty_path(self, s, max_states):
+        assert markov._search(s, s, max_states, len(s[1]) + 4, s[0] + 1) == []
 
 
 @pytest.fixture
