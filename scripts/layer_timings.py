@@ -38,7 +38,10 @@ beta r1 r2 and kinds srsr (79 steps): a mirrored trace whose one tail
 chain pushes through real and virtual letters.  The edge_trace
 row times the one check of that trace alone: one _edge_trace call over
 its steps as an edge chain of (strands, code) states, each source the
-state the step before ended at.  The derived_exchange row times one
+state the step before ended at.  The trace_replay row times the public
+check of the same trace: one MoveTrace.replay call, which passes the
+params of every step through the step grammar's gate before it applies
+the move.  The derived_exchange row times one
 apply_derived call, right-exchange-mixed at n = 4, i = 2, beta1 s1,
 beta2 r1 r2 and kinds srr (51 steps): the one exchange chain turning the
 real bottom level under a virtual top.  The parse_word row times parse_word on
@@ -267,6 +270,7 @@ def main() -> int:
             {"n": 4, "i": 2, "steps": exchange_steps},
         ),
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
+        "trace_replay": (trace.replay, {"n": 4, "i": 4, "steps": steps}),
         "parse_word": (lambda: parse_word(text, w.strands), {"n": w.strands, "letters": len(w)}),
         "verify_certificate": (lambda: verify_certificate(certificate), cert_size),
         "format_certificate": (lambda: format_certificate(left, right, replayed), cert_size),

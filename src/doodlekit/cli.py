@@ -206,10 +206,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except CertificateError as exc:
         print(f"doodlekit: bad certificate: {exc}", file=err)
         return DATA_ERROR
-    except DoodleError as exc:
-        print(f"doodlekit: {exc}", file=err)
-        return DATA_ERROR
-    except OSError as exc:
+    except (DoodleError, OSError) as exc:
         print(f"doodlekit: {exc}", file=err)
         return DATA_ERROR
 

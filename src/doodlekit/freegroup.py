@@ -130,6 +130,8 @@ class FreeEndomorphism:
         return cls(rank, tuple(generator(rank, i) for i in range(1, rank + 1)))
 
     def image(self, i: int) -> FreeWord:
+        if not 1 <= i <= self.rank:
+            raise IndexOutOfRange(f"generator {_digits(i)} out of range for rank {self.rank}")
         return self.images[i - 1]
 
     def apply(self, w: FreeWord) -> FreeWord:

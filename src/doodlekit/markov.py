@@ -27,8 +27,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
-from .moves import Edge, MoveInstance, MoveTrace, State
-from .moves import _apply_int, _edge_trace, _invert_edges, _moves_int, _parse_params, _square_edges
+from .moves import Edge, MoveInstance, MoveTrace, State, _apply_int, _edge_trace, _invert_edges
+from .moves import _moves_int, _parse_params, _plain, _square_edges
 from .words import (
     Letter,
     TwinWord,
@@ -82,8 +82,9 @@ Verdict = Union[Equivalent, Distinct, Unknown]
 
 
 def apply_move(w: TwinWord, tag: str, params: tuple) -> TwinWord:
-    """Apply one tagged rewrite; raises PatternMismatch if it does not fit."""
-    res = _apply_int((w.strands, w.code), tag, params)
+    """Apply one tagged rewrite; raises PatternMismatch unless it has a form and fits."""
+    form = _plain(tag, params)
+    res = None if form is None else _apply_int((w.strands, w.code), tag, form[0])
     if res is None:
         shown = _cut(tag) if type(tag) is str else _quoted(tag)  # a str tag shows bare
         raise PatternMismatch(f"move {shown} {_quoted(params)} does not apply to {_quoted(str(w))}")

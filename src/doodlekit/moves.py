@@ -65,6 +65,10 @@ _splice, _apply_int and _inverse_edges keep every rule and take unreduced
 words too, which certificates and derived chains hold.  The fan builds
 every move inline and calls no _apply_int: an exchange only where its
 index list holds the extreme index exactly twice, both times of one kind.
+The step grammar alone judges a move's form: apply_move,
+MoveInstance.replay and describe pass params from outside through the gate
+_plain once, and every other caller writes that form, so _apply_int only
+asks whether the move fits the word.
 
 Every edge has one exact inverse, _inverse_edges, worked out from the
 move itself: square insertions rebuild the letters the move cancelled (its
@@ -98,7 +102,7 @@ from operator import eq
 from typing import Iterator, Optional
 
 from .errors import CertificateError, DoodleError, PatternMismatch
-from .words import Letter, TwinWord, _letter, _quoted, _quoted_line, _reduce, _shift, _tok, _word
+from .words import TwinWord, _letter, _quoted, _quoted_line, _reduce, _shift, _tok, _word
 
 State = tuple[int, tuple[int, ...]]  # (strand count, letters)
 Edge = tuple[State, str, tuple, State]  # (source, tag, params, result)
@@ -183,11 +187,10 @@ def _splices_at(d: int) -> dict[tuple[int, int], tuple]:
 
 def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None):
     """The word with one application of an M0 rule at pos, before free
-    reduction; None if the rule is unknown or does not match there."""
-    entry = _M0_RULES.get(rule)
-    if entry is None or not 0 <= pos <= len(t) - entry[0]:
+    reduction; None if the rule does not match there."""
+    width = _M0_RULES[rule][0]
+    if not 0 <= pos <= len(t) - width:
         return None
-    width = entry[0]
     win = t[pos : pos + width]
     rhs = None
     if rule == "comm":
@@ -213,22 +216,11 @@ def _splice(t: tuple[int, ...], rule: str, pos: int, extra: Optional[int] = None
 
 
 def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
-    """Apply one move; None unless params follow the certificate grammar
-    and the move fits the word."""
+    """Apply one move whose params are in the step grammar's form (_plain);
+    None unless the move fits the word."""
     n, t = state
     if tag == "M0":
-        if len(params) == 2:
-            if params[0] in _LETTER_RULES:
-                return None
-        elif len(params) != 3 or params[0] not in _LETTER_RULES:
-            return None
-        elif type(params[2]) is not int:
-            if type(params[2]) is Letter:  # the same move with its plain int
-                return _apply_int(state, tag, (*params[:2], int(params[2])))
-            return None
-        elif not 1 <= abs(params[2]) < n:
-            return None
-        if type(params[0]) is not str or type(params[1]) is not int:
+        if len(params) == 3 and not 1 <= abs(params[2]) < n:
             return None
         image = _splice(t, *params)
         if image is None:
@@ -237,42 +229,31 @@ def _apply_int(state: State, tag: str, params: tuple) -> Optional[State]:
         # traces, where the unreduced intermediate word is the point
         return (n, image if params[0].startswith("square-") else _reduce(image))
     if tag == "M1":
-        if len(params) == 2 and params[0] == "conj":
-            g = params[1]
-            if type(g) is int:
-                if 1 <= abs(g) < n:
-                    return (n, _reduce((g,) + t + (g,)))
-            elif type(g) is Letter:  # the same move with its plain int
-                return _apply_int(state, tag, ("conj", int(g)))
-        return None
+        g = params[1]
+        return (n, _reduce((g,) + t + (g,))) if 1 <= abs(g) < n else None
     if tag == "M2":
-        if params in (("stab", "s"), ("stab", "r")):
+        if params[0] == "stab":
             return (n + 1, t + (n if params[1] == "s" else -n,))
-        if params == ("destab",):
-            if n >= 2 and t and abs(t[-1]) == n - 1:
-                if sum(1 for a in t if abs(a) == n - 1) == 1:
-                    return (n - 1, t[:-1])
+        if t and abs(t[-1]) == n - 1 and n - 1 not in map(abs, t[:-1]):
+            return (n - 1, t[:-1])
         return None
     if tag == "M3":
-        if params == ("stab",):
+        if params[0] == "stab":
             return (n + 1, _shift(t, 1) + (1,))
-        if params == ("destab",):
-            if n >= 2 and t and t[-1] == 1:
-                if sum(1 for a in t if abs(a) == 1) == 1:
-                    return (n - 1, _shift(t[:-1], -1))
+        if t and t[-1] == 1 and 1 not in map(abs, t[:-1]):
+            return (n - 1, _shift(t[:-1], -1))
         return None
-    if tag in ("M4", "M5") and params == ():
-        # the extreme index ends (M4) or starts (M5) the word and occurs
-        # once more, with the same kind; both occurrences flip kind
-        e, end = (n - 1, -1) if tag == "M4" else (1, 0)
-        if not t or abs(t[end]) != e:
-            return None
-        ps = [p for p, a in enumerate(t) if abs(a) == e]
-        if len(ps) == 2 and (t[ps[0]] > 0) == (t[ps[1]] > 0):
-            out = list(t)
-            for p in ps:
-                out[p] = -out[p]
-            return (n, tuple(out))
+    # M4 and M5: the extreme index ends (M4) or starts (M5) the word and
+    # occurs once more, with the same kind; both occurrences flip kind
+    e, end = (n - 1, -1) if tag == "M4" else (1, 0)
+    if not t or abs(t[end]) != e:
+        return None
+    ps = [p for p, a in enumerate(t) if abs(a) == e]
+    if len(ps) == 2 and (t[ps[0]] > 0) == (t[ps[1]] > 0):
+        out = list(t)
+        for p in ps:
+            out[p] = -out[p]
+        return (n, tuple(out))
     return None
 
 
@@ -453,20 +434,20 @@ class MoveInstance:
     result: TwinWord
 
     def replay(self) -> bool:
+        form = _plain(self.tag, self.params)
+        if form is None:
+            return False
         src, res = self.source, self.result
-        got = _apply_int((src.strands, src.code), self.tag, self.params)
-        return got == (res.strands, res.code)
+        return _apply_int((src.strands, src.code), self.tag, form[0]) == (res.strands, res.code)
 
     def describe(self) -> str:
         """The move as a certificate step line shows it; PatternMismatch
-        if its tag and params have no form that the line grammar parses."""
-        try:
-            fields = _render_params(self.tag, self.params)
-            _parse_params(self.tag, fields)
-            return " ".join([self.tag] + fields)
-        except (DoodleError, IndexError, TypeError, ValueError) as exc:
+        if its tag and params have no form in the step grammar (_plain)."""
+        form = _plain(self.tag, self.params)
+        if form is None:
             shown = f"{_quoted(self.tag)} {_quoted(self.params)}"
-            raise PatternMismatch(f"move {shown} has no certificate form") from exc
+            raise PatternMismatch(f"move {shown} has no certificate form")
+        return " ".join([self.tag] + form[1])
 
 
 @dataclass(frozen=True)
@@ -519,6 +500,21 @@ def _parse_params(tag: str, fields: list[str]) -> tuple:
     elif tuple(fields) in _FIXED[tag]:
         return tuple(fields)
     raise CertificateError(f"bad parameters {_quoted_line(fields)} for move {tag}")
+
+
+def _plain(tag: str, params: tuple) -> Optional[tuple[tuple, list[str]]]:
+    """The gate of params from outside (module docstring): the params that
+    _parse_params reads back from their own step-line fields, and those
+    fields; None if params are not a tuple, hold a bool, or do not render,
+    parse and read back equal."""
+    if type(params) is not tuple or bool in map(type, params):
+        return None
+    try:
+        fields = _render_params(tag, params)
+        plain = _parse_params(tag, fields)
+    except (DoodleError, IndexError, TypeError, ValueError):
+        return None
+    return (plain, fields) if plain == params else None
 
 
 # ---------------------------------------------------------------------------

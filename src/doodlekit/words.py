@@ -314,6 +314,8 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
     def __call__(self, k: int) -> int:
+        if not 1 <= k <= self.n:
+            raise IndexOutOfRange(f"point {_digits(k)} outside 1..{self.n}")
         return self.images[k - 1]
 
     def then(self, other: "Permutation") -> "Permutation":
@@ -340,11 +342,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            k = self(start)
+            k = self.images[start - 1]
             while k != start:
                 cyc.append(k)
                 seen[k - 1] = True
-                k = self(k)
+                k = self.images[k - 1]
             out.append(tuple(cyc))
         return out
 

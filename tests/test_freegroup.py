@@ -122,6 +122,12 @@ class TestMu:
         assert m.image(2).letters == (1,)
         assert m.image(3).letters == (3,)
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_generators_outside_1_to_rank_raise(self, i):
+        # a tuple index i - 1 would wrap around at 0 and -1 and fail at rank + 1
+        with pytest.raises(IndexOutOfRange, match=f"^generator {i} out of range for rank 3$"):
+            mu(w("s1", 3)).image(i)
+
     def test_involution_by_hand(self):
         assert mu(w("s1 s1", 2)) == FreeEndomorphism.identity(2)
 

@@ -3,7 +3,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from doodlekit import markov, moves
 from doodlekit.errors import CertificateError, DoodleError, PatternMismatch
@@ -331,6 +331,8 @@ class TestMalformedParams:
         ("M0", ("comm-grow", 0, True)),
         # params that are neither a tuple nor a list
         ("M4", None),
+        # a list is no tuple, for M0 and M1 as for M2 to M5
+        ("M1", ["conj", 1]),
     ]
 
     @pytest.mark.parametrize("tag,params", CASES)
@@ -358,6 +360,11 @@ class TestMalformedParams:
             ("M2", ("stab", "x")),
             ("M0", ("comm", 0, 2)),
             ("M0", ("comm-grow", 0, 0)),  # renders r0, an index below 1
+            # forms that render a line the grammar parses, but do not replay
+            ("M1", ("conj", True)),
+            ("M0", ("comm-grow", 0, True)),
+            ("M2", ["stab", "s"]),
+            ("M1", ["conj", 1]),
         ],
     )
     def test_describe_without_a_certificate_form_raises_pattern_mismatch(self, tag, params):
@@ -891,16 +898,33 @@ class TestFinalLevel:
 @st.composite
 def search_pairs(draw):
     """Two free-reduced states on 1..4 strands, at most 8 letters each, with
-    equal closure component counts, and caps of at most 2,000 states."""
+    equal closure component counts, and caps of at most 2,000 states.
 
-    def state():
-        n = draw(st.integers(1, 4))
+    The second is built to match the first's count c, with no filter: a
+    letter at index i multiplies the permutation by (i i+1), so it splits
+    one cycle or merges two.  The counts of a word's prefixes run one at a
+    time from its strand count nv >= c, so the longest prefix with count c
+    is kept; if every prefix has more, letters that merge cycles are
+    appended, at most nv - c of them, for which the drawn word leaves room.
+    """
+
+    def code(n, max_size):
         letters = [a for j in range(1, n) for a in (j, -j)]
-        code = draw(st.lists(st.sampled_from(letters), max_size=8)) if letters else []
-        return n, _reduce(tuple(code))
+        return draw(st.lists(st.sampled_from(letters), max_size=max_size)) if letters else []
 
-    su, sv = state(), state()
-    assume(closure_components(TwinWord(*su)) == closure_components(TwinWord(*sv)))
+    n = draw(st.integers(1, 4))
+    su = (n, _reduce(tuple(code(n, 8))))
+    c = closure_components(TwinWord(*su))
+    nv = draw(st.integers(c, 4))
+    t = code(nv, 8 - (nv - c))
+    counts = [closure_components(TwinWord(nv, tuple(t[:j]))) for j in range(len(t) + 1)]
+    if c in counts:
+        del t[len(counts) - 1 - counts[::-1].index(c) :]
+    while closure_components(TwinWord(nv, tuple(t))) > c:
+        cycle = {p: k for k, cyc in enumerate(pi(TwinWord(nv, tuple(t))).cycles()) for p in cyc}
+        merges = [a for i in range(1, nv) if cycle[i] != cycle[i + 1] for a in (i, -i)]
+        t.append(draw(st.sampled_from(merges)))
+    sv = (nv, _reduce(tuple(t)))
     budget = Budget(
         draw(st.integers(0, 2_000)),
         draw(st.one_of(st.none(), st.integers(0, 12))),

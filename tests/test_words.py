@@ -485,6 +485,15 @@ def test_permutation_validation():
         Permutation.identity(2).then(Permutation.identity(3))
 
 
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_permutation_points_outside_1_to_n_raise(k):
+    # a tuple index k - 1 would wrap around at 0 and -1 and fail at n + 1
+    p = pi(parse_word("s1", 3))
+    with pytest.raises(IndexOutOfRange, match=rf"^point {k} outside 1\.\.3$"):
+        p(k)
+    assert [p(j) for j in (1, 2, 3)] == [2, 1, 3]
+
+
 class TestLetter:
     def test_is_its_signed_int(self):
         assert Letter("s", 2) == 2 and Letter("r", 2) == -2
