@@ -247,6 +247,8 @@ def relation_instances(n: int) -> list[tuple[str, TwinWord, TwinWord]]:
 
 def relation_count(n: int) -> int:
     """Closed-form instance count, kept independent of the enumeration."""
+    if n < 2:
+        raise RankMismatch(f"relations need n >= 2, got {_digits(n)}")
     gap_unordered = (n - 2) * (n - 3) // 2
     return 2 * (n - 1) + 2 * gap_unordered + 2 * (n - 2) + 2 * gap_unordered
 

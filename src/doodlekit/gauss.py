@@ -34,7 +34,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import TwinWord, _count, _digits, _quoted_line
+from .words import TwinWord, _count, _cycles, _digits, _quoted_line
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -222,16 +222,13 @@ def closure_gauss(w: TwinWord) -> GaussData:
             at[-a - 1], at[-a] = at[-a], at[-a - 1]
 
     # the closure joins bottom position p to top position p, so the strand
-    # that ends at p runs on as strand p; each entry x leaves at exit x ^ 3
-    nxt = sorted(range(n), key=at.__getitem__)  # the inverse of at
+    # at[p] runs on as strand p: a cycle of at, reversed, is one component's
+    # strands in order.  Each entry x leaves at exit x ^ 3
     link, free_loops = [0] * e, 0
-    for s in range(n):
-        if nxt[s] < 0:
-            continue
+    for cyc in _cycles(at):
         run: list[int] = []
-        while nxt[s] >= 0:  # the entries of one component; walked strands get -1
+        for s in reversed(cyc):
             run += entries[s]
-            nxt[s], s = -1, nxt[s]
         free_loops += not run
         prev = run[-1] ^ 3 if run else 0  # the exit that leads into run[0]
         for x in run:

@@ -32,6 +32,7 @@ from .moves import _moves_int, _parse_params, _plain, _square_edges
 from .words import (
     Letter,
     TwinWord,
+    _content_lines,
     _count,
     _cut,
     _quoted,
@@ -261,9 +262,7 @@ def _step_head(head: str) -> tuple[str, tuple]:
 
 def parse_certificate(text: str):
     """Parse a certificate into (left, right, steps) without replaying."""
-    lines = [
-        ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = _content_lines(text)
     if not lines or lines[0].strip() != "doodlekit certificate":
         raise CertificateError("missing certificate header")
 

@@ -526,15 +526,15 @@ def _square_edges(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> list[Ed
     insertions up to rhs (leftmost squares first on both sides)."""
 
     def deletions(t):
-        chain = []
-        while True:
-            for p in range(len(t) - 1):
-                if t[p] == t[p + 1]:
-                    chain.append((t, p))
-                    t = t[:p] + t[p + 2 :]
-                    break
+        # the stack is reduced, so the square it meets is the word's leftmost
+        chain, stack = [], []
+        for i, a in enumerate(t):
+            if stack and stack[-1] == a:
+                chain.append((tuple(stack) + t[i:], len(stack) - 1))
+                stack.pop()
             else:
-                return chain, t
+                stack.append(a)
+        return chain, tuple(stack)
 
     down, lred = deletions(lhs)
     up, rred = deletions(rhs)

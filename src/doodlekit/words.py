@@ -226,9 +226,14 @@ def format_word(w: TwinWord) -> str:
     return " ".join(map(_tok, w.code))
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of a word file or certificate, less blanks and ``#`` comment lines."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def parse_word_file(text: str) -> TwinWord:
     """Read the two-line word file format: ``n=<int>`` then the token line."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _content_lines(text)
     if not lines or not lines[0].strip().startswith("n="):
         raise UnknownToken("word file must start with an n=<int> header line")
     try:
@@ -335,20 +340,7 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles plus fixed points, each starting at its minimum."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            k = self.images[start - 1]
-            while k != start:
-                cyc.append(k)
-                seen[k - 1] = True
-                k = self.images[k - 1]
-            out.append(tuple(cyc))
-        return out
+        return [tuple(k + 1 for k in c) for c in _cycles([k - 1 for k in self.images])]
 
     def cycle_string(self) -> str:
         """Cycle notation with fixed points omitted; identity prints ``()``."""
@@ -385,14 +377,23 @@ def pi(w: TwinWord) -> Permutation:
     return _perm(tuple(images))
 
 
+def _cycles(images) -> list[list[int]]:
+    """The cycles of a permutation of 0..n-1, each from its least point, in their order."""
+    seen, out = [False] * len(images), []
+    for k in range(len(images)):
+        if not seen[k]:
+            cyc = []
+            while not seen[k]:
+                seen[k] = True
+                cyc.append(k)
+                k = images[k]
+            out.append(cyc)
+    return out
+
+
 def closure_components(w: TwinWord) -> int:
     """Number of components of the closure doodle: cycles of pi(w)."""
-    at, count = _at(w.strands, w.code), 0
-    for k in range(w.strands):
-        count += at[k] >= 0
-        while at[k] >= 0:  # walked positions get -1
-            at[k], k = -1, at[k]
-    return count
+    return len(_cycles(_at(w.strands, w.code)))
 
 
 def random_word(rng, strands: int, length: int) -> TwinWord:

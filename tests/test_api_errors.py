@@ -1,22 +1,29 @@
 """Every public callable of words, freegroup, gauss, alexander, markov and
-derived returns or raises a DoodleError.
+derived returns or raises a DoodleError, and ``cli.run`` returns one of its
+exit codes.
 
 The Python API's rule (README, "Command line"): a value of the documented
 type ends in a result or a ``DoodleError``.  Each test draws arguments of
 those types with bounded values (strand counts -2..8, words of at most 12
 letters, budgets of at most 300 states, ints -3..8, grammar tokens and
 random strs, real certificates with one line mutated) and lets any other
-exception fail it.  No draw comes near a large strand count.  One more
-property pins the one rule for a move's form: a one-step trace replays
-exactly when its certificate verifies, and when apply_move gives its result.
+exception fail it; ``cli.run`` gets argv of every subcommand drawn the same
+way, with file arguments written to a temporary directory.  No draw comes
+near a large strand count.  One more property pins the one rule for a
+move's form: a one-step trace replays exactly when its certificate
+verifies, and when apply_move gives its result.
 """
 
+import io
+import pathlib
 import random
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN
 from doodlekit.alexander import braid
+from doodlekit.cli import run
 from doodlekit.derived import apply_derived
 from doodlekit.errors import DoodleError
 from doodlekit.freegroup import (
@@ -100,6 +107,11 @@ def outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except DoodleError:
         return None
+
+
+def rarely(draw, strategy, usual):
+    """One draw in four from strategy, else usual, which is drawn first."""
+    return draw(strategy) if draw(st.integers(0, 3)) == 0 else usual
 
 
 @st.composite
@@ -221,22 +233,19 @@ def derived_calls(draw):
     takes, each sub-word on its strand count and the kinds of the arm's
     length; else any str, any n, every keyword or any strand count."""
 
-    def rarely(strategy, usual):
-        return draw(strategy) if draw(st.integers(0, 3)) == 0 else usual
-
-    item = rarely(TEXT, draw(st.sampled_from(ITEMS)))
-    n = rarely(st.integers(-2, 6), draw(st.integers(2, 6)))
-    i = rarely(INTS, draw(st.integers(1, max(n, 1))))
+    item = rarely(draw, TEXT, draw(st.sampled_from(ITEMS)))
+    n = rarely(draw, st.integers(-2, 6), draw(st.integers(2, 6)))
+    i = rarely(draw, INTS, draw(st.integers(1, max(n, 1))))
     left = item.startswith("left")
     strands = {"beta": n, "beta1": n + 1 - i if left else i, "beta2": n}
     span = max(i if left else n + 1 - i, 0)  # the arm's length
     kinds = "".join(draw(st.lists(st.sampled_from("sr"), min_size=span, max_size=span)))
     values = {
         "i": i,
-        "kinds": rarely(TEXT, kinds),
-        **{name: draw(words(rarely(st.integers(1, 6), k))) for name, k in strands.items()},
+        "kinds": rarely(draw, TEXT, kinds),
+        **{name: draw(words(rarely(draw, st.integers(1, 6), k))) for name, k in strands.items()},
     }
-    takes = rarely(st.just(tuple(values)), TAKES.get(item.partition("-")[2], ()))
+    takes = rarely(draw, st.just(tuple(values)), TAKES.get(item.partition("-")[2], ()))
     return item, {"n": n, **{name: values[name] for name in takes}}
 
 
@@ -296,9 +305,9 @@ def test_freegroup_layer(w, v, rank, letters, images, k):
         outcome(f.apply, x)
     outcome(separates, w, v)
     outcome(separating_generator, w, v)
-    outcome(relation_instances, rank)
+    instances = outcome(relation_instances, rank)
     outcome(verify_relations, rank)
-    relation_count(rank)
+    assert outcome(relation_count, rank) == (None if instances is None else len(instances))
 
 
 END = st.tuples(INTS, INTS)
@@ -324,3 +333,74 @@ def test_gauss_and_alexander_layers(w, v, crossings, arcs, loops, sigma, text):
     outcome(isomorphic, g, h)
     b = outcome(braid, g)
     assert b is None or closure_gauss(b) == g
+
+
+SUBCOMMANDS = (
+    "reduce", "pi", "components", "mu", "verify-relations", "separates",
+    "gauss-validate", "gauss-iso", "closure-gauss", "braid", "equiv", "verify-cert",
+)
+# a stray argument that argparse refuses or answers itself; never a count
+STRAY = st.one_of(st.sampled_from(("--version", "--help", "--max-states", "--bogus", "s1")), INTS.map(str))
+FILES = st.one_of(
+    any_words().map(lambda w: format_gauss(closure_gauss(w))),
+    st.sampled_from(sorted(FIXTURES.glob("*.gauss"))).map(pathlib.Path.read_text),
+    any_words().map(format_word_file),
+    st.sampled_from(CERTIFICATES).map(pathlib.Path.read_text),
+    mutated_certificates(),
+    TEXT,
+).map(str.encode)
+# a file's bytes, not UTF-8 bytes, no file, or a directory
+FILE_ARGS = st.one_of(FILES, st.binary(max_size=12), st.sampled_from((None, "dir")))
+
+
+@st.composite
+def cli_calls(draw):
+    """argv of one subcommand, its file arguments named f0, f1, ... and
+    their contents; one call in eight drops an argument or adds a stray one."""
+    cmd = draw(st.sampled_from(SUBCOMMANDS))
+    files = {}
+
+    def path():
+        files[f"f{len(files)}"] = draw(FILE_ARGS)
+        return f"f{len(files) - 1}"
+
+    def word(n):
+        return rarely(draw, TEXT, format_word(draw(words(n))))
+
+    n = rarely(draw, STRANDS, draw(st.integers(1, 8)))
+    if cmd in ("gauss-validate", "braid", "verify-cert"):
+        argv = [cmd, path()]
+    elif cmd == "gauss-iso":
+        argv = [cmd, path(), path()]
+    elif cmd == "verify-relations":
+        argv = [cmd, "--n", str(n)]
+    elif cmd == "separates":
+        argv = [cmd, "--n", str(n), word(n), word(n)]
+    elif cmd == "equiv":
+        n2 = rarely(draw, STRANDS, draw(st.integers(1, 8)))
+        argv = [cmd, "--n1", str(n), "--n2", str(n2), word(n), word(n2)]
+        argv += ["--max-states", str(draw(st.integers(-3, 300)))]
+        for flag in ("--max-len", "--max-n"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(INTS))]
+    else:
+        argv = [cmd, "--n", str(n), word(n)]
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, len(argv) - 1))
+        argv[k : k + 1] = [] if draw(st.booleans()) else [draw(STRAY), argv[k]]
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+def test_cli_run(call):
+    argv, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for name, data in files.items():
+            if data == "dir":
+                (root / name).mkdir()
+            elif data is not None:
+                (root / name).write_bytes(data)
+        argv = [str(root / a) if a in files else a for a in argv]
+        assert run(argv, out=io.StringIO(), err=io.StringIO()) in (0, 1, 2, 64, 65)

@@ -220,6 +220,12 @@ class TestRelations:
         assert len(relation_instances(n)) == count
         assert relation_count(n) == count
 
+    @pytest.mark.parametrize("f", [relation_count, relation_instances, verify_relations])
+    @pytest.mark.parametrize("n", [-2, 0, 1])
+    def test_below_two_strands_the_count_raises_as_the_enumeration(self, f, n):
+        with pytest.raises(RankMismatch, match=f"^relations need n >= 2, got {n}$"):
+            f(n)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_all_hold(self, n):
         report = verify_relations(n)
