@@ -54,6 +54,11 @@ format_certificate row writes its replayed trace back to the same text,
 and the equivalent_closures_small row runs the search that found it, with
 the default budget, from the two words to the Equivalent verdict (square
 steps at both ends, since neither word is free-reduced).  The
+edge_trace_ends row times the last step of that call alone: one
+_edge_trace call from the left word to the right one over the path
+_search finds between their free reductions, which joins both unreduced
+ends to the path by square steps, so the cost of that join shows next to
+the edge_trace row.  The
 equivalent_closures_unknown row times the benchmark's Kishino op: the
 braided Kishino doodle against the unknot at Budget(800), which ends
 Unknown when its budget runs out, so it times 800 expanded states, the
@@ -231,6 +236,10 @@ def main() -> int:
     replayed = verify_certificate(certificate)
     cert_size = {"n": replayed.start.strands, "steps": len(replayed.steps)}
     left, right = replayed.start, replayed.end
+    path = markov._search(
+        *((x.strands, free_reduce(x).code) for x in (left, right)), *Budget().resolve(left, right)
+    )
+    ends = ((left.strands, left.code), path, (right.strands, right.code))
     final = final_fans(kishino, unknot, Budget(KISHINO_STATES))
     calls = {
         "mu": (lambda: mu(w), size),
@@ -270,6 +279,7 @@ def main() -> int:
             {"n": 4, "i": 2, "steps": exchange_steps},
         ),
         "edge_trace": (lambda: _edge_trace(*checked), {"n": 4, "i": 4, "steps": steps}),
+        "edge_trace_ends": (lambda: _edge_trace(*ends), {**cert_size, "path": len(path)}),
         "trace_replay": (trace.replay, {"n": 4, "i": 4, "steps": steps}),
         "parse_word": (lambda: parse_word(text, w.strands), {"n": w.strands, "letters": len(w)}),
         "verify_certificate": (lambda: verify_certificate(certificate), cert_size),

@@ -47,16 +47,16 @@ V = r_n .. r_i and Q = r_n .. r_1 in VT_{n+1}:
 Left-handed traces are produced by mirroring right-handed ones through
 the index reversal j -> n+1-j, which maps every splice rule to itself and
 swaps the left/right move families; it maps the four moves right-handed
-chains make, M0, M1, M2 destabilization and M4.  Degenerate instances
-whose two sides share a free reduction get a pure square-deletion/insertion
-trace.
+chains make, M0, M1, M2 destabilization and M4.  A degenerate exchange
+(empty beta1) builds no chain: its two sides share a free reduction, and
+moves._edge_trace joins them by square deletions and insertions.
 
-Each step is computed once, by the builder that takes it: chains run
-backwards (moves._invert_edges) and mirrored chains are passed on as
-built, not applied again.  The finished chain is replayed once, in
-moves._edge_trace, which also checks that it ends at the item's right
-side and drops its loops, so no trace passes a state twice; a chain that
-goes wrong is an internal error (RuntimeError).
+Each step is computed once, in _Builder.apply, the only place here that
+applies a move: chains run backwards (moves._invert_edges) and mirrored
+chains are passed on as built, not applied again.  The finished chain is
+replayed once, in moves._edge_trace, which also checks that it ends at
+the item's right side and drops its loops, so no trace passes a state
+twice; a chain that goes wrong is an internal error (RuntimeError).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 from .errors import PatternMismatch
 from .moves import Edge, MoveTrace, State
-from .moves import _apply_int, _Builder, _edge_trace, _invert_edges, _push_sweep, _square_edges
+from .moves import _Builder, _edge_trace, _invert_edges, _push_sweep
 from .words import TwinWord, _digits, _quoted, _reduce, _shift
 
 
@@ -243,8 +243,9 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
 
     Right-handed chains, run backwards or not, take only M0, M1, M2
     destabilization and M4 steps.  The mirrored states are the mirrors of
-    the states the trace holds, so no step is applied again; only the turn
-    around a misplaced exchange pair computes its two intermediate words.
+    the states the trace holds, so no step is applied again; the turn
+    around an exchange pair that does not lead the word is built anew, as
+    three steps of a _Builder.
     Each state is mirrored once: an edge that starts where the last one
     ended reuses that mirror, and any other source, a gap included, is
     mirrored afresh for moves._edge_trace to judge."""
@@ -266,19 +267,17 @@ def _mirror_edges(edges: list[Edge]) -> list[Edge]:
             else:
                 out += _virtual_destab_edges(mdst)
         elif tag == "M4":
-            # M5 needs the mirrored pair to lead the word: else turn the
-            # last letter to the front and back by conjugation
-            if _apply_int(msrc, "M5", ()) == mdst:
+            # M5 needs the mirrored pair to lead the word, which it does
+            # exactly when the M4 pair leads it here: else turn the last
+            # letter to the front and back by conjugation
+            if abs(src[1][0]) == N - 1:
                 out.append((msrc, "M5", (), mdst))
             else:
-                turn = ("conj", msrc[1][-1])
-                step1 = _apply_int(msrc, "M1", turn)
-                step2 = _apply_int(step1, "M5", ())
-                out += [
-                    (msrc, "M1", turn, step1),
-                    (step1, "M5", (), step2),
-                    (step2, "M1", ("conj", step2[1][0]), mdst),
-                ]
+                turn = _Builder(msrc)
+                turn.conj(msrc[1][-1])
+                turn.apply("M5", ())
+                turn.conj(turn.word[0])
+                out += turn.edges
         else:
             raise RuntimeError(f"internal: cannot mirror move {tag} {params}")
     return out
@@ -389,9 +388,7 @@ def apply_derived(
     b = _Builder(start)
     if tail:
         _build_tail(b, arm)
-    elif not b1:
-        # both sides are unreduced exactly here: t_i t_i meet, other seams join distinct indices
-        return _finish(item, lhs, rhs, _square_edges(N, lhs[1], rhs[1]))
-    else:
+    elif b1:
         _build_exchange(b, b1, arm)
+    # an empty b1 builds nothing: t_i t_i meet on both sides, which _edge_trace joins
     return _finish(item, lhs, rhs, _mirror_edges(b.edges) if mirror else b.edges)

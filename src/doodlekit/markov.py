@@ -8,14 +8,8 @@ equivalent_closures compares closure components, then _search, a
 bidirectional breadth-first search keyed by (free-reduced word, strand
 count) with deterministic expansion order, returns a path of Edges
 (source, tag, params, result) between the two roots or the states it
-spent; one stitch turns a path into a replayable trace.  Square steps (M0
-square-del and square-ins) appear in a search trace only where letters
-cancel: at an end whose input word is not free-reduced, which is joined to
-its root by square deletions (left) or insertions (right), and inside the
-inverse chain of a backward edge whose move cancelled letters.  A
-free-reduced end has no square chain and is not scanned for one, and no
-trace passes a state twice: s1 s1 to s1 s1 takes no step.  Unknown is a
-first-class verdict: the move system is complete but gives no length
+spent; moves._edge_trace turns a path into a replayable trace.  Unknown
+is a first-class verdict: the move system is complete but gives no length
 bound, so budgets are honest caps, not heuristics.
 """
 
@@ -28,7 +22,7 @@ from typing import Optional, Union
 
 from .errors import CertificateError, DoodleError, PatternMismatch
 from .moves import Edge, MoveInstance, MoveTrace, State, _apply_int, _edge_trace, _invert_edges
-from .moves import _moves_int, _parse_params, _plain, _square_edges
+from .moves import _moves_int, _parse_params, _plain
 from .words import (
     Letter,
     TwinWord,
@@ -126,26 +120,19 @@ def equivalent_closures(
     Distinct verdicts cite a computed invariant mismatch; Equivalent
     verdicts carry a replayable trace; Unknown reports the spent budget.
     The closure components are compared first, then _search joins the two
-    free-reduced roots, and one stitch turns its path into the trace:
-    unreduced inputs enter and leave it through explicit square-deletion /
-    insertion M0 steps.
+    free-reduced roots, and _edge_trace turns its path into the trace,
+    joining an unreduced input to its root by square steps.
     """
     budget = budget or Budget()
     cu, cv = closure_components(u), closure_components(v)
     if cu != cv:
         return Distinct("closure_components", cu, cv)
     max_states, max_len, max_n = budget.resolve(u, v)
-    (nu, tu), (nv, tv) = (u.strands, u.code), (v.strands, v.code)
-    su, sv = (nu, _reduce(tu)), (nv, _reduce(tv))
+    su, sv = (u.strands, _reduce(u.code)), (v.strands, _reduce(v.code))
     path = _search(su, sv, max_states, max_len, max_n)
     if type(path) is int:
         return Unknown(path, budget)
-    # a square chain joins an unreduced end to its root; a reduced end has none
-    if tu != su[1]:
-        path = _square_edges(nu, tu, su[1]) + path
-    if tv != sv[1]:
-        path += _square_edges(nv, sv[1], tv)
-    return Equivalent(_edge_trace((nu, tu), path, (nv, tv)))
+    return Equivalent(_edge_trace((u.strands, u.code), path, (v.strands, v.code)))
 
 
 def _search(

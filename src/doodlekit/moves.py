@@ -82,10 +82,13 @@ half of a stitched trace, and the derived chains that run backwards.
 
 A search state is the plain tuple (w.strands, w.code), which hashes
 faster than a word; _word turns it back into one.  An edge chain becomes
-a public MoveTrace in _edge_trace alone.  It replays the raw chain once,
-state against state, and checks where it ends; only then does it build
-the steps, going on from each state after the chain's last arrival there,
-so a loop in the chain (a step the next one undoes) leaves no step.
+a public MoveTrace in _edge_trace alone.  It joins each end of the chain
+that is not the trace's to it by square deletions and insertions
+(_square_edges), so no caller stitches square chains.  It replays the
+joined chain once, state against state, and checks where it ends; only
+then does it build the steps, going on from each state after the chain's
+last arrival there, so a loop in the chain (a step the next one undoes)
+leaves no step.
 
 _Builder takes a chain one checked step at a time, and _push_sweep is the
 push-and-sweep nest that the derived tails and exchanges share
@@ -539,7 +542,7 @@ def _square_edges(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> list[Ed
     down, lred = deletions(lhs)
     up, rred = deletions(rhs)
     if lred != rred:
-        # every caller passes sides that share one by construction
+        # edge inverses and the chains handed to _edge_trace share one by construction
         raise RuntimeError("internal: sides do not share a free reduction")
     edges = [((n, t), "M0", ("square-del", p), (n, t[:p] + t[p + 2 :])) for t, p in down]
     for t, p in reversed(up):
@@ -594,11 +597,20 @@ def _invert_edges(edges: list[Edge]) -> list[Edge]:
 
 
 def _edge_trace(start: State, edges: list[Edge], end: State) -> MoveTrace:
-    """The trace of a chain of edges from start.  Every search and derived
-    trace is checked here alone: RuntimeError unless each edge of the raw
-    chain, loops included, starts where the last ended, its move gives its
-    result, and the chain runs from start to end.  The trace goes on from
-    each state after the chain's last arrival there, so no state repeats."""
+    """The trace of a chain of edges from start to end.  Where the chain's
+    first state (end, for an empty chain) is not start, square steps from
+    start to it are put before it, and where its last state is not end,
+    square steps from it to end after it (_square_edges).  Every search and
+    derived trace is checked here alone: RuntimeError unless each joined
+    pair shares a free reduction, each edge of the joined chain, loops
+    included, starts where the last ended, its move gives its result, and
+    the chain runs from start to end.  The trace goes on from each state
+    after the chain's last arrival there, so no state repeats."""
+    first = edges[0][0] if edges else end
+    if first != start:
+        edges = _square_edges(start[0], start[1], first[1]) + edges
+    if edges and edges[-1][3] != end:
+        edges = edges + _square_edges(end[0], edges[-1][3][1], end[1])
     cur = start
     for a, tag, params, b in edges:
         if a != cur or _apply_int(a, tag, params) != b:

@@ -498,30 +498,38 @@ def test_no_battery_trace_repeats_a_state():
 
 
 def test_each_step_is_computed_once(monkeypatch):
-    # builders pass on the states they computed; only the builder's own
-    # steps (_Builder.apply, in moves.py) and the turn around a mirrored
-    # exchange (in derived.py) apply a move, so those moves never outnumber
-    # the edges built.  _edge_trace's replay is not counted.  The trace may
+    # builders pass on the states they computed; only _Builder.apply, in
+    # moves.py, applies a move, so those moves never outnumber the edges
+    # built: the edges handed to _edge_trace and the square steps it joins
+    # at their ends.  _edge_trace's replay is not counted.  The trace may
     # be shorter than its edge chain, which _edge_trace cuts where the chain
     # comes back to a state.
-    apply, trace, calls, built = moves._apply_int, derived._edge_trace, 0, 0
+    apply, squares, trace = moves._apply_int, moves._square_edges, derived._edge_trace
+    calls = built = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return apply(*args)
 
+    def joined(*args):
+        nonlocal built
+        edges = squares(*args)
+        built += len(edges)
+        return edges
+
     def handed(start, edges, end):
         nonlocal built, calls
         built += len(edges)
         before = calls
         try:
-            return trace(start, edges, end)
+            with monkeypatch.context() as inside:
+                inside.setattr(moves, "_square_edges", joined)
+                return trace(start, edges, end)
         finally:
             calls = before
 
     monkeypatch.setattr(moves, "_apply_int", counted)
-    monkeypatch.setattr(derived, "_apply_int", counted)
     monkeypatch.setattr(derived, "_edge_trace", handed)
     for item, args in battery_instances():
         if args["n"] <= 3:

@@ -65,6 +65,16 @@ def test_derived_imports_nothing_from_markov():
     assert "markov" not in imports("derived")
 
 
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"moves"}))
+def test_only_moves_builds_square_chains(module):
+    # _edge_trace joins unreduced ends, and edge inverses their cancelled letters
+    assert "_square_edges" not in set().union(*imports(module).values()), module
+
+
+def test_derived_applies_moves_only_through_the_builder():
+    assert "_apply_int" not in imports("derived")["moves"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_private_name_of_markov(module):
     private = [name for name in imports(module).get("markov", ()) if name.startswith("_")]

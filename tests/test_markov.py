@@ -582,6 +582,40 @@ class TestEdgeTrace:
         for word in [trace.start, *(s.result for s in trace.steps)]:
             assert by_state.setdefault((word.strands, word.code), word) is word
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unreduced_ends_are_joined_by_squares(self, data):
+        # squares planted into a reduced word and into a fan walk's end from
+        # it; the search path runs between the two reduced words, and the
+        # oracle is the explicit stitch of square chains at both ends
+        def letters(m):
+            return st.integers(1, m - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+
+        def planted(state):
+            m, t = state[0], list(state[1])
+            for _ in range(data.draw(st.integers(0, 2))):
+                p, g = data.draw(st.integers(0, len(t))), data.draw(letters(m))
+                t[p:p] = [g, g]
+            return (m, tuple(t))
+
+        n = data.draw(st.integers(2, 4))
+        su = sv = (n, _reduce(tuple(data.draw(st.lists(letters(n), max_size=4)))))
+        for _ in range(data.draw(st.integers(0, 2))):
+            fan = [e[3] for e in _moves_int(sv, 4, n + 1) if e[3][0] >= 2]
+            sv = data.draw(st.sampled_from(fan)) if fan else sv
+        start, end = planted(su), planted(sv)
+        path = markov._search(su, sv, *Budget(2_000).resolve(TwinWord(*start), TwinWord(*end)))
+        if type(path) is int:
+            return  # a spent budget leaves no path to join
+        trace = _edge_trace(start, path, end)
+        assert trace.replay() and (trace.start, trace.end) == (TwinWord(*start), TwinWord(*end))
+        stitched = _square_edges(n, start[1], su[1]) + path + _square_edges(sv[0], sv[1], end[1])
+        assert trace == _edge_trace(start, stitched, end)
+        # one more letter changes the length's parity, which free reduction
+        # keeps, so the path's last state shares no free reduction with it
+        with pytest.raises(RuntimeError, match="internal"):
+            _edge_trace(start, path, (end[0], end[1] + (1,)))
+
     def test_square_edges_fault_is_internal_error(self):
         # s1 and r1 share no free reduction; every caller rules that out
         with pytest.raises(RuntimeError, match="internal"):
@@ -665,8 +699,7 @@ class TestEquivalentClosures:
             scans.append((lhs, rhs))
             return _square_edges(n, lhs, rhs)
 
-        # the search joins its ends, and each backward edge's inverse its squares
-        monkeypatch.setattr(markov, "_square_edges", recording)
+        # _edge_trace joins the search's ends, and each backward edge's inverse its squares
         monkeypatch.setattr(moves, "_square_edges", recording)
         verdict = equivalent_closures(w(a, 3), w(b, 3), Budget(20_000))
         steps = verdict.trace.steps
