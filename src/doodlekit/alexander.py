@@ -29,7 +29,11 @@ from .words import TwinWord, _word
 
 
 def braid(g: GaussData) -> TwinWord:
-    """Deterministic braiding of valid Gauss data."""
+    """Deterministic braiding of valid Gauss data.
+
+    Crossings are placed in id order.  An arc is found with list.index and
+    carried down inline, one virtual letter a slot, by one pop and insert.
+    """
     n, link, loops = g.crossings, g.link, g.free_loops
     if n == 0:
         if loops == 0:
@@ -39,27 +43,28 @@ def braid(g: GaussData) -> TwinWord:
     # arcs are named by their exit ends (see gauss); order lists the arcs in
     # transit by 0-based radial slot, the cut arcs first, and an arc's slot is
     # its index there; free loops sit innermost and no arc passes them: only
-    # an offset
+    # an offset.  Carrying the arc in slot src down to slot dst < src writes
+    # the virtual letters -(loops + src), ..., -(loops + dst + 1)
     order = [x for x in range(4 * n) if x & 2 and link[x] >> 2 <= x >> 2]
     code: list[int] = []
-
-    def move(src: int, dst: int) -> None:
-        """Carry the arc in slot src down to slot dst, one virtual letter a slot."""
-        if src > dst:
-            code.extend(range(-(loops + src), -(loops + dst)))
-            order.insert(dst, order.pop(src))
-
     for c in range(0, 4 * n, 4):  # the arcs entering slots 1 and 2 are in slots i and j
         i, j = order.index(link[c]), order.index(link[c + 1])
-        if i < j:
-            move(j, i + 1)
-        else:
-            move(i, j)
+        if i < j:  # carry j down next to i
+            if j > i + 1:
+                code.extend(range(-(loops + j), -(loops + i + 1)))
+                order.insert(i + 1, order.pop(j))
+        else:  # carry i down to j, and the crossing sits at j
+            code.extend(range(-(loops + i), -(loops + j)))
+            order.insert(j, order.pop(i))
             i = j
         code.append(loops + i + 1)
         order[i], order[i + 1] = c + 2, c + 3
 
-    # sort the surviving in-transit arcs back into the cut order
+    # sort the surviving in-transit arcs back into the cut order; the slots
+    # before target already hold their arcs, so each arc is carried down
     for target, x in enumerate(sorted(order)):  # the cut arcs again
-        move(order.index(x), target)
+        src = order.index(x)
+        if src > target:
+            code.extend(range(-(loops + src), -(loops + target)))
+            order.insert(target, order.pop(src))
     return _word(loops + len(order), tuple(code))

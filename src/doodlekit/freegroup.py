@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import IndexOutOfRange, PatternMismatch, RankMismatch
 from .words import TwinWord, _cut, _digits
@@ -273,14 +274,11 @@ def separating_generator(u: TwinWord, v: TwinWord) -> int | None:
     if u.strands != v.strands:
         raise RankMismatch(f"strand counts differ: {_digits(u.strands)} vs {_digits(v.strands)}")
     rank, a, b = u.strands, u.code, v.code
-    # u = P X S and v = P Y S with the longest P, then the longest S
+    # u = P X S and v = P Y S with the longest P, then the longest S that
+    # does not reach into P: the first differing index from each end
     m = min(len(a), len(b))
-    p = 0
-    while p < m and a[p] == b[p]:
-        p += 1
-    s = 0
-    while s < m - p and a[-1 - s] == b[-1 - s]:
-        s += 1
+    p = next(compress(count(), map(operator.ne, a, b)), m)
+    s = min(next(compress(count(), map(operator.ne, reversed(a), reversed(b))), m), m - p)
     if (p or s) and _images(rank, a[p : len(a) - s]) == _images(rank, b[p : len(b) - s]):
         return None
     # the least index where the middles differ need not be the words'

@@ -34,7 +34,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .errors import MatchingViolation, NegativeCount, SlotMisuse, UnknownToken
-from .words import TwinWord, _count, _cycles, _digits, _quoted_line
+from .words import TwinWord, _count, _digits, _quoted_line
 
 ENTRY_SLOTS = (1, 2)
 EXIT_SLOTS = (3, 4)
@@ -203,37 +203,55 @@ def isomorphic(g1: GaussData, g2: GaussData) -> Optional[tuple[int, ...]]:
 def closure_gauss(w: TwinWord) -> GaussData:
     """Gauss data of the annular closure of a twin word.
 
-    The k-th real letter becomes crossing k; virtual letters only permute
-    strand positions.  No free reduction is applied first: the diagram of
-    s1 s1 genuinely has two crossings.
+    The k-th real letter becomes crossing k.  No free reduction is applied
+    first: the diagram of s1 s1 genuinely has two crossings.  Arcs are
+    linked as the letters are read: a real letter links its two entries to
+    the exits pending at its positions and leaves its own two exits
+    pending, and a virtual letter swaps two pending ends.  Only strands
+    that meet no crossing need a walk to close, which counts free loops.
     """
-    n = w.strands
-    at = list(range(n))  # at[p] = the 0-based strand at 0-based position p
-    entries: list[list[int]] = [[] for _ in range(n)]  # entry ends along each strand
+    n, code = w.strands, w.code
+    # pend[p]: the exit pending at 0-based position p, or ~t while the strand
+    # there has met no crossing since top position t
+    pend = list(range(-1, -n - 1, -1))
+    first = [-1] * n  # first[t]: the first entry on the strand from top t
+    link = [0] * (4 * len(code))
     e = 0  # slot-1 end of the next crossing
-    for a in w.code:  # a letter at index i swaps 0-based positions i - 1 and i
-        if a > 0:  # real
-            left, right = at[a - 1], at[a]
-            entries[left].append(e)
-            entries[right].append(e + 1)
+    for a in code:  # a letter at index i acts on 0-based positions i - 1 and i
+        if a > 0:  # entry e from the left, e + 1 from the right
+            i = a - 1
+            x, y = pend[i], pend[a]
+            if x < 0:
+                first[~x] = e
+            else:
+                link[x], link[e] = e, x
+            if y < 0:
+                first[~y] = e + 1
+            else:
+                link[y], link[e + 1] = e + 1, y
+            pend[i], pend[a] = e + 2, e + 3  # an entry leaves at its end ^ 3
             e += 4
-            at[a - 1], at[a] = right, left
         else:
-            at[-a - 1], at[-a] = at[-a], at[-a - 1]
+            pend[~a], pend[-a] = pend[-a], pend[~a]
 
-    # the closure joins bottom position p to top position p, so the strand
-    # at[p] runs on as strand p: a cycle of at, reversed, is one component's
-    # strands in order.  Each entry x leaves at exit x ^ 3
-    link, free_loops = [0] * e, 0
-    for cyc in _cycles(at):
-        run: list[int] = []
-        for s in reversed(cyc):
-            run += entries[s]
-        free_loops += not run
-        prev = run[-1] ^ 3 if run else 0  # the exit that leads into run[0]
-        for x in run:
-            link[prev], link[x] = x, prev
-            prev = x ^ 3
+    # the closure joins bottom position p to top position p, so first[t] is
+    # entered from the exit pending at t, or, where a crossing-free strand
+    # from top s ends at t (pend[t] == ~s), from what enters s; each such
+    # strand is walked once and marked 0
+    for t, f in enumerate(first):
+        if f >= 0:
+            p = t
+            while pend[p] < 0:
+                pend[p], p = 0, ~pend[p]
+            x = pend[p]
+            link[x], link[f] = f, x
+    free_loops = 0
+    for p in range(n):  # what is left meets no crossing: free loops
+        if pend[p] < 0:
+            free_loops += 1
+            while pend[p] < 0:
+                pend[p], p = 0, ~pend[p]
+    del link[e:]
     return _gauss(e // 4, tuple(link), free_loops)
 
 

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
+from test_gauss import oracle_words, strand_walk_closure
 from doodlekit.alexander import braid
 from doodlekit.errors import InvalidGaussData
 from doodlekit.gauss import GaussData, closure_gauss, isomorphic, parse_gauss, relabel
-from doodlekit.words import REAL, TwinWord, parse_word, random_word
+from doodlekit.words import REAL, TwinWord, _word, parse_word, random_word
 
 
 def real_count(word):
@@ -30,6 +31,53 @@ def test_roundtrip_is_exact(pair):
         back = closure_gauss(braid(g))
         assert back == g  # the same crossing count, link and free loops
         assert isomorphic(back, g) == tuple(range(1, g.crossings + 1))
+
+
+def reference_braid(g):
+    """braid as it was before it carried arcs inline: through a nested move."""
+    n, link, loops = g.crossings, g.link, g.free_loops
+    if n == 0:
+        return _word(loops, ())
+    order = [x for x in range(4 * n) if x & 2 and link[x] >> 2 <= x >> 2]
+    code = []
+
+    def move(src, dst):
+        """Carry the arc in slot src down to slot dst, one virtual letter a slot."""
+        if src > dst:
+            code.extend(range(-(loops + src), -(loops + dst)))
+            order.insert(dst, order.pop(src))
+
+    for c in range(0, 4 * n, 4):
+        i, j = order.index(link[c]), order.index(link[c + 1])
+        if i < j:
+            move(j, i + 1)
+        else:
+            move(i, j)
+            i = j
+        code.append(loops + i + 1)
+        order[i], order[i + 1] = c + 2, c + 3
+    for target, x in enumerate(sorted(order)):
+        move(order.index(x), target)
+    return _word(loops + len(order), tuple(code))
+
+
+@st.composite
+def oracle_diagrams(draw):
+    """The closure of an oracle word, and a relabelled copy of it."""
+    g = closure_gauss(draw(oracle_words()))
+    return g, relabel(g, tuple(draw(st.permutations(range(1, g.crossings + 1)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_diagrams())
+def test_braid_is_the_reference(pair):
+    """braid writes the reference's word exactly, on a closure and on a
+    relabelled copy, and closure_gauss of that word is the strand walk's."""
+    for g in pair:  # a closure has a crossing or a free loop
+        b, ref = braid(g), reference_braid(g)
+        assert (b.strands, b.code) == (ref.strands, ref.code)
+        back, walked = closure_gauss(b), strand_walk_closure(b)
+        assert (back.link, back.free_loops) == (walked.link, walked.free_loops) == (g.link, g.free_loops)
 
 
 class TestBraid:

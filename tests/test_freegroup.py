@@ -78,6 +78,15 @@ def affix_pairs(draw):
     return TwinWord(n, p + x + s), TwinWord(n, p + y + s)
 
 
+@st.composite
+def two_letter_pairs(draw):
+    """(u, v) over s1 and r1 alone on n = 2..4, at most 8 letters each: long
+    common prefixes and suffixes, which often overlap."""
+    n = draw(st.integers(2, 4))
+    part = st.lists(st.sampled_from((1, -1)), max_size=8).map(tuple)
+    return TwinWord(n, draw(part)), TwinWord(n, draw(part))
+
+
 def least_differing_image(u, v):
     """The brute-force witness: the least i where the whole images differ."""
     fu, fv = mu(u).images, mu(v).images
@@ -266,6 +275,31 @@ class TestSeparation:
         u, v = pair
         assert separating_generator(u, v) == least_differing_image(u, v)
         assert separating_generator(v, u) == least_differing_image(v, u)
+
+    @pytest.mark.parametrize("u,v,n", [
+        ("s1 r2 s1", "s1 r2 s1", 3),  # equal
+        ("s1 r2", "s1 r2 s2 r1", 3),  # a prefix
+        ("s2 r1", "s1 r2 s2 r1", 3),  # a suffix
+        ("s1 r1 s1", "s1", 2),  # the prefix and the suffix share the letter
+        ("", "s1 r2", 3),  # empty against non-empty
+        ("s1 s1 s1", "s1 s1", 2),  # p = 2 = m: the suffix must not reach back
+        ("s1 s1 s1 s1", "s1 s1", 2),
+        ("s1 r1 s1 r1", "s1 r1", 2),
+        ("s1 s2 r1 s1", "r1 s2 r1 s1", 3),  # only the first letter differs
+        ("s1 s2 r1 s1", "s1 s2 r1 r1", 3),  # only the last letter differs
+    ])
+    def test_overlapping_prefix_and_suffix(self, u, v, n):
+        """The suffix is clamped to what the prefix leaves, so words whose
+        common prefix and suffix overlap get the whole-word witness."""
+        u, v = w(u, n), w(v, n)
+        assert separating_generator(u, v) == least_differing_image(u, v)
+        assert separating_generator(v, u) == least_differing_image(v, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_letter_pairs())
+    def test_two_letter_words_overlap_often(self, pair):
+        u, v = pair
+        assert separating_generator(u, v) == least_differing_image(u, v)
 
     def test_witness_of_words_not_of_middles(self):
         # u = X r1 and v = Y r1: the middles separate at x1, the words at x2

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import fixture_text
 from test_cli import GAUSS_REJECTS, invoke
@@ -21,7 +21,7 @@ from doodlekit.gauss import (
     relabel,
     validate,
 )
-from doodlekit.words import REAL, Letter, TwinWord, parse_word, pi, random_word
+from doodlekit.words import REAL, Letter, TwinWord, _cycles, parse_word, pi, random_word
 
 KINK = make_gauss(1, [((1, 3), (1, 1)), ((1, 4), (1, 2))])
 TWISTED = make_gauss(1, [((1, 3), (1, 2)), ((1, 4), (1, 1))])
@@ -130,6 +130,75 @@ def test_link_and_arcs_agree(word):
     for other in others:
         assert isomorphic(h, other) == isomorphic(g, other) is not None
         assert isomorphic(other, h) == isomorphic(other, g)
+
+
+def strand_walk_closure(word):
+    """The closure as the strand walk computed it before closure_gauss linked
+    as it read: collect the entry ends along each strand, then join them
+    along each cycle of the strand permutation, read backwards."""
+    n = word.strands
+    at = list(range(n))  # at[p] = the 0-based strand at 0-based position p
+    entries = [[] for _ in range(n)]  # entry ends along each strand
+    e = 0
+    for a in word.code:
+        if a > 0:
+            left, right = at[a - 1], at[a]
+            entries[left].append(e)
+            entries[right].append(e + 1)
+            e += 4
+            at[a - 1], at[a] = right, left
+        else:
+            at[-a - 1], at[-a] = at[-a], at[-a - 1]
+    link, free_loops = [0] * e, 0
+    for cyc in _cycles(at):
+        run = []
+        for s in reversed(cyc):
+            run += entries[s]
+        free_loops += not run
+        prev = run[-1] ^ 3 if run else 0  # the exit that leads into run[0]
+        for x in run:
+            link[prev], link[x] = x, prev
+            prev = x ^ 3
+    return _gauss(e // 4, tuple(link), free_loops)
+
+
+@st.composite
+def oracle_words(draw):
+    """Words with n = 1..9 and at most 40 letters in four shapes: any letters;
+    virtual letters only; at most three real letters among virtual ones, so
+    that most strands meet no crossing and chains of them close through one
+    another; and squares g g put into a word, so that it is not reduced."""
+    n = draw(st.integers(1, 9))
+    if n == 1:
+        return TwinWord(1, ())
+    signed = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    virtual = st.integers(-(n - 1), -1)
+    shape = draw(st.sampled_from(["any", "virtual", "few_reals", "squares"]))
+    if shape == "any":
+        code = draw(st.lists(signed, max_size=40))
+    elif shape == "virtual":
+        code = draw(st.lists(virtual, max_size=40))
+    elif shape == "few_reals":
+        code = draw(st.lists(virtual, max_size=37))
+        for a in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+            code.insert(draw(st.integers(0, len(code))), a)
+    else:
+        code = draw(st.lists(signed, max_size=20))
+        for g in draw(st.lists(signed, max_size=10)):
+            k = draw(st.integers(0, len(code)))
+            code[k:k] = [g, g]
+    return TwinWord(n, tuple(code))
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_words())
+@example(TwinWord(1, ()))
+@example(TwinWord(2, (1, 1)))
+@example(TwinWord(3, (-1, -2)))
+def test_closure_gauss_is_the_strand_walk(word):
+    """Linking as it reads gives the strand walk's link and free loops exactly."""
+    g, ref = closure_gauss(word), strand_walk_closure(word)
+    assert (g.crossings, g.link, g.free_loops) == (ref.crossings, ref.link, ref.free_loops)
 
 
 class TestClosureGauss:
